@@ -31,7 +31,6 @@ from .stability import routh_hurwitz_stable  # noqa: F401  (re-export)
 from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, |c0|)
-_MERGE_RTOL = 1e-8       # roots closer than this (relative) collapse to one
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 
 
@@ -153,14 +152,18 @@ def cubic_value(problem: CubicProblem, N: float) -> float:
 
 
 def cubic_discriminant(problem: CubicProblem) -> float:
-    """Discriminant of the cubic; positive iff three distinct real roots."""
+    """Discriminant of the cubic; positive iff three distinct real roots.
+
+    Products rather than powers: on overflow a float power raises, a product
+    gives inf or nan, which reads as not positive (one root).
+    """
     a, b, c, d = problem.c3, problem.c2, problem.c1, problem.c0
     return (
         18.0 * a * b * c * d
-        - 4.0 * b ** 3 * d
-        + b ** 2 * c ** 2
-        - 4.0 * a * c ** 3
-        - 27.0 * a ** 2 * d ** 2
+        - 4.0 * (b * b * b) * d
+        + (b * b) * (c * c)
+        - 4.0 * a * (c * c * c)
+        - 27.0 * (a * a) * (d * d)
     )
 
 
@@ -186,37 +189,32 @@ def _polish_root(problem: CubicProblem, x: float) -> float:
 
 
 def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
-    """All non-negative real roots of the cubic, ascending and Newton-polished.
+    """All real roots of the cubic, ascending and Newton-polished.
 
-    Roots are found from the polynomial companion matrix and polished; every
-    returned root N satisfies |cubic(N)| <= 1e-8 max(1, |c0|).
+    For A_l > 0 every real root is positive: the cubic equals
+    N (4 (C N + Delta0)^2 + kappa^2) - 4 A_l^2, which is negative for all
+    N <= 0.  (For A_l = 0 the only real root is N = 0.)  The root count is
+    defined by the sign of cubic_discriminant: three roots when it is
+    positive, otherwise one.  With three, the real parts of all companion-
+    matrix eigenvalues are polished; with one, only the eigenvalue of
+    smallest imaginary part.  When c3 N^3 + c2 N^2 is below rounding at the
+    linear root -c0/c1 (g0 = 0 or vanishingly small) and the discriminant is
+    not positive, that linear root is returned without forming the companion
+    matrix, which would overflow.  Every returned root N satisfies
+    |cubic(N)| <= 1e-8 max(1, |c0|).
     """
     scale = max(1.0, abs(problem.c0))
-    if problem.c3 == 0.0:
-        # g0 = 0: the cubic degenerates to c1 N + c0 = 0 with c1 > 0.
-        if problem.c1 <= 0.0:
-            raise RootSolveError("degenerate cubic with non-positive linear coefficient")
-        return (-problem.c0 / problem.c1,)
+    if problem.c3 == 0.0 and problem.c1 <= 0.0:
+        raise RootSolveError("degenerate cubic with non-positive linear coefficient")
+    three = cubic_discriminant(problem) > 0.0
+    if not three and problem.c1 > 0.0:
+        n_lin = -problem.c0 / problem.c1
+        if (problem.c3 * n_lin + abs(problem.c2)) * (n_lin * n_lin) <= 1e-17 * scale:
+            return (n_lin,)
     raw = np.roots([problem.c3, problem.c2, problem.c1, problem.c0])
-    candidates = []
-    for r in raw:
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r.real)):
-            continue
-        x = _polish_root(problem, float(r.real))
-        if x < 0.0:
-            if x > -1e-12:
-                x = 0.0
-            else:
-                continue
-        candidates.append(x)
-    candidates.sort()
-    roots: list[float] = []
-    for x in candidates:
-        if roots and abs(x - roots[-1]) <= _MERGE_RTOL * max(1.0, abs(x)):
-            continue
-        roots.append(x)
-    if not roots:
-        raise RootSolveError("cubic produced no admissible real root")
+    if not three:
+        raw = [raw[np.argmin(np.abs(raw.imag))]]
+    roots = sorted(_polish_root(problem, float(r.real)) for r in raw)
     for x in roots:
         if abs(cubic_value(problem, x)) > _ROOT_RTOL * scale:
             raise RootSolveError(
@@ -273,23 +271,28 @@ def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
 
 
 def _labels_for(count: int) -> tuple[str, ...]:
-    if count == 3:
-        return ("lower", "middle", "upper")
-    if count == 2:
-        return ("lower", "upper")
-    return ("only",)
+    return ("lower", "middle", "upper") if count == 3 else ("only",)
 
 
-def _root_count(params: SystemParams, Delta0: float) -> int:
-    p = dataclasses.replace(params, Delta0=float(Delta0))
-    return len(solve_intracavity_occupancy(intracavity_cubic(p)))
+def _bisect(f, lo: float, hi: float, f_lo: float, width: float) -> float:
+    """Bisect a sign change of f on [lo, hi] (f(lo) = f_lo) down to width."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _refine_edge(params: SystemParams, lo: float, hi: float) -> float:
-    """Bisect the detuning at which the cubic root count changes.
+    """Bisect the detuning at which the cubic discriminant changes sign.
 
-    Primary predicate is the discriminant sign (zero exactly at a double
-    root); if the endpoint signs agree the root count itself is bisected.
+    The root count is defined by the discriminant sign, so grid neighbours
+    with different counts always bracket a sign change (or hit a zero).
     """
     def disc(d: float) -> float:
         return cubic_discriminant(
@@ -301,25 +304,7 @@ def _refine_edge(params: SystemParams, lo: float, hi: float) -> float:
         return lo
     if f_hi == 0.0:
         return hi
-    if (f_lo > 0) != (f_hi > 0):
-        while hi - lo > _EDGE_ATOL * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            f_mid = disc(mid)
-            if f_mid == 0.0:
-                return mid
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi, f_hi = mid, f_mid
-    else:
-        c_lo = _root_count(params, lo)
-        while hi - lo > _EDGE_ATOL * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if _root_count(params, mid) == c_lo:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(disc, lo, hi, f_lo, _EDGE_ATOL * max(1.0, abs(lo), abs(hi)))
 
 
 def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> BistabilityBranch:
@@ -335,12 +320,9 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
     all_labels: list[tuple[str, ...]] = []
     all_stable: list[tuple[bool, ...]] = []
     for d in detunings:
-        p = dataclasses.replace(params, Delta0=float(d))
-        problem = intracavity_cubic(p)
-        roots = solve_intracavity_occupancy(problem)
-        states = [_steady_from_occupancy(p, problem, N) for N in roots]
-        all_roots.append(roots)
-        all_labels.append(_labels_for(len(roots)))
+        states = steady_states(dataclasses.replace(params, Delta0=float(d)))
+        all_roots.append(tuple(s.N_o for s in states))
+        all_labels.append(_labels_for(len(states)))
         all_stable.append(tuple(s.stable for s in states))
     edges = []
     for i in range(detunings.size - 1):
@@ -401,11 +383,8 @@ def stability_map(
         row_roots = []
         row_stable = []
         for a in amplitudes:
-            p = dataclasses.replace(params, Delta0=float(d), A_l=float(a))
-            problem = intracavity_cubic(p)
-            roots = solve_intracavity_occupancy(problem)
-            states = [_steady_from_occupancy(p, problem, N) for N in roots]
-            row_roots.append(roots)
+            states = steady_states(dataclasses.replace(params, Delta0=float(d), A_l=float(a)))
+            row_roots.append(tuple(s.N_o for s in states))
             row_stable.append(tuple(s.stable for s in states))
         roots_grid.append(tuple(row_roots))
         stable_grid.append(tuple(row_stable))
@@ -664,19 +643,9 @@ def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
         if h[i] == 0.0 or h[i + 1] == 0.0:
             continue
         if (h[i] > 0) != (h[i + 1] > 0):
-            lo, hi = float(x[i]), float(x[i + 1])
-            f_lo = h[i]
-            while hi - lo > 1e-10 * wavelength:
-                mid = 0.5 * (lo + hi)
-                f_mid = slope(mid)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            candidates.append(0.5 * (lo + hi))
+            candidates.append(
+                _bisect(slope, float(x[i]), float(x[i + 1]), h[i], 1e-10 * wavelength)
+            )
     stable_eq: list[float] = []
     stiffness: list[float] = []
     for pos in sorted(candidates):

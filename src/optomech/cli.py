@@ -558,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # before ValueError: LinAlgError subclasses it
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

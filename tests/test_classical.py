@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from optomech.errors import (
     DivergenceError,
@@ -38,6 +39,7 @@ from optomech.classical import (
     steady_states,
     sweep_bistability,
 )
+from test_acceptance import _independent_discriminant
 
 FIG5 = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=0.0, A_l=5.0)
 BISTABLE = dataclasses.replace(FIG5, g0=0.005, Delta0=-0.21)
@@ -85,15 +87,55 @@ class TestCubic:
         kappa=st.floats(0.01, 2),
     )
     @settings(max_examples=200)
+    @example(g0=2.5439273303134336e-77, Delta0=0.0, A_l=18.0, kappa=1.0)
     def test_root_properties(self, g0, Delta0, A_l, kappa):
         p = SystemParams(kappa=kappa, gamma=0.005, g0=g0, Delta0=Delta0, A_l=A_l)
         problem = intracavity_cubic(p)
         roots = solve_intracavity_occupancy(problem)
-        assert len(roots) in (1, 2, 3)
+        assert len(roots) in (1, 3)
         assert all(r >= 0 for r in roots)
         assert list(roots) == sorted(roots)
         scale = max(1.0, abs(problem.c0))
         assert all(abs(cubic_value(problem, r)) <= 1e-8 * scale for r in roots)
+
+    @given(
+        g0=st.floats(0.005, 0.02),
+        A_l=st.floats(5, 20),
+        upper_edge=st.booleans(),
+        side=st.sampled_from((-1.0, 1.0)),
+        log_rel=st.floats(-12, -6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_near_window_edge(self, g0, A_l, upper_edge, side, log_rel):
+        # Delta0 within relative 1e-12..1e-6 of a window edge, i.e. next to a
+        # double root; the edge comes from an oracle independent of the solver.
+        p = dataclasses.replace(FIG5, g0=g0, A_l=A_l)
+        # the window lies inside -C N_max < Delta0 < 0, N_max = 4 A_l^2 / kappa^2
+        n_max = 4.0 * A_l ** 2 / p.kappa ** 2
+        grid = -np.geomspace(1e-3, 2.0 * intracavity_cubic(p).C * n_max + 1.0, 200)
+        disc = [_independent_discriminant(p, d) for d in grid]
+        brackets = [
+            (grid[i + 1], grid[i]) for i in range(grid.size - 1)
+            if (disc[i] > 0) != (disc[i + 1] > 0)
+        ]
+        assert len(brackets) == 2
+        lo, hi = brackets[0] if upper_edge else brackets[1]
+        edge = brentq(lambda d: _independent_discriminant(p, d), lo, hi, xtol=1e-15)
+        near = dataclasses.replace(p, Delta0=edge * (1.0 + side * 10.0 ** log_rel))
+        problem = intracavity_cubic(near)
+        roots = solve_intracavity_occupancy(problem)
+        assert len(roots) == (3 if cubic_discriminant(problem) > 0 else 1)
+        assert all(r > 0 for r in roots)
+        scale = max(1.0, abs(problem.c0))
+        assert all(abs(cubic_value(problem, r)) <= 1e-8 * scale for r in roots)
+
+    @pytest.mark.parametrize(
+        "field, value", [("Delta0", 1e110), ("Delta0", -1e110), ("A_l", 1e100), ("kappa", 1e-80)]
+    )
+    def test_discriminant_overflow_reads_as_one_root(self, field, value):
+        problem = intracavity_cubic(dataclasses.replace(FIG5, **{field: value}))
+        (root,) = solve_intracavity_occupancy(problem)
+        assert root > 0
 
     def test_bistable_point_has_three_roots(self):
         roots = solve_intracavity_occupancy(intracavity_cubic(BISTABLE))

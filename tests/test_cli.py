@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optomech.cli import (
     GridSpec,
@@ -382,6 +387,39 @@ class TestExitCodes:
             output_dir=str(tmp_path / "out"),
         )
         assert main([str(config), "--quiet"]) == 2
+
+    def test_linalg_error_is_2(self, tmp_path, capsys, monkeypatch):
+        def singular(params):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(classical, "steady_states", singular)
+        config = write_config(
+            tmp_path, command="steady", grids={}, output_dir=str(tmp_path / "out")
+        )
+        assert main([str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "config error" not in err
+
+    @given(
+        g0=st.floats(0, 0.02),
+        Delta0=st.floats(-2, 2),
+        A_l=st.floats(0, 20),
+        kappa=st.floats(0.01, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(g0=2.5439273303134336e-77, Delta0=0.0, A_l=18.0, kappa=1.0)
+    def test_valid_steady_config_never_reports_config_error(self, g0, Delta0, A_l, kappa):
+        params = {"kappa": kappa, "gamma": 0.005, "g0": g0, "Delta0": Delta0, "A_l": A_l}
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(
+                Path(tmp), command="steady", params=params, grids={},
+                output_dir=str(Path(tmp) / "out"),
+            )
+            with contextlib.redirect_stderr(err):
+                code = main([str(config), "--quiet"])
+        assert code in (0, 2)
+        assert "config error" not in err.getvalue()
 
     def test_io_error_is_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
