@@ -13,6 +13,8 @@ import sys
 import numpy as np
 
 from optomech import (
+    SystemParams,
+    diffusion_matrix,
     drift_matrix_from_rates,
     optical_spring_shift,
     optomechanical_damping,
@@ -31,8 +33,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     omega_m = 1.0
-    mech = args.gamma * (args.n_th + 0.5)
-    D = np.diag([args.kappa / 2, args.kappa / 2, mech, mech])
+    D = diffusion_matrix(
+        SystemParams(
+            kappa=args.kappa, gamma=args.gamma, g0=0.0, Delta0=0.0, A_l=0.0,
+            n_th=args.n_th,
+        )
+    )
     thermal_qq = args.n_th + 0.5
 
     print(

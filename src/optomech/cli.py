@@ -11,11 +11,14 @@ A run is described by a flat JSON file:
       "seed": 0
     }
 
-Every command writes one or more CSV tables (17 significant digits, LF line
-endings) plus a .meta.json sidecar per table that echoes the run
-configuration, so any output directory can be re-run byte-identically from
-its own sidecar.  Exit codes: 0 success, 1 configuration error, 2 numerical
-error, 3 I/O error.
+COMMANDS maps each command name to the grids its config must define and a
+handler.  A handler returns plain columns, {table name: {column name:
+values}}; run_command wraps them in ResultTables and attaches the run
+configuration as their metadata.  Every table is written as a CSV (17
+significant digits, LF line endings) plus a .meta.json sidecar that echoes
+that configuration, so any output directory can be re-run byte-identically
+from its own sidecar.  Exit codes: 0 success, 1 configuration error,
+2 numerical error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -49,20 +52,6 @@ _PARAM_KEYS = ("kappa", "gamma", "g0", "Delta0", "A_l", "omega_m", "n_th", "m")
 _REQUIRED_PARAM_KEYS = ("kappa", "gamma", "g0", "Delta0", "A_l")
 _GRID_KEYS = ("start", "stop", "count")
 _TOP_KEYS = ("command", "params", "grids", "output_dir", "seed")
-
-REQUIRED_GRIDS = {
-    "steady": (),
-    "bistability": ("Delta0",),
-    "hysteresis": ("Delta0",),
-    "stability-map": ("Delta0", "A_l"),
-    "damping": ("Delta",),
-    "spring": ("Delta",),
-    "mean-field": ("t",),
-    "covariance": ("t",),
-    "static-potential": ("x", "F0"),
-    "regime": (),
-}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -137,10 +126,8 @@ def load_config(path: str | Path) -> RunSpec:
             raise ConfigError(f"config is missing required key {required!r}")
 
     command = raw["command"]
-    if command not in REQUIRED_GRIDS:
-        raise ConfigError(
-            f"unknown command {command!r}{_suggest(str(command), REQUIRED_GRIDS)}"
-        )
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}{_suggest(str(command), COMMANDS)}")
 
     params_raw = raw["params"]
     if not isinstance(params_raw, dict):
@@ -158,12 +145,8 @@ def load_config(path: str | Path) -> RunSpec:
     grids_raw = raw.get("grids", {})
     if not isinstance(grids_raw, dict):
         raise ConfigError("grids must be a JSON object")
-    required_grids = REQUIRED_GRIDS[command]
-    _reject_unknown(
-        grids_raw,
-        required_grids,
-        f"grids for command {command!r}",
-    )
+    required_grids, _ = COMMANDS[command]
+    _reject_unknown(grids_raw, required_grids, f"grids for command {command!r}")
     for name in required_grids:
         if name not in grids_raw:
             raise ConfigError(f"command {command!r} requires grid {name!r}")
@@ -216,7 +199,7 @@ def spec_to_config(spec: RunSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns {table name: {column name: values}}
 
 
 def _first_stable_state(params: SystemParams):
@@ -228,115 +211,91 @@ def _first_stable_state(params: SystemParams):
     )
 
 
-def _run_steady(spec: RunSpec) -> list[ResultTable]:
-    states = classical.steady_states(spec.params)
-    n = len(states)
-    return [
-        ResultTable(
-            name="steady",
-            columns={
-                "branch": np.arange(n, dtype=float),
-                "N_o": np.array([s.N_o for s in states]),
-                "alpha_re": np.array([s.alpha_s.real for s in states]),
-                "alpha_im": np.array([s.alpha_s.imag for s in states]),
-                "beta_re": np.array([s.beta_s.real for s in states]),
-                "beta_im": np.array([s.beta_s.imag for s in states]),
-                "Delta_eff": np.array([s.Delta_eff for s in states]),
-                "stable": np.array([s.stable for s in states], dtype=float),
-            },
+def _rows_to_columns(names, rows) -> dict[str, np.ndarray]:
+    """Long-format float columns from row tuples ordered like names."""
+    values = np.array(rows, dtype=float).reshape(-1, len(names))
+    return {name: values[:, k] for k, name in enumerate(names)}
+
+
+def _branch_columns(keys, points) -> dict[str, np.ndarray]:
+    """One row per steady-state branch; points yields (key values, roots, stable)."""
+    return _rows_to_columns(
+        (*keys, "branch", "N_o", "stable"),
+        [
+            (*key, b, N, ok)
+            for key, roots, stable in points
+            for b, (N, ok) in enumerate(zip(roots, stable))
+        ],
+    )
+
+
+def _sampled_times(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """Grid times, checked against the integrator's sample count."""
+    t = grid.values()
+    if samples.size != t.size:
+        raise SimulationError(
+            f"integrator produced {samples.size} samples for a {t.size}-point grid"
         )
+    return t
+
+
+def _run_steady(spec: RunSpec) -> dict:
+    rows = [
+        (b, s.N_o, s.alpha_s.real, s.alpha_s.imag, s.beta_s.real, s.beta_s.imag,
+         s.Delta_eff, s.stable)
+        for b, s in enumerate(classical.steady_states(spec.params))
     ]
+    names = ("branch", "N_o", "alpha_re", "alpha_im", "beta_re", "beta_im",
+             "Delta_eff", "stable")
+    return {"steady": _rows_to_columns(names, rows)}
 
 
-def _run_bistability(spec: RunSpec) -> list[ResultTable]:
-    grid = spec.grids["Delta0"].values()
-    sweep = classical.sweep_bistability(spec.params, grid)
-    rows_d, rows_b, rows_n, rows_s = [], [], [], []
-    for d, roots, stable in zip(sweep.detunings, sweep.roots, sweep.stability):
-        for b, (N, ok) in enumerate(zip(roots, stable)):
-            rows_d.append(float(d))
-            rows_b.append(float(b))
-            rows_n.append(N)
-            rows_s.append(float(ok))
-    return [
-        ResultTable(
-            name="bistability",
-            columns={
-                "Delta0": np.array(rows_d),
-                "branch": np.array(rows_b),
-                "N_o": np.array(rows_n),
-                "stable": np.array(rows_s),
-            },
-        ),
-        ResultTable(
-            name="window_edges",
-            columns={"Delta0_edge": np.array(sweep.window_edges, dtype=float)},
-        ),
-    ]
+def _run_bistability(spec: RunSpec) -> dict:
+    sweep = classical.sweep_bistability(spec.params, spec.grids["Delta0"].values())
+    points = zip(((d,) for d in sweep.detunings), sweep.roots, sweep.stability)
+    return {
+        "bistability": _branch_columns(("Delta0",), points),
+        "window_edges": {"Delta0_edge": np.array(sweep.window_edges, dtype=float)},
+    }
 
 
-def _run_hysteresis(spec: RunSpec) -> list[ResultTable]:
+def _run_hysteresis(spec: RunSpec) -> dict:
     grid = spec.grids["Delta0"].values()
     n_up = classical.hysteresis_sweep(spec.params, grid, direction="up")
     n_down = classical.hysteresis_sweep(spec.params, grid, direction="down")
-    return [
-        ResultTable(
-            name="hysteresis",
-            columns={"Delta0": grid, "N_up": n_up, "N_down": n_down},
-        )
-    ]
+    return {"hysteresis": {"Delta0": grid, "N_up": n_up, "N_down": n_down}}
 
 
-def _run_stability_map(spec: RunSpec) -> list[ResultTable]:
-    detunings = spec.grids["Delta0"].values()
-    amplitudes = spec.grids["A_l"].values()
-    result = classical.stability_map(spec.params, detunings, amplitudes)
-    cols = {k: [] for k in ("Delta0", "A_l", "branch", "N_o", "stable")}
-    for i, d in enumerate(result.detunings):
-        for j, a in enumerate(result.amplitudes):
-            for b, (N, ok) in enumerate(zip(result.roots[i][j], result.stable[i][j])):
-                cols["Delta0"].append(float(d))
-                cols["A_l"].append(float(a))
-                cols["branch"].append(float(b))
-                cols["N_o"].append(N)
-                cols["stable"].append(float(ok))
-    return [
-        ResultTable(
-            name="stability_map",
-            columns={k: np.array(v) for k, v in cols.items()},
-        )
-    ]
-
-
-def _linear_cavity_coupling(spec: RunSpec, Delta: np.ndarray) -> np.ndarray:
-    """Field-enhanced coupling g0 |A_l / (kappa/2 - i Delta)| per grid point."""
-    p = spec.params
-    return p.g0 * np.abs(p.A_l / (p.kappa / 2.0 - 1j * Delta))
-
-
-def _run_damping(spec: RunSpec) -> list[ResultTable]:
-    Delta = spec.grids["Delta"].values()
-    g_s = _linear_cavity_coupling(spec, Delta)
-    gamma_om = classical.optomechanical_damping(
-        g_s, Delta, spec.params.kappa, spec.params.omega_m
+def _run_stability_map(spec: RunSpec) -> dict:
+    result = classical.stability_map(
+        spec.params, spec.grids["Delta0"].values(), spec.grids["A_l"].values()
     )
-    return [
-        ResultTable(name="damping", columns={"Delta": Delta, "gamma_om": gamma_om})
-    ]
-
-
-def _run_spring(spec: RunSpec) -> list[ResultTable]:
-    Delta = spec.grids["Delta"].values()
-    g_s = _linear_cavity_coupling(spec, Delta)
-    shift = classical.optical_spring_shift(
-        g_s, Delta, spec.params.kappa, spec.params.omega_m
+    points = (
+        ((d, a), result.roots[i][j], result.stable[i][j])
+        for i, d in enumerate(result.detunings)
+        for j, a in enumerate(result.amplitudes)
     )
-    return [
-        ResultTable(name="spring", columns={"Delta": Delta, "delta_omega_m": shift})
-    ]
+    return {"stability_map": _branch_columns(("Delta0", "A_l"), points)}
 
 
-def _run_mean_field(spec: RunSpec) -> list[ResultTable]:
+def _linear_cavity_sweep(column: str, closed_form):
+    """Handler evaluating closed_form(g_s, Delta, kappa, omega_m) over the Delta grid.
+
+    The coupling is g_s = g0 |A_l / (kappa/2 - i Delta)| per grid point; the
+    table is named after the command.
+    """
+
+    def run(spec: RunSpec) -> dict:
+        p = spec.params
+        Delta = spec.grids["Delta"].values()
+        g_s = p.g0 * np.abs(p.A_l / (p.kappa / 2.0 - 1j * Delta))
+        values = closed_form(g_s, Delta, p.kappa, p.omega_m)
+        return {spec.command: {"Delta": Delta, column: values}}
+
+    return run
+
+
+def _run_mean_field(spec: RunSpec) -> dict:
     grid = spec.grids["t"]
     traj = classical.integrate_mean_field(
         spec.params,
@@ -345,24 +304,16 @@ def _run_mean_field(spec: RunSpec) -> list[ResultTable]:
         t_end=grid.stop - grid.start,
         dt=grid.step,
     )
-    t = grid.values()
-    if traj.t.size != t.size:
-        raise SimulationError(
-            f"integrator produced {traj.t.size} samples for a {t.size}-point grid"
-        )
-    return [
-        ResultTable(
-            name="mean_field",
-            columns={
-                "t": t,
-                "alpha_re": traj.alpha.real,
-                "alpha_im": traj.alpha.imag,
-                "beta_re": traj.beta.real,
-                "beta_im": traj.beta.imag,
-                "N": np.abs(traj.alpha) ** 2,
-            },
-        )
-    ]
+    return {
+        "mean_field": {
+            "t": _sampled_times(grid, traj.t),
+            "alpha_re": traj.alpha.real,
+            "alpha_im": traj.alpha.imag,
+            "beta_re": traj.beta.real,
+            "beta_im": traj.beta.imag,
+            "N": np.abs(traj.alpha) ** 2,
+        }
+    }
 
 
 _V_COLUMNS = (
@@ -372,7 +323,7 @@ _V_COLUMNS = (
 )
 
 
-def _run_covariance(spec: RunSpec) -> list[ResultTable]:
+def _run_covariance(spec: RunSpec) -> dict:
     grid = spec.grids["t"]
     state = _first_stable_state(spec.params)
     A = quantum.drift_matrix(spec.params, state)
@@ -381,18 +332,12 @@ def _run_covariance(spec: RunSpec) -> list[ResultTable]:
     traj = quantum.integrate_covariance(
         A, D, V0, t_end=grid.stop - grid.start, dt=grid.step
     )
-    t = grid.values()
-    if traj.t.size != t.size:
-        raise SimulationError(
-            f"integrator produced {traj.t.size} samples for a {t.size}-point grid"
-        )
-    columns: dict[str, np.ndarray] = {"t": t}
-    for name, i, j in _V_COLUMNS:
-        columns[name] = traj.V[:, i, j]
-    return [ResultTable(name="covariance", columns=columns)]
+    columns = {"t": _sampled_times(grid, traj.t)}
+    columns.update((name, traj.V[:, i, j]) for name, i, j in _V_COLUMNS)
+    return {"covariance": columns}
 
 
-def _run_static_potential(spec: RunSpec) -> list[ResultTable]:
+def _run_static_potential(spec: RunSpec) -> dict:
     x = spec.grids["x"].values()
     forces = spec.grids["F0"].values()
     if np.any(forces < 0):
@@ -403,35 +348,21 @@ def _run_static_potential(spec: RunSpec) -> list[ResultTable]:
             f"x grid must cover at least one comb resonance (spacing {spacing:g})"
         )
     k_ho = spec.params.m * spec.params.omega_m ** 2
-    cols = {k: [] for k in ("F0", "x_eq", "K_eff")}
-    last_result = None
+    rows = []
     for f0 in forces:
         model = classical.lorentzian_comb_model(
             k_ho, float(f0), STATIC_WAVELENGTH, STATIC_FINESSE, float(x[0]), float(x[-1])
         )
-        last_result = classical.static_potential(model, x)
-        for pos, stiff in zip(last_result.equilibria, last_result.K_eff):
-            cols["F0"].append(float(f0))
-            cols["x_eq"].append(float(pos))
-            cols["K_eff"].append(float(stiff))
-    return [
-        ResultTable(
-            name="equilibria",
-            columns={k: np.array(v) for k, v in cols.items()},
-        ),
-        ResultTable(
-            name="potential",
-            columns={
-                "x": x,
-                "V_RP": last_result.V_RP,
-                "V_HO": last_result.V_HO,
-                "V_t": last_result.V_t,
-            },
-        ),
-    ]
+        result = classical.static_potential(model, x)
+        rows += [(f0, pos, stiff) for pos, stiff in zip(result.equilibria, result.K_eff)]
+    return {
+        "equilibria": _rows_to_columns(("F0", "x_eq", "K_eff"), rows),
+        # the potential curves of the largest force on the grid
+        "potential": {"x": x, "V_RP": result.V_RP, "V_HO": result.V_HO, "V_t": result.V_t},
+    }
 
 
-def _run_regime(spec: RunSpec) -> list[ResultTable]:
+def _run_regime(spec: RunSpec) -> dict:
     p = spec.params
     state = _first_stable_state(p)
     g_s = p.g0 * abs(state.alpha_s)
@@ -451,38 +382,34 @@ def _run_regime(spec: RunSpec) -> list[ResultTable]:
         "resolved_sideband": float(summary.resolved_sideband),
         "interaction": float(INTERACTION_CODES[report.interaction_kind]),
     }
-    return [
-        ResultTable(
-            name="regime",
-            columns={k: np.array([v]) for k, v in scalars.items()},
-        )
-    ]
+    return {"regime": {k: np.array([v]) for k, v in scalars.items()}}
 
 
-_HANDLERS = {
-    "steady": _run_steady,
-    "bistability": _run_bistability,
-    "hysteresis": _run_hysteresis,
-    "stability-map": _run_stability_map,
-    "damping": _run_damping,
-    "spring": _run_spring,
-    "mean-field": _run_mean_field,
-    "covariance": _run_covariance,
-    "static-potential": _run_static_potential,
-    "regime": _run_regime,
+# command name -> (grids the config must define, handler)
+COMMANDS = {
+    "steady": ((), _run_steady),
+    "bistability": (("Delta0",), _run_bistability),
+    "hysteresis": (("Delta0",), _run_hysteresis),
+    "stability-map": (("Delta0", "A_l"), _run_stability_map),
+    "damping": (("Delta",), _linear_cavity_sweep("gamma_om", classical.optomechanical_damping)),
+    "spring": (("Delta",), _linear_cavity_sweep("delta_omega_m", classical.optical_spring_shift)),
+    "mean-field": (("t",), _run_mean_field),
+    "covariance": (("t",), _run_covariance),
+    "static-potential": (("x", "F0"), _run_static_potential),
+    "regime": ((), _run_regime),
 }
 
 
 def run_command(spec: RunSpec) -> list[ResultTable]:
     """Execute a validated RunSpec and return its result tables."""
-    handler = _HANDLERS.get(spec.command)
-    if handler is None:
+    if spec.command not in COMMANDS:
         raise ConfigError(f"unknown command {spec.command!r}")
-    tables = handler(spec)
+    _, handler = COMMANDS[spec.command]
     metadata = spec_to_config(spec)
-    for table in tables:
-        table.metadata = metadata
-    return tables
+    return [
+        ResultTable(name=name, columns=columns, metadata=metadata)
+        for name, columns in handler(spec).items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         # before ValueError: LinAlgError subclasses it
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optomech.cli import (
+    COMMANDS,
     GridSpec,
     ResultTable,
     emit_csv,
@@ -21,6 +22,8 @@ from optomech.cli import (
 )
 from optomech.errors import ConfigError
 from optomech import classical
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "command": "damping",
@@ -238,6 +241,10 @@ class TestCommands:
         code = main([str(config), "--quiet"])
         return code, out
 
+    def test_every_command_has_a_golden_config(self):
+        commands = {load_config(c).command for c in CONFIG_DIR.glob("*.json")}
+        assert commands == set(COMMANDS)
+
     def test_damping_output(self, tmp_path):
         code, out = self.run(tmp_path)
         assert code == 0
@@ -408,6 +415,8 @@ class TestExitCodes:
     )
     @settings(max_examples=100, deadline=None)
     @example(g0=2.5439273303134336e-77, Delta0=0.0, A_l=18.0, kappa=1.0)
+    @example(g0=0.005, Delta0=1e155, A_l=5.0, kappa=0.15)
+    @example(g0=0.005, Delta0=-1.0, A_l=1e160, kappa=0.15)
     def test_valid_steady_config_never_reports_config_error(self, g0, Delta0, A_l, kappa):
         params = {"kappa": kappa, "gamma": 0.005, "g0": g0, "Delta0": Delta0, "A_l": A_l}
         err = io.StringIO()
@@ -472,13 +481,22 @@ class TestMainOptions:
 
 
 class TestDampingSweepSemantics:
-    def test_uses_linear_cavity_coupling_per_point(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, column, closed_form",
+        [
+            ("damping", "gamma_om", classical.optomechanical_damping),
+            ("spring", "delta_omega_m", classical.optical_spring_shift),
+        ],
+    )
+    def test_uses_linear_cavity_coupling_per_point(
+        self, tmp_path, command, column, closed_form
+    ):
         out = tmp_path / "out"
-        config = write_config(tmp_path, output_dir=str(out))
+        config = write_config(tmp_path, command=command, output_dir=str(out))
         main([str(config), "--quiet"])
-        data = np.genfromtxt(out / "damping.csv", delimiter=",", names=True)
+        data = np.genfromtxt(out / f"{command}.csv", delimiter=",", names=True)
         p = load_config(config).params
-        for Delta, gamma_om in zip(data["Delta"], data["gamma_om"]):
+        for Delta, value in zip(data["Delta"], data[column]):
             g_s = p.g0 * abs(p.A_l / (p.kappa / 2 - 1j * Delta))
-            expected = classical.optomechanical_damping(g_s, Delta, p.kappa, p.omega_m)
-            assert gamma_om == pytest.approx(expected, rel=1e-15, abs=1e-300)
+            expected = closed_form(g_s, Delta, p.kappa, p.omega_m)
+            assert value == pytest.approx(expected, rel=1e-15, abs=1e-300)
