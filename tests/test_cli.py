@@ -481,16 +481,7 @@ class TestMainOptions:
 
 
 class TestDampingSweepSemantics:
-    @pytest.mark.parametrize(
-        "command, column, closed_form",
-        [
-            ("damping", "gamma_om", classical.optomechanical_damping),
-            ("spring", "delta_omega_m", classical.optical_spring_shift),
-        ],
-    )
-    def test_uses_linear_cavity_coupling_per_point(
-        self, tmp_path, command, column, closed_form
-    ):
+    def check_closed_form_per_point(self, tmp_path, command, column, closed_form):
         out = tmp_path / "out"
         config = write_config(tmp_path, command=command, output_dir=str(out))
         main([str(config), "--quiet"])
@@ -500,3 +491,13 @@ class TestDampingSweepSemantics:
             g_s = p.g0 * abs(p.A_l / (p.kappa / 2 - 1j * Delta))
             expected = closed_form(g_s, Delta, p.kappa, p.omega_m)
             assert value == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+    def test_uses_linear_cavity_coupling_per_point(self, tmp_path):
+        self.check_closed_form_per_point(
+            tmp_path, "damping", "gamma_om", classical.optomechanical_damping
+        )
+
+    def test_spring_uses_linear_cavity_coupling_per_point(self, tmp_path):
+        self.check_closed_form_per_point(
+            tmp_path, "spring", "delta_omega_m", classical.optical_spring_shift
+        )
