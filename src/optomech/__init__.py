@@ -1,5 +1,7 @@
 """Classical and linearized-quantum dynamics of a driven optomechanical cavity."""
 
+from importlib import import_module as _import_module
+
 from .model import (
     CavityGeometry,
     GeometryCoupling,
@@ -65,6 +67,16 @@ from .quantum import (
     symplectic_form,
     thermal_covariance,
 )
-from .cli import GridSpec, ResultTable, RunSpec, emit_csv, load_config, run_command
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The cli module and its names load on first use (PEP 562), so that
+# `python -m optomech.cli` does not find optomech.cli already imported.
+_CLI_EXPORTS = ("GridSpec", "ResultTable", "RunSpec", "emit_csv", "load_config", "run_command")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["cli", *_CLI_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _CLI_EXPORTS:
+        cli = _import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

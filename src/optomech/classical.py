@@ -18,15 +18,16 @@ a static multi-well potential model for the slow-cavity limit.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, PoleError, RootSolveError, StepSizeError
+from .errors import DivergenceError, PoleError, RootSolveError, SimulationError, StepSizeError
 from .model import SteadyState, SystemParams, validate_params
-from .rk4 import STEP_BOUND_FACTOR, rk4_step, step_times
+from .rk4 import STEP_BOUND_FACTOR, step_times
 from .stability import routh_hurwitz_stable  # noqa: F401  (re-export)
 from . import quantum
 
@@ -132,18 +133,32 @@ class StaticPotentialResult:
 
 
 def intracavity_cubic(params: SystemParams) -> CubicProblem:
-    """Coefficients of the steady-state cubic for the photon number."""
+    """Coefficients of the steady-state cubic for the photon number.
+
+    A coefficient that overflows (a float power raises, a product gives inf)
+    raises SimulationError naming the coefficients and the inputs.
+    """
     validate_params(params)
-    C = 2.0 * params.g0 ** 2 * params.omega_m / (
-        params.gamma ** 2 / 4.0 + params.omega_m ** 2
-    )
-    return CubicProblem(
-        c3=4.0 * C * C,
-        c2=8.0 * C * params.Delta0,
-        c1=4.0 * params.Delta0 ** 2 + params.kappa ** 2,
-        c0=-4.0 * params.A_l ** 2,
-        C=C,
-    )
+    try:
+        C = 2.0 * params.g0 ** 2 * params.omega_m / (
+            params.gamma ** 2 / 4.0 + params.omega_m ** 2
+        )
+        coefficients = (
+            4.0 * C * C,
+            8.0 * C * params.Delta0,
+            4.0 * params.Delta0 ** 2 + params.kappa ** 2,
+            -4.0 * params.A_l ** 2,
+        )
+    except OverflowError:
+        coefficients = None
+    if coefficients is None or not all(map(math.isfinite, coefficients)):
+        raise SimulationError(
+            "steady-state cubic coefficients (c3, c2, c1, c0) = "
+            "(4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2) overflow"
+            + ("" if coefficients is None else f" to {coefficients}")
+            + f" for Delta0 = {params.Delta0!r}, A_l = {params.A_l!r}, g0 = {params.g0!r}"
+        )
+    return CubicProblem(*coefficients, C=C)
 
 
 def cubic_value(problem: CubicProblem, N: float) -> float:
@@ -529,31 +544,47 @@ def integrate_mean_field(
             f"for the fastest rate {fastest:g}"
         )
 
-    def rhs(_t, y):
-        alpha, beta = y
-        Delta = params.Delta0 + 2.0 * params.g0 * beta.real
-        return np.array(
-            [
-                -(params.kappa / 2.0 - 1j * Delta) * alpha + params.A_l,
-                -(params.gamma / 2.0 + 1j * params.omega_m) * beta
-                + 1j * params.g0 * (alpha.real ** 2 + alpha.imag ** 2),
-            ]
-        )
+    # Python complex arithmetic with the four RK4 stages inlined, operation
+    # for operation the numpy-array RK4 step, so the two trajectories are
+    # bit-identical.  The squares stay powers because pow(x, 2) and x * x can
+    # round differently.  A float power that overflows raises OverflowError
+    # where numpy gives inf; an inf always leaves the step non-finite, so
+    # both end in the same DivergenceError.
+    kh, Delta0, A_l = params.kappa / 2.0, params.Delta0, params.A_l
+    g2 = 2.0 * params.g0
+    cb = -(params.gamma / 2.0 + 1j * params.omega_m)
+    ig0 = 1j * params.g0
 
     times = step_times(t_end, dt)
-    y = np.array([complex(alpha0), complex(beta0)])
-    alphas = np.empty(times.size, dtype=complex)
-    betas = np.empty(times.size, dtype=complex)
-    alphas[0], betas[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):  # runaway -> DivergenceError
-        for i in range(1, times.size):
-            y = rk4_step(rhs, times[i - 1], y, times[i] - times[i - 1])
-            if not np.all(np.isfinite(y)) or abs(y[0]) > 1e12:
-                raise DivergenceError(
-                    f"mean-field trajectory diverged at t = {times[i]:g} (|alpha| > 1e12)"
-                )
-            alphas[i], betas[i] = y
-    return MeanFieldTrajectory(t=times, alpha=alphas, beta=betas)
+    a, b = complex(alpha0), complex(beta0)
+    alphas, betas = [a], [b]
+    for i, h in enumerate(np.diff(times).tolist(), start=1):
+        half = 0.5 * h
+        try:
+            ka1 = -(kh - 1j * (Delta0 + g2 * b.real)) * a + A_l
+            kb1 = cb * b + ig0 * (a.real ** 2 + a.imag ** 2)
+            a2, b2 = a + half * ka1, b + half * kb1
+            ka2 = -(kh - 1j * (Delta0 + g2 * b2.real)) * a2 + A_l
+            kb2 = cb * b2 + ig0 * (a2.real ** 2 + a2.imag ** 2)
+            a3, b3 = a + half * ka2, b + half * kb2
+            ka3 = -(kh - 1j * (Delta0 + g2 * b3.real)) * a3 + A_l
+            kb3 = cb * b3 + ig0 * (a3.real ** 2 + a3.imag ** 2)
+            a4, b4 = a + h * ka3, b + h * kb3
+            ka4 = -(kh - 1j * (Delta0 + g2 * b4.real)) * a4 + A_l
+            kb4 = cb * b4 + ig0 * (a4.real ** 2 + a4.imag ** 2)
+            sixth = h / 6.0
+            a = a + sixth * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+            b = b + sixth * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+            diverged = not (cmath.isfinite(a) and cmath.isfinite(b)) or abs(a) > 1e12
+        except OverflowError:
+            diverged = True
+        if diverged:
+            raise DivergenceError(
+                f"mean-field trajectory diverged at t = {times[i]:g} (|alpha| > 1e12)"
+            )
+        alphas.append(a)
+        betas.append(b)
+    return MeanFieldTrajectory(t=times, alpha=np.array(alphas), beta=np.array(betas))
 
 
 # ---------------------------------------------------------------------------

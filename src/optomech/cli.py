@@ -427,14 +427,11 @@ def emit_csv(table: ResultTable, path: str | Path) -> None:
     lengths = {v.size for v in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns of {table.name!r} have unequal lengths {lengths}")
-    n = lengths.pop() if lengths else 0
+    cells = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
+    row_format = ",".join(["%.17g"] * len(cells)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for i in range(n):
-            fh.write(
-                ",".join(format(float(col[i]), ".17g") for col in columns.values())
-                + "\n"
-            )
+        fh.writelines(row_format % row for row in zip(*cells))
     sidecar = path.with_suffix(".meta.json")
     with open(sidecar, "w", newline="") as fh:
         json.dump(table.metadata, fh, indent=2, sort_keys=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AmbiguousRegimeError, SingularSystemError, StepSizeError, UnstableSystemError
 from .model import SteadyState, SystemParams
-from .rk4 import STEP_BOUND_FACTOR, rk4_step, step_times
+from .rk4 import STEP_BOUND_FACTOR, step_times
 from .stability import hurwitz_quantities
 
 QUADRATURE_NAMES = ("X", "Y", "Q", "P")
@@ -151,14 +151,70 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return V
 
 
+# Upper-triangle index pairs (i <= j, row-major): a symmetric V as 10 numbers.
+_TRIU = np.triu_indices(4)
+
+
+def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float]:
+    """(kappa, gamma, omega_m, Delta) read off a matrix with the drift layout.
+
+    The layout is the one in the module docstring: zeros at (0, 3), (1, 3),
+    (2, 0) and (2, 1), equal diagonal pairs A[0, 0] = A[1, 1] and
+    A[2, 2] = A[3, 3], and the antisymmetric pairs A[1, 0] = -A[0, 1]
+    (Delta) and A[2, 3] = -A[3, 2] (omega_m), each to 1e-12 max|A|.  Any
+    other matrix raises ValueError, because its rates cannot be read off.
+    """
+    tol = 1e-12 * float(np.max(np.abs(A)))
+    gaps = (
+        A[0, 3], A[1, 3], A[2, 0], A[2, 1],
+        A[0, 0] - A[1, 1], A[2, 2] - A[3, 3],
+        A[1, 0] + A[0, 1], A[2, 3] + A[3, 2],
+    )
+    if not all(abs(gap) <= tol for gap in gaps):
+        raise ValueError(
+            "A must have the drift-matrix layout (see optomech.quantum) so that "
+            "kappa, gamma, omega_m and Delta can be read off for the step bound"
+        )
+    return -2.0 * A[0, 0], -2.0 * A[2, 2], A[2, 3], A[1, 0]
+
+
+def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """10x10 matrix of V -> A V + V A^T on upper-triangle coordinates."""
+    L = np.empty((10, 10))
+    for k, (i, j) in enumerate(zip(*_TRIU)):
+        E = np.zeros((4, 4))
+        E[i, j] = E[j, i] = 1.0
+        L[:, k] = (A @ E + E @ A.T)[_TRIU]
+    return L
+
+
+def _rk4_affine_map(L: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P, q) with one RK4 step of w' = L w + d equal to w -> P w + q.
+
+    P = sum_{k<=4} (hL)^k / k! and q = h sum_{k<=3} (hL)^k / (k+1)! d, both
+    in Horner form.
+    """
+    M = h * L
+    eye = np.eye(10)
+    P = eye + M @ (eye + M @ (eye + M @ (eye + M / 4.0) / 3.0) / 2.0)
+    v = d / 24.0
+    for c in (6.0, 2.0, 1.0):
+        v = d / c + M @ v
+    return P, h * v
+
+
 def integrate_covariance(
     A: np.ndarray, D: np.ndarray, V0: np.ndarray, t_end: float, dt: float
 ) -> CovarianceTrajectory:
     """Integrate dV/dt = A V + V A^T + D with fixed-step RK4.
 
-    dt must satisfy dt <= 0.05 / max rate, where the rates are read off the
-    drift matrix (kappa, gamma, omega_m, |Delta|).  V is re-symmetrized after
-    every step so round-off cannot accumulate asymmetry.
+    A must have the drift-matrix layout of the module docstring (ValueError
+    otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
+    read off A (kappa, gamma, omega_m, |Delta|).  V is carried as its 10
+    upper-triangle entries, so every sample is exactly symmetric.  The ODE is
+    linear with constant coefficients, so one RK4 step is a fixed affine map
+    on those entries: it is built once for dt (and once more when the final
+    step of the grid has another length) and iterated.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -167,28 +223,28 @@ def integrate_covariance(
         raise ValueError("A, D and V0 must be 4x4")
     if not np.allclose(V0, V0.T, rtol=0.0, atol=1e-12):
         raise ValueError("V0 must be symmetric")
-    kappa = -2.0 * A[0, 0]
-    gamma = -2.0 * A[2, 2]
-    omega_m = A[2, 3]
-    Delta = A[1, 0]
-    fastest = max(abs(kappa), abs(gamma), abs(omega_m), abs(Delta))
+    fastest = max(abs(rate) for rate in _drift_rates(A))
     if fastest > 0 and dt > STEP_BOUND_FACTOR / fastest:
         raise StepSizeError(
             f"dt = {dt:g} exceeds the step bound {STEP_BOUND_FACTOR / fastest:g} "
             f"for the fastest rate {fastest:g}"
         )
 
-    def rhs(_t, V):
-        return A @ V + V @ A.T + D
-
     times = step_times(t_end, dt)
+    L = _lyapunov_operator(A)
+    d = (0.5 * (D + D.T))[_TRIU]
+    P, q = _rk4_affine_map(L, d, dt)
+    w = np.empty((times.size, 10))
+    w[0] = (0.5 * (V0 + V0.T))[_TRIU]
+    for i in range(1, times.size - 1):
+        w[i] = P @ w[i - 1] + q
+    h_last = float(times[-1] - times[-2])
+    if h_last != dt:
+        P, q = _rk4_affine_map(L, d, h_last)
+    w[-1] = P @ w[-2] + q
     out = np.empty((times.size, 4, 4))
-    V = 0.5 * (V0 + V0.T)
-    out[0] = V
-    for i in range(1, times.size):
-        V = rk4_step(rhs, times[i - 1], V, times[i] - times[i - 1])
-        V = 0.5 * (V + V.T)
-        out[i] = V
+    out[:, _TRIU[0], _TRIU[1]] = w
+    out[:, _TRIU[1], _TRIU[0]] = w
     return CovarianceTrajectory(t=times, V=out)
 
 

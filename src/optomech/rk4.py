@@ -1,22 +1,11 @@
-"""Fixed-step classical fourth-order Runge-Kutta integration."""
+"""Time grid and step bound shared by the fixed-step RK4 integrators."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 # Fraction of the fastest system time scale a single step may cover.
 STEP_BOUND_FACTOR = 0.05
-
-
-def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step for y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_times(t_end: float, dt: float) -> np.ndarray:

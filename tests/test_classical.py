@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from optomech.errors import (
     DivergenceError,
     PoleError,
+    SimulationError,
     StepSizeError,
 )
 from optomech.model import SystemParams
@@ -136,6 +137,21 @@ class TestCubic:
         problem = intracavity_cubic(dataclasses.replace(FIG5, **{field: value}))
         (root,) = solve_intracavity_occupancy(problem)
         assert root > 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("Delta0", 1e155), ("Delta0", 1e154), ("A_l", 1e160), ("A_l", 1e154), ("g0", 1e77)],
+    )
+    def test_coefficient_overflow_is_simulation_error(self, field, value):
+        # a float power raises OverflowError, a product overflows to inf
+        p = dataclasses.replace(FIG5, **{field: value})
+        with pytest.raises(SimulationError, match="c3, c2, c1, c0") as info:
+            intracavity_cubic(p)
+        message = str(info.value)
+        assert f"Delta0 = {p.Delta0!r}" in message
+        assert f"A_l = {p.A_l!r}" in message and f"g0 = {p.g0!r}" in message
+        with pytest.raises(SimulationError):
+            steady_states(p)
 
     def test_bistable_point_has_three_roots(self):
         roots = solve_intracavity_occupancy(intracavity_cubic(BISTABLE))
@@ -497,6 +513,38 @@ class TestClassifyRegime:
 # mean-field integration
 
 
+def reference_rk4_step(f, t, y, dt):
+    """One generic RK4 step on numpy arrays, independent of the package."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_mean_field(params, alpha0, beta0, times):
+    """Mean-field RK4 with a numpy right-hand side on the given time grid."""
+
+    def rhs(_t, y):
+        alpha, beta = y
+        Delta = params.Delta0 + 2.0 * params.g0 * beta.real
+        return np.array(
+            [
+                -(params.kappa / 2.0 - 1j * Delta) * alpha + params.A_l,
+                -(params.gamma / 2.0 + 1j * params.omega_m) * beta
+                + 1j * params.g0 * (alpha.real ** 2 + alpha.imag ** 2),
+            ]
+        )
+
+    y = np.array([complex(alpha0), complex(beta0)])
+    out = np.empty((times.size, 2), dtype=complex)
+    out[0] = y
+    for i in range(1, times.size):
+        y = reference_rk4_step(rhs, times[i - 1], y, times[i] - times[i - 1])
+        out[i] = y
+    return out[:, 0], out[:, 1]
+
+
 class TestIntegrateMeanField:
     def test_linear_cavity_matches_analytic_transient(self):
         p = dataclasses.replace(FIG5, g0=0.0, Delta0=-0.3)
@@ -516,6 +564,25 @@ class TestIntegrateMeanField:
         traj = integrate_mean_field(FIG5, 1 + 2j, 3 - 4j, t_end=1.0, dt=0.01)
         assert traj.alpha[0] == 1 + 2j and traj.beta[0] == 3 - 4j
         assert traj.t[0] == 0.0 and traj.t[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "params, alpha0, beta0, t_end, dt",
+        [
+            (BISTABLE, 1.5 - 0.7j, -0.3 + 2.1j, 1.005, 0.01),
+            # long enough that pow(x, 2) and x * x round apart on some square
+            (BISTABLE, 1.5 - 0.7j, -0.3 + 2.1j, 20.005, 0.01),
+            (dataclasses.replace(FIG5, g0=0.05, Delta0=-1.0), 0.0, 0.0, 40.0, 0.05),
+            (dataclasses.replace(FIG5, g0=0.02, Delta0=0.8, A_l=0.0), 3.0 + 4.0j, -0.0, 7.3, 0.03),
+        ],
+    )
+    def test_bit_identical_to_numpy_reference_stepper(self, params, alpha0, beta0, t_end, dt):
+        traj = integrate_mean_field(params, alpha0, beta0, t_end=t_end, dt=dt)
+        assert traj.t[-1] == t_end
+        alpha, beta = reference_mean_field(params, alpha0, beta0, traj.t)
+        assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.beta, beta)
+        # bit for bit, signed zeros included
+        assert traj.alpha.tobytes() == alpha.tobytes()
+        assert traj.beta.tobytes() == beta.tobytes()
 
     def test_step_bound(self):
         with pytest.raises(StepSizeError):

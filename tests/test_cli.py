@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from optomech.errors import ConfigError
 from optomech import classical
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 BASE = {
     "command": "damping",
@@ -223,6 +227,22 @@ class TestEmitCsv:
         )
         with pytest.raises(ValueError, match="unequal"):
             emit_csv(table, tmp_path / "t.csv")
+
+    def test_edge_values_match_per_cell_format(self, tmp_path):
+        # reference: one cell at a time through format(float(x), ".17g")
+        values = np.array(
+            [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+             1.7976931348623157e308, 1e16, 123456789.125, -1 / 3]
+        )
+        flags = np.arange(values.size) % 2 == 0
+        table = ResultTable(name="t", columns={"v": values, "flag": flags}, metadata={})
+        path = tmp_path / "t.csv"
+        emit_csv(table, path)
+        expected = "v,flag\n" + "".join(
+            f"{format(float(v), '.17g')},{format(float(f), '.17g')}\n"
+            for v, f in zip(values, flags)
+        )
+        assert path.read_bytes() == expected.encode()
 
     def test_17_digits_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -430,6 +450,15 @@ class TestExitCodes:
         assert code in (0, 2)
         assert "config error" not in err.getvalue()
 
+    def test_overflow_error_names_the_inputs(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, command="steady", grids={}, output_dir=str(tmp_path / "out"),
+            overrides={"params.Delta0": 1e155},
+        )
+        assert main([str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "Delta0 = 1e+155" in err
+
     def test_io_error_is_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -451,6 +480,20 @@ class TestExitCodes:
 
 
 class TestMainOptions:
+    def test_python_m_runs_without_warnings(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "optomech.cli", str(CONFIG_DIR / "steady.json"),
+             "--output-dir", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert (tmp_path / "out" / "steady.csv").exists()
+
     def test_output_dir_override(self, tmp_path):
         config = write_config(tmp_path, output_dir=str(tmp_path / "ignored"))
         override = tmp_path / "elsewhere"

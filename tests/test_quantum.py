@@ -174,6 +174,25 @@ class TestSteadyCovariance:
             steady_covariance(A, D)
 
 
+def reference_covariance(A, D, V0, times):
+    """Covariance RK4 with numpy matrix stages, re-symmetrized after each step."""
+
+    def rhs(V):
+        return A @ V + V @ A.T + D
+
+    out = np.empty((times.size, 4, 4))
+    V = out[0] = 0.5 * (V0 + V0.T)
+    for i in range(1, times.size):
+        h = times[i] - times[i - 1]
+        k1 = rhs(V)
+        k2 = rhs(V + 0.5 * h * k1)
+        k3 = rhs(V + 0.5 * h * k2)
+        k4 = rhs(V + h * k3)
+        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        V = out[i] = 0.5 * (V + V.T)
+    return out
+
+
 class TestIntegrateCovariance:
     def sample(self):
         A = drift_matrix_from_rates(0.5, 0.5, 1.0, -1.0, 0.05)
@@ -214,6 +233,33 @@ class TestIntegrateCovariance:
         traj = integrate_covariance(A, D, thermal_covariance(5.0), t_end=50.0, dt=0.04)
         for V in traj.V[:: 100]:
             assert physicality_min_eig(V) >= -1e-8
+
+    @pytest.mark.parametrize("t_end, dt", [(3.0, 0.01), (3.005, 0.01), (7.77, 0.03)])
+    def test_matches_reference_stepper(self, t_end, dt):
+        A, D = self.sample()
+        V0 = thermal_covariance(3.0)
+        V0[0, 2] = V0[2, 0] = 0.2
+        V0[1, 3] = V0[3, 1] = -0.1
+        traj = integrate_covariance(A, D, V0, t_end=t_end, dt=dt)
+        assert traj.t[-1] == t_end
+        V_ref = reference_covariance(A, D, V0, traj.t)
+        assert np.max(np.abs(traj.V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 3), 0.1), ((2, 1), -0.1), ((1, 1), -0.3), ((3, 3), -0.3), ((0, 1), 2.0), ((3, 2), 0.5)],
+    )
+    def test_rejects_non_drift_layout(self, entry, value):
+        # the step bound reads kappa, gamma, omega_m and Delta off fixed entries
+        A, D = self.sample()
+        A[entry] = value
+        with pytest.raises(ValueError, match="drift-matrix layout"):
+            integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
+
+    def test_largest_step_within_bound_accepted(self):
+        A, D = self.sample()
+        traj = integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.05)
+        assert traj.t.size == 21
 
     def test_step_bound_enforced(self):
         A, D = self.sample()
