@@ -5,15 +5,74 @@ Each config is executed through the CLI entry point, so the outputs are
 byte-identical to what `optomech <config>` produces.  Results land under
 results/<config-stem>/ next to the repository root unless --output-root
 points elsewhere.
+
+With --compare OTHER_ROOT, every CSV and .meta.json sidecar under the output
+root is then checked against the file at the same relative path under
+OTHER_ROOT (for instance the outputs of another checkout) and reported as
+identical, differing (with the largest absolute difference between numeric
+CSV cells) or missing on either side; the exit code is 4 if any file is not
+identical.  Sidecars are compared without their "output_dir" entry, which
+names the root they were written to.
 """
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
 from optomech.cli import main as run_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _max_abs_difference(ours: bytes, theirs: bytes) -> str:
+    """Largest |a - b| over CSV cells, or why the files cannot be compared cellwise."""
+    rows_a, rows_b = ours.decode().splitlines(), theirs.decode().splitlines()
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return f"{len(rows_a)} vs {len(rows_b)} lines, or different headers"
+    worst = 0.0
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            return "rows of different lengths"
+        for a, b in zip(map(float, cells_a), map(float, cells_b)):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                worst = max(worst, abs(a - b))
+    return f"max abs difference {worst:.3e}"
+
+
+def _without_output_dir(sidecar: Path) -> dict:
+    data = json.loads(sidecar.read_text())
+    data.pop("output_dir", None)
+    return data
+
+
+def compare_roots(ours: Path, theirs: Path) -> int:
+    """Print one line per output file; return the number not identical."""
+    suffixes = (".csv", ".json")
+    files = sorted(
+        {p.relative_to(root) for root in (ours, theirs) for p in root.rglob("*")
+         if p.is_file() and p.suffix in suffixes}
+    )
+    differing = 0
+    for rel in files:
+        a, b = ours / rel, theirs / rel
+        if not (a.is_file() and b.is_file()):
+            status = f"missing under {theirs if a.is_file() else ours}"
+        elif a.read_bytes() == b.read_bytes() or (
+            rel.suffix == ".json" and _without_output_dir(a) == _without_output_dir(b)
+        ):
+            print(f"identical  {rel}")
+            continue
+        elif rel.suffix == ".csv":
+            status = _max_abs_difference(a.read_bytes(), b.read_bytes())
+        else:
+            status = "sidecars differ"
+        print(f"DIFFERS    {rel}: {status}")
+        differing += 1
+    print(f"{len(files) - differing}/{len(files)} files identical")
+    return differing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,6 +88,12 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=REPO_ROOT / "results",
         help="directory that receives one subdirectory per config",
+    )
+    parser.add_argument(
+        "--compare",
+        type=Path,
+        metavar="OTHER_ROOT",
+        help="after the run, compare every CSV and sidecar with those under OTHER_ROOT",
     )
     args = parser.parse_args(argv)
 
@@ -49,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{failures}/{len(configs)} configs failed", file=sys.stderr)
         return 2
     print(f"all {len(configs)} configs completed")
+    if args.compare is not None and compare_roots(args.output_root, args.compare):
+        return 4
     return 0
 
 

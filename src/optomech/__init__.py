@@ -27,6 +27,7 @@ from .classical import (
     StabilityMap,
     StaticPotentialModel,
     StaticPotentialResult,
+    SteadyStateGrid,
     classify_regime,
     cubic_discriminant,
     cubic_value,
@@ -49,6 +50,7 @@ from .classical import (
     stability_map,
     static_potential,
     steady_state,
+    steady_state_grid,
     steady_states,
     sweep_bistability,
 )

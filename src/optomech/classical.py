@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DivergenceError, PoleError, RootSolveError, SimulationError, StepSizeError
 from .model import SteadyState, SystemParams, validate_params
 from .rk4 import STEP_BOUND_FACTOR, step_times
-from .stability import routh_hurwitz_stable  # noqa: F401  (re-export)
+from .stability import routh_hurwitz_stable
 from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, |c0|)
@@ -132,22 +133,21 @@ class StaticPotentialResult:
 # steady-state cubic
 
 
-def intracavity_cubic(params: SystemParams) -> CubicProblem:
-    """Coefficients of the steady-state cubic for the photon number.
+def _cubic_coefficients(params: SystemParams, Delta0: float, A_l: float):
+    """(c3, c2, c1, c0, C) at one (Delta0, A_l); the other inputs from params.
 
     A coefficient that overflows (a float power raises, a product gives inf)
     raises SimulationError naming the coefficients and the inputs.
     """
-    validate_params(params)
     try:
         C = 2.0 * params.g0 ** 2 * params.omega_m / (
             params.gamma ** 2 / 4.0 + params.omega_m ** 2
         )
         coefficients = (
             4.0 * C * C,
-            8.0 * C * params.Delta0,
-            4.0 * params.Delta0 ** 2 + params.kappa ** 2,
-            -4.0 * params.A_l ** 2,
+            8.0 * C * Delta0,
+            4.0 * Delta0 ** 2 + params.kappa ** 2,
+            -4.0 * A_l ** 2,
         )
     except OverflowError:
         coefficients = None
@@ -156,9 +156,20 @@ def intracavity_cubic(params: SystemParams) -> CubicProblem:
             "steady-state cubic coefficients (c3, c2, c1, c0) = "
             "(4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2) overflow"
             + ("" if coefficients is None else f" to {coefficients}")
-            + f" for Delta0 = {params.Delta0!r}, A_l = {params.A_l!r}, g0 = {params.g0!r}"
+            + f" for Delta0 = {Delta0!r}, A_l = {A_l!r}, g0 = {params.g0!r}"
         )
-    return CubicProblem(*coefficients, C=C)
+    return (*coefficients, C)
+
+
+def intracavity_cubic(params: SystemParams) -> CubicProblem:
+    """Coefficients of the steady-state cubic for the photon number.
+
+    A coefficient that overflows (a float power raises, a product gives inf)
+    raises SimulationError naming the coefficients and the inputs.
+    """
+    validate_params(params)
+    c3, c2, c1, c0, C = _cubic_coefficients(params, params.Delta0, params.A_l)
+    return CubicProblem(c3, c2, c1, c0, C=C)
 
 
 def cubic_value(problem: CubicProblem, N: float) -> float:
@@ -166,13 +177,7 @@ def cubic_value(problem: CubicProblem, N: float) -> float:
     return ((problem.c3 * N + problem.c2) * N + problem.c1) * N + problem.c0
 
 
-def cubic_discriminant(problem: CubicProblem) -> float:
-    """Discriminant of the cubic; positive iff three distinct real roots.
-
-    Products rather than powers: on overflow a float power raises, a product
-    gives inf or nan, which reads as not positive (one root).
-    """
-    a, b, c, d = problem.c3, problem.c2, problem.c1, problem.c0
+def _discriminant(a: float, b: float, c: float, d: float) -> float:
     return (
         18.0 * a * b * c * d
         - 4.0 * (b * b * b) * d
@@ -182,25 +187,86 @@ def cubic_discriminant(problem: CubicProblem) -> float:
     )
 
 
-def _cubic_derivative(problem: CubicProblem, N: float) -> float:
-    return (3.0 * problem.c3 * N + 2.0 * problem.c2) * N + problem.c1
+def cubic_discriminant(problem: CubicProblem) -> float:
+    """Discriminant of the cubic; positive iff three distinct real roots.
+
+    Products rather than powers: on overflow a float power raises, a product
+    gives inf or nan, which reads as not positive (one root).
+    """
+    return _discriminant(problem.c3, problem.c2, problem.c1, problem.c0)
 
 
-def _polish_root(problem: CubicProblem, x: float) -> float:
-    """Newton-polish a cubic root, keeping the best residual seen."""
-    best, best_res = x, abs(cubic_value(problem, x))
+def _polish_root(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
+    """Newton-polish a root of c3 N^3 + c2 N^2 + c1 N + c0, keeping the best residual.
+
+    Stops once the step is below 1e-16 max(1, |x|), or once the new iterate
+    equals the current or the previous one: each iterate is a fixed function
+    of the one before, so from there on the iteration only revisits iterates
+    whose residuals were already compared, and the result is the one the full
+    40 rounds give.
+    """
+    f = ((c3 * x + c2) * x + c1) * x + c0
+    best, best_res = x, abs(f)
+    prev = None
     for _ in range(40):
-        dp = _cubic_derivative(problem, x)
+        dp = (3.0 * c3 * x + 2.0 * c2) * x + c1
         if dp == 0.0:
             break
-        step = cubic_value(problem, x) / dp
-        x = x - step
-        res = abs(cubic_value(problem, x))
-        if res < best_res:
-            best, best_res = x, res
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+        step = f / dp
+        new = x - step
+        f = ((c3 * new + c2) * new + c1) * new + c0
+        if abs(f) < best_res:
+            best, best_res = new, abs(f)
+        if abs(step) <= 1e-16 * max(1.0, abs(new)) or new == x or new == prev:
             break
+        prev, x = x, new
     return best
+
+
+def _occupancy_roots(problems: list[tuple[float, float, float, float]]):
+    """Real roots of each cubic (c3, c2, c1, c0), ascending and Newton-polished.
+
+    The rules are those of solve_intracavity_occupancy.  The cubics np.roots
+    treats as cubics (nonzero leading and trailing coefficient, a finite
+    companion matrix) share one stacked eigvals call on the companion
+    matrices np.roots builds, which gives per matrix the bits np.roots
+    gives; the others go through np.roots one by one.  Returns one tuple of
+    roots per cubic.
+    """
+    out: list[tuple[float, ...] | None] = []
+    pending = []
+    companions = []
+    for c3, c2, c1, c0 in problems:
+        if c3 == 0.0 and c1 <= 0.0:
+            raise RootSolveError("degenerate cubic with non-positive linear coefficient")
+        three = _discriminant(c3, c2, c1, c0) > 0.0
+        if not three and c1 > 0.0:
+            n_lin = -c0 / c1
+            if (c3 * n_lin + abs(c2)) * (n_lin * n_lin) <= 1e-17 * max(1.0, abs(c0)):
+                out.append((n_lin,))
+                continue
+        top = (-c2 / c3, -c1 / c3, -c0 / c3) if c3 != 0.0 and c0 != 0.0 else (math.nan,)
+        stacked = all(map(math.isfinite, top))
+        if stacked:
+            companions.append((top, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        pending.append((len(out), three, stacked))
+        out.append(None)
+    eigenvalues = iter(np.linalg.eigvals(np.array(companions)).tolist() if companions else ())
+    for k, three, stacked in pending:
+        c3, c2, c1, c0 = problems[k]
+        raw = next(eigenvalues) if stacked else np.roots(problems[k]).tolist()
+        if not three:
+            raw = [min(raw, key=lambda z: abs(z.imag))]
+        roots = sorted(_polish_root(c3, c2, c1, c0, z.real) for z in raw)
+        tol = _ROOT_RTOL * max(1.0, abs(c0))
+        for x in roots:
+            residual = ((c3 * x + c2) * x + c1) * x + c0
+            if abs(residual) > tol:
+                raise RootSolveError(
+                    f"root N = {x:.17g} has residual {residual:.3e} above tolerance {tol:.3e}"
+                )
+        out[k] = tuple(roots)
+    return out
 
 
 def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
@@ -216,52 +282,85 @@ def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
     linear root -c0/c1 (g0 = 0 or vanishingly small) and the discriminant is
     not positive, that linear root is returned without forming the companion
     matrix, which would overflow.  Every returned root N satisfies
-    |cubic(N)| <= 1e-8 max(1, |c0|).
+    |cubic(N)| <= 1e-8 max(1, |c0|).  This is the solver of
+    steady_state_grid at batch size 1.
     """
-    scale = max(1.0, abs(problem.c0))
-    if problem.c3 == 0.0 and problem.c1 <= 0.0:
-        raise RootSolveError("degenerate cubic with non-positive linear coefficient")
-    three = cubic_discriminant(problem) > 0.0
-    if not three and problem.c1 > 0.0:
-        n_lin = -problem.c0 / problem.c1
-        if (problem.c3 * n_lin + abs(problem.c2)) * (n_lin * n_lin) <= 1e-17 * scale:
-            return (n_lin,)
-    raw = np.roots([problem.c3, problem.c2, problem.c1, problem.c0])
-    if not three:
-        raw = [raw[np.argmin(np.abs(raw.imag))]]
-    roots = sorted(_polish_root(problem, float(r.real)) for r in raw)
-    for x in roots:
-        if abs(cubic_value(problem, x)) > _ROOT_RTOL * scale:
-            raise RootSolveError(
-                f"root N = {x:.17g} has residual {cubic_value(problem, x):.3e} "
-                f"above tolerance {_ROOT_RTOL * scale:.3e}"
-            )
-    return tuple(roots)
+    return _occupancy_roots([(problem.c3, problem.c2, problem.c1, problem.c0)])[0]
 
 
-def _steady_from_occupancy(params: SystemParams, problem: CubicProblem, N: float) -> SteadyState:
-    beta_s = 1j * params.g0 * N / (params.gamma / 2.0 + 1j * params.omega_m)
-    Delta_eff = params.Delta0 + 2.0 * params.g0 * beta_s.real
-    alpha_s = params.A_l / (params.kappa / 2.0 - 1j * Delta_eff)
-    A = quantum.drift_matrix_from_rates(
-        params.kappa, params.gamma, params.omega_m, Delta_eff, params.g0 * alpha_s
-    )
-    return SteadyState(
-        alpha_s=alpha_s,
-        beta_s=beta_s,
-        N_o=N,
-        Delta_eff=Delta_eff,
-        stable=routh_hurwitz_stable(A, margin=0.0),
+@dataclass(frozen=True)
+class SteadyStateGrid:
+    """Classical fixed points at every point of a batch of (Delta0, A_l)."""
+
+    counts: tuple[int, ...]             # number of roots (1 or 3) per point
+    states: tuple[SteadyState, ...]     # point by point, ascending N_o within a point
+
+    def per_point(self, field: str) -> tuple[tuple, ...]:
+        """One field of the states, as one tuple per point."""
+        values = (getattr(s, field) for s in self.states)
+        return tuple(tuple(itertools.islice(values, n)) for n in self.counts)
+
+
+def _fixed_points(params: SystemParams, points, roots) -> list[SteadyState]:
+    """The fixed points at given photon numbers, point by point.
+
+    points holds (Delta0, A_l) pairs and roots one tuple of photon numbers
+    per point.  The amplitudes use the scalar complex formulas root by root;
+    the verdicts come from one stacked Routh-Hurwitz call.
+    """
+    mech = params.gamma / 2.0 + 1j * params.omega_m
+    fields = []
+    drift = []
+    for (Delta0, A_l), point_roots in zip(points, roots):
+        for N in point_roots:
+            beta_s = 1j * params.g0 * N / mech
+            Delta_eff = Delta0 + 2.0 * params.g0 * beta_s.real
+            alpha_s = A_l / (params.kappa / 2.0 - 1j * Delta_eff)
+            fields.append((alpha_s, beta_s, N, Delta_eff))
+            drift.append(quantum.drift_matrix_from_rates(
+                params.kappa, params.gamma, params.omega_m, Delta_eff, params.g0 * alpha_s
+            ))
+    stable = routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4), margin=0.0).tolist()
+    return [SteadyState(*f, stable=s) for f, s in zip(fields, stable)]
+
+
+def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]]:
+    """(Delta0, A_l) pairs of a batch, validated with the rest of params."""
+    Delta0, A_l = (np.ravel(v).astype(float) for v in np.broadcast_arrays(Delta0, A_l))
+    bad = ~(np.isfinite(Delta0) & np.isfinite(A_l) & (A_l >= 0))
+    if Delta0.size:
+        k = int(np.argmax(bad))
+        validate_params(dataclasses.replace(params, Delta0=float(Delta0[k]), A_l=float(A_l[k])))
+    return list(zip(Delta0.tolist(), A_l.tolist()))
+
+
+def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
+    """Roots of the cubic at each (Delta0, A_l) point, one tuple per point."""
+    return _occupancy_roots([_cubic_coefficients(params, d, a)[:4] for d, a in points])
+
+
+def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
+    """All classical fixed points at every (Delta0, A_l) of a batch.
+
+    Delta0 and A_l are broadcast against each other and flattened (C order);
+    params supplies every other parameter.  One call solves the cubics of all
+    points (one stacked companion eigvals, per-root Newton polish), forms the
+    amplitudes of every root and takes all Routh-Hurwitz verdicts from one
+    stacked call.  steady_states and steady_state are this kernel at batch
+    size 1.
+    """
+    points = _batch_points(params, Delta0, A_l)
+    roots = _roots_at(params, points)
+    return SteadyStateGrid(
+        counts=tuple(map(len, roots)), states=tuple(_fixed_points(params, points, roots))
     )
 
 
 def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     """All classical fixed points, in ascending photon number."""
-    problem = intracavity_cubic(params)
-    return tuple(
-        _steady_from_occupancy(params, problem, N)
-        for N in solve_intracavity_occupancy(problem)
-    )
+    validate_params(params)
+    points = [(params.Delta0, params.A_l)]
+    return tuple(_fixed_points(params, points, _roots_at(params, points)))
 
 
 def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
@@ -270,15 +369,15 @@ def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
     With N_o omitted the cubic must be monostable; in a bistable window pass
     one of the solve_intracavity_occupancy roots explicitly.
     """
-    problem = intracavity_cubic(params)
     if N_o is None:
-        roots = solve_intracavity_occupancy(problem)
-        if len(roots) != 1:
+        states = steady_states(params)
+        if len(states) != 1:
             raise ValueError(
-                f"{len(roots)} steady states exist; pass N_o to select a branch"
+                f"{len(states)} steady states exist; pass N_o to select a branch"
             )
-        N_o = roots[0]
-    return _steady_from_occupancy(params, problem, float(N_o))
+        return states[0]
+    intracavity_cubic(params)  # validates params and that the cubic is finite
+    return _fixed_points(params, [(params.Delta0, params.A_l)], [(float(N_o),)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +430,16 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 2:
         raise ValueError("detunings must be a 1-D grid with at least 2 points")
-    all_roots: list[tuple[float, ...]] = []
-    all_labels: list[tuple[str, ...]] = []
-    all_stable: list[tuple[bool, ...]] = []
-    for d in detunings:
-        states = steady_states(dataclasses.replace(params, Delta0=float(d)))
-        all_roots.append(tuple(s.N_o for s in states))
-        all_labels.append(_labels_for(len(states)))
-        all_stable.append(tuple(s.stable for s in states))
-    edges = []
-    for i in range(detunings.size - 1):
-        if len(all_roots[i]) != len(all_roots[i + 1]):
-            lo, hi = sorted((float(detunings[i]), float(detunings[i + 1])))
-            edges.append(_refine_edge(params, lo, hi))
+    grid = steady_state_grid(params, detunings, params.A_l)
+    edges = [
+        _refine_edge(params, *sorted((float(detunings[i]), float(detunings[i + 1]))))
+        for i in np.flatnonzero(np.diff(grid.counts)).tolist()
+    ]
     return BistabilityBranch(
         detunings=detunings,
-        roots=tuple(all_roots),
-        branch_labels=tuple(all_labels),
-        stability=tuple(all_stable),
+        roots=grid.per_point("N_o"),
+        branch_labels=tuple(map(_labels_for, grid.counts)),
+        stability=grid.per_point("stable"),
         window_edges=tuple(sorted(edges)),
     )
 
@@ -368,18 +459,14 @@ def hysteresis_sweep(
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 1:
         raise ValueError("detunings must be a non-empty 1-D grid")
-    order = range(detunings.size) if direction == "up" else range(detunings.size - 1, -1, -1)
-    out = np.empty(detunings.size)
-    prev: float | None = None
-    for i in order:
-        p = dataclasses.replace(params, Delta0=float(detunings[i]))
-        roots = solve_intracavity_occupancy(intracavity_cubic(p))
-        if prev is None:
-            prev = roots[0] if direction == "up" else roots[-1]
-        else:
-            prev = min(roots, key=lambda r: abs(r - prev))
-        out[i] = prev
-    return out
+    roots = _roots_at(params, _batch_points(params, detunings, params.A_l))
+    if direction == "down":
+        roots = roots[::-1]
+    trace = [roots[0][0] if direction == "up" else roots[0][-1]]
+    for point_roots in roots[1:]:
+        prev = trace[-1]
+        trace.append(min(point_roots, key=lambda r: abs(r - prev)))
+    return np.array(trace if direction == "up" else trace[::-1])
 
 
 def stability_map(
@@ -392,22 +479,17 @@ def stability_map(
         raise ValueError("detunings and amplitudes must be 1-D grids")
     if np.any(amplitudes < 0):
         raise ValueError("amplitudes must be >= 0")
-    roots_grid = []
-    stable_grid = []
-    for d in detunings:
-        row_roots = []
-        row_stable = []
-        for a in amplitudes:
-            states = steady_states(dataclasses.replace(params, Delta0=float(d), A_l=float(a)))
-            row_roots.append(tuple(s.N_o for s in states))
-            row_stable.append(tuple(s.stable for s in states))
-        roots_grid.append(tuple(row_roots))
-        stable_grid.append(tuple(row_stable))
+    grid = steady_state_grid(params, detunings[:, None], amplitudes[None, :])
+    width = amplitudes.size
+
+    def rows(per_point):
+        return tuple(per_point[i * width:(i + 1) * width] for i in range(detunings.size))
+
     return StabilityMap(
         detunings=detunings,
         amplitudes=amplitudes,
-        roots=tuple(roots_grid),
-        stable=tuple(stable_grid),
+        roots=rows(grid.per_point("N_o")),
+        stable=rows(grid.per_point("stable")),
     )
 
 
@@ -666,17 +748,12 @@ def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
         return model.k_HO * pos - float(radiation_force(model, pos)[0])
 
     h = model.k_HO * x - radiation_force(model, x)
-    candidates: list[float] = []
-    for i in range(x.size):
-        if h[i] == 0.0:
-            candidates.append(float(x[i]))
-    for i in range(x.size - 1):
-        if h[i] == 0.0 or h[i + 1] == 0.0:
-            continue
-        if (h[i] > 0) != (h[i + 1] > 0):
-            candidates.append(
-                _bisect(slope, float(x[i]), float(x[i + 1]), h[i], 1e-10 * wavelength)
-            )
+    positive, nonzero = h > 0, h != 0.0
+    brackets = np.flatnonzero((positive[:-1] != positive[1:]) & nonzero[:-1] & nonzero[1:])
+    candidates = x[~nonzero].tolist() + [
+        _bisect(slope, float(x[i]), float(x[i + 1]), float(h[i]), 1e-10 * wavelength)
+        for i in brackets.tolist()
+    ]
     stable_eq: list[float] = []
     stiffness: list[float] = []
     for pos in sorted(candidates):
@@ -686,11 +763,13 @@ def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
         if k_eff > 0:
             stable_eq.append(pos)
             stiffness.append(k_eff)
+    V_RP = radiation_potential(model, x)
+    V_HO = 0.5 * model.k_HO * x ** 2
     return StaticPotentialResult(
         x=x,
-        V_RP=radiation_potential(model, x),
-        V_HO=0.5 * model.k_HO * x ** 2,
-        V_t=radiation_potential(model, x) + 0.5 * model.k_HO * x ** 2,
+        V_RP=V_RP,
+        V_HO=V_HO,
+        V_t=V_RP + V_HO,
         equilibria=np.array(stable_eq),
         K_eff=np.array(stiffness),
     )

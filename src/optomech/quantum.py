@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AmbiguousRegimeError, SingularSystemError, StepSizeError, UnstableSystemError
 from .model import SteadyState, SystemParams
 from .rk4 import STEP_BOUND_FACTOR, step_times
-from .stability import hurwitz_quantities
+from .stability import hurwitz_quantities, routh_hurwitz_stable
 
 QUADRATURE_NAMES = ("X", "Y", "Q", "P")
 
@@ -122,9 +122,8 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise ValueError(f"A and D must be 4x4 (got {A.shape} and {D.shape})")
     if not np.allclose(D, D.T, rtol=0.0, atol=1e-12):
         raise ValueError("D must be symmetric")
-    quantities = hurwitz_quantities(A)
-    if not all(q > 0 for q in quantities):
-        if any(abs(q) <= 1e-10 for q in quantities):
+    if not routh_hurwitz_stable(A, margin=0.0):
+        if any(abs(q) <= 1e-10 for q in hurwitz_quantities(A)):
             raise SingularSystemError(
                 "drift matrix is marginal (a Routh-Hurwitz quantity vanishes); "
                 "the Lyapunov system is singular"

@@ -1,8 +1,19 @@
 """Routh-Hurwitz stability test for 4x4 real drift matrices.
 
-The characteristic polynomial is assembled from power-sum traces via
-Newton's identities rather than from an eigenvalue decomposition, so the
-stability verdict does not depend on the eigensolver it is tested against.
+The characteristic polynomial is assembled from sums of principal minors
+rather than from an eigenvalue decomposition, so the stability verdict does
+not depend on the eigensolver it is tested against.  Every function takes one
+4x4 matrix or a stack of shape (..., 4, 4); a stack gives arrays of shape
+(...) where one matrix gives Python scalars.
+
+Before the minors are formed, each matrix is scaled by the power of two that
+brings its largest entry into [1/2, 1).  The scaling is exact, so the signs of
+the Hurwitz quantities do not depend on it, and it keeps their products finite
+for any finite matrix (entries more than about 1e150 below the largest can
+still underflow).  Sums of minors, unlike the power-sum traces of Newton's
+identities, do not cancel when the eigenvalue magnitudes are far apart: a
+detuning of 1e10 against a mechanical frequency of 1 leaves no correct digit
+in a trace-based det A.
 """
 
 from __future__ import annotations
@@ -13,48 +24,114 @@ from .errors import MarginalStabilityError
 
 DEFAULT_MARGIN = 1e-10
 
+# Up to this many matrices the minors are formed per matrix on Python floats,
+# where numpy's cost per call would dominate; above it, entry-wise on numpy
+# arrays across the stack.  The arithmetic is the same either way, and so are
+# the bits.
+_PER_MATRIX_STACK = 8
 
-def characteristic_coefficients(A: np.ndarray) -> tuple[float, float, float, float]:
-    """Coefficients (a1, a2, a3, a4) of det(s I - A) = s^4 + a1 s^3 + ... + a4."""
+
+def _polynomial(a):
+    """(a1, a2, a3, a4, a1 a2 a3 - a3^2 - a1^2 a4) of a 4x4 matrix.
+
+    a holds the rows of the matrix; the entries are floats, or arrays of one
+    shape for a stack.  a_k is (-1)^k times the sum of the k x k principal
+    minors; 3x3 minors expand along their first row, det A along rows (0, 1)
+    against the complementary minors of rows (2, 3).
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    # u_cd, w_cd: 2x2 minors of rows (0, 1) and (2, 3) on columns (c, d)
+    u01, u02, u03 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    u12, u13, u23 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    w01, w02, w03 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    w12, w13, w23 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    # v_cd: rows (1, 3); t_cd: rows (1, 2)
+    v01, v03, v13 = a10 * a31 - a11 * a30, a10 * a33 - a13 * a30, a11 * a33 - a13 * a31
+    t01, t02, t12 = a10 * a21 - a11 * a20, a10 * a22 - a12 * a20, a11 * a22 - a12 * a21
+    a1 = -(a00 + a11 + a22 + a33)
+    a2 = u01 + (a00 * a22 - a02 * a20) + (a00 * a33 - a03 * a30) + t12 + v13 + w23
+    a3 = -(
+        (a11 * w23 - a12 * w13 + a13 * w12)
+        + (a00 * w23 - a02 * w03 + a03 * w02)
+        + (a00 * v13 - a01 * v03 + a03 * v01)
+        + (a00 * t12 - a01 * t02 + a02 * t01)
+    )
+    a4 = u01 * w23 - u02 * w13 + u03 * w12 + u12 * w03 - u13 * w02 + u23 * w01
+    return a1, a2, a3, a4, a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4
+
+
+def _scaled(A):
+    """_polynomial of every A 2^-e, the exponents e, and the stack shape.
+
+    Small stacks (and one matrix) give a list of per-matrix tuples of
+    floats, large stacks an array whose last axis holds the five values.
+    """
     A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"A must be 4x4 (got shape {A.shape})")
+    if A.ndim < 2 or A.shape[-2:] != (4, 4):
+        raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
-    A2 = A @ A
-    A3 = A2 @ A
-    p1 = float(np.trace(A))
-    p2 = float(np.trace(A2))
-    p3 = float(np.trace(A3))
-    p4 = float(np.trace(A3 @ A))
-    e1 = p1
-    e2 = (e1 * p1 - p2) / 2.0
-    e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
-    e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) / 4.0
-    return (-e1, e2, -e3, e4)
+    e = np.frexp(np.max(np.abs(A), axis=(-2, -1)))[1]
+    S = np.ldexp(A, -e[..., None, None])
+    if S.size <= 16 * _PER_MATRIX_STACK:
+        values = [_polynomial(m) for m in S.reshape(-1, 4, 4).tolist()]
+    else:
+        values = np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1)
+    return values, e, S.shape[:-2]
 
 
-def hurwitz_quantities(A: np.ndarray) -> tuple[float, float, float, float]:
+def _unscaled(A, positions, degrees):
+    """The values at positions of _scaled(A), times 2^(degree e).
+
+    A value beyond the float range comes back as an inf of its sign.  One
+    matrix gives a tuple of floats, a stack a tuple of arrays.
+    """
+    values, e, shape = _scaled(A)
+    values = np.reshape(values, shape + (5,))[..., positions]
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(values, np.multiply.outer(e, degrees))
+    return tuple(out.tolist()) if out.ndim == 1 else tuple(np.moveaxis(out, -1, 0))
+
+
+def characteristic_coefficients(A):
+    """Coefficients (a1, a2, a3, a4) of det(s I - A) = s^4 + a1 s^3 + ... + a4.
+
+    a_k is (-1)^k times the sum of the k x k principal minors of A.  A
+    coefficient beyond the float range comes back as an inf of its sign.
+    """
+    return _unscaled(A, [0, 1, 2, 3], [1, 2, 3, 4])
+
+
+def hurwitz_quantities(A):
     """The four quantities whose joint positivity is equivalent to stability.
 
     For s^4 + a1 s^3 + a2 s^2 + a3 s + a4 these are
-    (a1, a3, a4, a1 a2 a3 - a3^2 - a1^2 a4).
+    (a1, a3, a4, a1 a2 a3 - a3^2 - a1^2 a4).  They are formed from the scaled
+    matrix, so a quantity beyond the float range comes back as an inf of the
+    right sign.
     """
-    a1, a2, a3, a4 = characteristic_coefficients(A)
-    return (a1, a3, a4, a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4)
+    return _unscaled(A, [0, 2, 3, 4], [1, 3, 4, 6])
 
 
-def routh_hurwitz_stable(A: np.ndarray, margin: float = DEFAULT_MARGIN) -> bool:
+def routh_hurwitz_stable(A, margin: float = DEFAULT_MARGIN):
     """True iff every eigenvalue of the 4x4 matrix A has negative real part.
 
     Quantities within +/-margin of zero raise MarginalStabilityError instead
-    of returning a verdict; pass margin=0.0 to force a strict boolean.
+    of returning a verdict; pass margin=0.0 to force a strict boolean.  A
+    stack of matrices gives a boolean array, and one marginal matrix raises
+    for the whole stack.  The verdict reads the signs of the scaled
+    quantities, which are exact even where the unscaled ones overflow.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0 (got {margin!r})")
-    quantities = hurwitz_quantities(A)
-    if margin > 0 and any(abs(q) <= margin for q in quantities):
-        raise MarginalStabilityError(
-            f"Routh-Hurwitz quantity within +/-{margin:g} of zero: {quantities}"
-        )
-    return all(q > 0 for q in quantities)
+    if margin > 0:
+        quantities = hurwitz_quantities(A)
+        if np.any(np.abs(quantities) <= margin):
+            raise MarginalStabilityError(
+                f"Routh-Hurwitz quantity within +/-{margin:g} of zero: {quantities}"
+            )
+    values, _, shape = _scaled(A)
+    if not isinstance(values, list):
+        return np.all(values[..., [0, 2, 3, 4]] > 0, axis=-1)
+    verdicts = [a1 > 0 and a3 > 0 and a4 > 0 and h > 0 for a1, _, a3, a4, h in values]
+    return verdicts[0] if shape == () else np.array(verdicts, dtype=bool).reshape(shape)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from optomech.errors import (
 )
 from optomech.model import SystemParams
 from optomech.classical import (
+    CubicProblem,
+    _occupancy_roots,
+    _polish_root,
     classify_regime,
     cubic_discriminant,
     cubic_value,
@@ -37,10 +41,30 @@ from optomech.classical import (
     stability_map,
     static_potential,
     steady_state,
+    steady_state_grid,
     steady_states,
     sweep_bistability,
 )
+from optomech.quantum import drift_matrix
 from test_acceptance import _independent_discriminant
+
+def _polish_40_rounds(c3, c2, c1, c0, x):
+    """The Newton polish as it was before it stopped on repeated iterates."""
+    value = lambda N: ((c3 * N + c2) * N + c1) * N + c0
+    best, best_res = x, abs(value(x))
+    for _ in range(40):
+        dp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if dp == 0.0:
+            break
+        step = value(x) / dp
+        x = x - step
+        res = abs(value(x))
+        if res < best_res:
+            best, best_res = x, res
+        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+            break
+    return best
+
 
 FIG5 = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=0.0, A_l=5.0)
 BISTABLE = dataclasses.replace(FIG5, g0=0.005, Delta0=-0.21)
@@ -153,6 +177,49 @@ class TestCubic:
         with pytest.raises(SimulationError):
             steady_states(p)
 
+    def test_polish_equals_full_forty_round_loop(self):
+        # the early stop on a repeated iterate must not change a single bit
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            p = SystemParams(
+                kappa=rng.uniform(0.01, 2.0), gamma=rng.uniform(1e-3, 0.05),
+                g0=10.0 ** rng.uniform(-4, -1), Delta0=rng.uniform(-2, 1),
+                A_l=rng.uniform(0.1, 30),
+            )
+            c = intracavity_cubic(p)
+            coefficients = (c.c3, c.c2, c.c1, c.c0)
+            starts = np.roots(coefficients).real
+            for x in np.concatenate([starts, starts * (1 + rng.uniform(-1e-3, 1e-3, 3))]):
+                x = float(x)
+                assert _polish_root(*coefficients, x) == _polish_40_rounds(*coefficients, x)
+
+    def test_batch_matches_per_cubic_np_roots(self):
+        # stacked eigvals, the np.roots fallback (zero leading or trailing
+        # coefficient) and the linear root, mixed in one batch, against a
+        # test-local per-cubic np.roots solve
+        def reference(c3, c2, c1, c0):
+            if not cubic_discriminant(CubicProblem(c3, c2, c1, c0, C=0.0)) > 0.0 and c1 > 0.0:
+                n_lin = -c0 / c1
+                if (c3 * n_lin + abs(c2)) * (n_lin * n_lin) <= 1e-17 * max(1.0, abs(c0)):
+                    return (n_lin,)
+            raw = np.roots([c3, c2, c1, c0])
+            if not cubic_discriminant(CubicProblem(c3, c2, c1, c0, C=0.0)) > 0.0:
+                raw = raw[[np.argmin(np.abs(raw.imag))]]
+            return tuple(sorted(_polish_40_rounds(c3, c2, c1, c0, float(r.real)) for r in raw))
+
+        rng = np.random.default_rng(5)
+        cubics = [(0.0, 1.0, 3.0, -4.0), (1.0, -3.0, 2.0, 0.0), (0.0, 0.0, 2.0, -8.0)]
+        for _ in range(300):
+            p = dataclasses.replace(
+                FIG5, g0=rng.uniform(0.001, 0.01), Delta0=rng.uniform(-0.4, 0.1),
+                A_l=rng.choice([0.0, rng.uniform(1, 10)]),
+            )
+            c = intracavity_cubic(p)
+            cubics.append((c.c3, c.c2, c.c1, c.c0))
+        order = rng.permutation(len(cubics))
+        batch = [cubics[k] for k in order]
+        assert _occupancy_roots(batch) == [reference(*c) for c in batch]
+
     def test_bistable_point_has_three_roots(self):
         roots = solve_intracavity_occupancy(intracavity_cubic(BISTABLE))
         assert len(roots) == 3
@@ -208,6 +275,105 @@ class TestSteadyState:
             # alpha_s must solve the field equation at the shifted detuning
             lhs = (p.kappa / 2 - 1j * s.Delta_eff) * s.alpha_s
             assert lhs == pytest.approx(A_l + 0j, rel=1e-7, abs=1e-9)
+
+
+class TestSteadyStateGrid:
+    """The batched kernel against the scalar API, point by point, under exact ==."""
+
+    @staticmethod
+    def check_batch_equals_scalar(p, det, amp):
+        """Compare the three sweeps and steady_state_grid with per-point solves.
+
+        Returns the numbers of three-root points and of A_l = 0 points seen.
+        """
+        def point(d, a):
+            return dataclasses.replace(p, Delta0=float(d), A_l=float(a))
+
+        states = [[steady_states(point(d, a)) for a in amp] for d in det]
+        smap = stability_map(p, det, amp)
+        assert smap.roots == tuple(tuple(tuple(s.N_o for s in c) for c in row) for row in states)
+        assert smap.stable == tuple(tuple(tuple(s.stable for s in c) for c in row) for row in states)
+        for d, row in zip(det, smap.roots):
+            for a, roots in zip(amp, row):
+                assert roots == solve_intracavity_occupancy(intracavity_cubic(point(d, a)))
+
+        along = [steady_states(point(d, p.A_l)) for d in det]
+        sweep = sweep_bistability(p, det)
+        assert sweep.roots == tuple(tuple(s.N_o for s in c) for c in along)
+        assert sweep.stability == tuple(tuple(s.stable for s in c) for c in along)
+        for direction, order in (("up", det), ("down", det[::-1])):
+            trace = []
+            for d in order:
+                roots = solve_intracavity_occupancy(intracavity_cubic(point(d, p.A_l)))
+                if not trace:
+                    trace.append(roots[0] if direction == "up" else roots[-1])
+                else:
+                    trace.append(min(roots, key=lambda r: abs(r - trace[-1])))
+            expected = trace if direction == "up" else trace[::-1]
+            assert hysteresis_sweep(p, det, direction).tolist() == expected
+
+        d, a = det[-1], amp[-1]
+        single = states[-1][-1]
+        assert steady_state_grid(p, d, a).states == single
+        assert tuple(steady_state(point(d, a), N_o=s.N_o) for s in single) == single
+        three = sum(len(c) == 3 for row in states for c in row)
+        return three, sum(a == 0.0 for a in amp) * len(det)
+
+    @given(
+        g0=st.one_of(
+            st.floats(0.003, 0.02), st.sampled_from((0.0, 1e-170, 2.5439273303134336e-77))
+        ),
+        kappa=st.floats(0.05, 1.0),
+        d_lo=st.floats(-1.0, 0.2),
+        d_span=st.floats(0.01, 1.5),
+        n_d=st.integers(2, 6),
+        a_top=st.floats(0.5, 20.0),
+        n_a=st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(g0=0.005, kappa=0.15, d_lo=-0.3, d_span=0.25, n_d=6, a_top=5.0, n_a=3)
+    @example(g0=2.5439273303134336e-77, kappa=1.0, d_lo=0.0, d_span=1.0, n_d=3, a_top=18.0, n_a=2)
+    def test_sweeps_equal_per_point_solves(self, g0, kappa, d_lo, d_span, n_d, a_top, n_a):
+        p = SystemParams(kappa=kappa, gamma=0.005, g0=g0, Delta0=0.0, A_l=a_top)
+        det = np.linspace(d_lo, d_lo + d_span, n_d)
+        amp = np.concatenate([[0.0], np.linspace(a_top / n_a, a_top, n_a)])
+        self.check_batch_equals_scalar(p, det, amp)
+
+    def test_grid_covers_window_and_dark_column(self):
+        p = dataclasses.replace(FIG5, g0=0.005)
+        three, dark = self.check_batch_equals_scalar(
+            p, np.linspace(-0.3, -0.05, 6), np.array([0.0, 2.5, 5.0])
+        )
+        assert three > 0 and dark > 0
+
+    def test_grid_broadcasts_and_flattens(self):
+        det, amp = np.linspace(-0.3, 0.1, 4), np.array([1.0, 5.0])
+        grid = steady_state_grid(dataclasses.replace(FIG5, g0=0.005), det[:, None], amp)
+        assert len(grid.counts) == 8 and len(grid.states) == sum(grid.counts)
+        assert grid.per_point("N_o")[1 * 2 + 1] == tuple(
+            s.N_o for s in steady_states(dataclasses.replace(FIG5, g0=0.005, Delta0=det[1], A_l=5.0))
+        )
+
+    def test_grid_validates_points(self):
+        with pytest.raises(ValueError, match="A_l"):
+            steady_state_grid(FIG5, [0.0, 0.1], [1.0, -1.0])
+        with pytest.raises(ValueError, match="Delta0"):
+            steady_state_grid(FIG5, [0.0, np.nan], 1.0)
+
+    @pytest.mark.parametrize(
+        "g0, Delta0, A_l",
+        [(1e-80, 1e100, 1e100), (0.003, 1e10, 1e10), (0.003, 1e50, 1e50)],
+    )
+    def test_extreme_detuning_verdict_matches_eigenvalues(self, g0, Delta0, A_l):
+        # power-sum traces overflow (1e100) or cancel to noise (1e10, 1e50)
+        # here; sums of minors of the scaled matrix keep the sign exact
+        p = SystemParams(kappa=0.15, gamma=0.005, g0=g0, Delta0=Delta0, A_l=A_l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = steady_states(p)
+        for state in states:
+            max_re = np.linalg.eigvals(drift_matrix(p, state)).real.max()
+            assert state.stable == bool(max_re < 0)
 
 
 class TestMeanOutputField:

@@ -544,3 +544,45 @@ class TestDampingSweepSemantics:
         self.check_closed_form_per_point(
             tmp_path, "spring", "delta_omega_m", classical.optical_spring_shift
         )
+
+
+class TestRunAllConfigsCompare:
+    @staticmethod
+    def load_script():
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_configs.py"
+        spec = importlib.util.spec_from_file_location("run_all_configs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_reports_each_file(self, tmp_path, capsys):
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        for root in (ours, theirs):
+            (root / "run").mkdir(parents=True)
+            (root / "run" / "same.csv").write_text("x,y\n1,2\n")
+            (root / "run" / "same.meta.json").write_text(
+                json.dumps({"command": "steady", "output_dir": str(root / "run")})
+            )
+        (ours / "run" / "moved.csv").write_text("x,y\n1,2\n3,4.5\n")
+        (theirs / "run" / "moved.csv").write_text("x,y\n1,2.25\n3,4\n")
+        (ours / "run" / "only_ours.csv").write_text("x\n1\n")
+        assert self.load_script().compare_roots(ours, theirs) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "identical  run/same.csv" in lines
+        assert "identical  run/same.meta.json" in lines
+        assert "DIFFERS    run/moved.csv: max abs difference 5.000e-01" in lines
+        assert f"DIFFERS    run/only_ours.csv: missing under {theirs}" in lines
+        assert lines[-1] == "2/4 files identical"
+
+    def test_golden_configs_compare_identical(self, tmp_path, capsys):
+        script = self.load_script()
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "steady.json").write_text((CONFIG_DIR / "steady.json").read_text())
+        first = ["--config-dir", str(configs), "--output-root", str(tmp_path / "a")]
+        assert script.main(first) == 0
+        second = ["--config-dir", str(configs), "--output-root", str(tmp_path / "b")]
+        assert script.main(second + ["--compare", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2/2 files identical"

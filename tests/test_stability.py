@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,39 @@ def test_input_validation():
         routh_hurwitz_stable(np.full((4, 4), np.nan))
     with pytest.raises(ValueError, match="margin"):
         routh_hurwitz_stable(-np.eye(4), margin=-1.0)
+
+
+@pytest.mark.parametrize("count", [1, 5, 40])
+def test_stack_equals_matrix_by_matrix(count):
+    # small stacks are evaluated per matrix, large ones across the stack
+    rng = np.random.default_rng(count)
+    stack = rng.uniform(-3, 3, (count, 4, 4))
+    for f in (characteristic_coefficients, hurwitz_quantities):
+        columns = f(stack)
+        for k, A in enumerate(stack):
+            assert tuple(float(c[k]) for c in columns) == f(A)
+    verdicts = routh_hurwitz_stable(stack, margin=0.0)
+    assert verdicts.tolist() == [routh_hurwitz_stable(A, margin=0.0) for A in stack]
+    assert routh_hurwitz_stable(stack.reshape(count, 1, 4, 4), margin=0.0).shape == (count, 1)
+
+
+@pytest.mark.parametrize("detuning", [1e10, 1e100])
+def test_widely_split_eigenvalues(detuning):
+    # optical pair at -0.075 +/- i detuning, mechanical pair at -0.0025 +/- i:
+    # the traces of A^k overflow or cancel, the scaled minors stay exact
+    A = np.array(
+        [
+            [-0.075, -detuning, -2e-3, 0.0],
+            [detuning, -0.075, 1e-3, 0.0],
+            [0.0, 0.0, -0.0025, 1.0],
+            [1e-3, 2e-3, -1.0, -0.0025],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stable = routh_hurwitz_stable(A, margin=0.0)
+        quantities = hurwitz_quantities(A)
+        flipped = routh_hurwitz_stable(-A, margin=0.0)
+    assert stable == (np.linalg.eigvals(A).real.max() < 0) == True  # noqa: E712
+    assert flipped is False
+    assert all(q > 0 for q in quantities)
