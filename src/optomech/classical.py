@@ -306,7 +306,8 @@ def _fixed_points(params: SystemParams, points, roots) -> list[SteadyState]:
 
     points holds (Delta0, A_l) pairs and roots one tuple of photon numbers
     per point.  The amplitudes use the scalar complex formulas root by root;
-    the verdicts come from one stacked Routh-Hurwitz call.
+    the drift entries of all roots go into one flat list, made into one
+    (n, 4, 4) stack for a single Routh-Hurwitz call.
     """
     mech = params.gamma / 2.0 + 1j * params.omega_m
     fields = []
@@ -317,9 +318,9 @@ def _fixed_points(params: SystemParams, points, roots) -> list[SteadyState]:
             Delta_eff = Delta0 + 2.0 * params.g0 * beta_s.real
             alpha_s = A_l / (params.kappa / 2.0 - 1j * Delta_eff)
             fields.append((alpha_s, beta_s, N, Delta_eff))
-            drift.append(quantum.drift_matrix_from_rates(
+            drift += quantum._drift_entries(
                 params.kappa, params.gamma, params.omega_m, Delta_eff, params.g0 * alpha_s
-            ))
+            )
     stable = routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4), margin=0.0).tolist()
     return [SteadyState(*f, stable=s) for f, s in zip(fields, stable)]
 

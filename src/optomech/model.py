@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as _c
-from scipy.constants import hbar as _hbar
-from scipy.constants import k as _k_B
+# CODATA 2018 / SI 2019: c, h and k_B are exact by definition.
+_c = 299792458.0                        # speed of light, m/s
+_hbar = 6.62607015e-34 / (2 * math.pi)  # reduced Planck constant, J s
+_k_B = 1.380649e-23                     # Boltzmann constant, J/K
 
 
 @dataclass(frozen=True)

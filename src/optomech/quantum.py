@@ -73,20 +73,29 @@ def symplectic_form() -> np.ndarray:
     return np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
 
 
+def _drift_entries(
+    kappa: float, gamma: float, omega_m: float, Delta: float, g: complex
+) -> tuple[float, ...]:
+    """The 16 entries of the drift matrix, row by row, as Python numbers.
+
+    Callers that build many drift matrices collect these in one flat list and
+    make one array of it.
+    """
+    g = complex(g)
+    g_r, g_i = g.real, g.imag
+    return (
+        -kappa / 2.0, -Delta, -2.0 * g_i, 0.0,
+        Delta, -kappa / 2.0, 2.0 * g_r, 0.0,
+        0.0, 0.0, -gamma / 2.0, omega_m,
+        2.0 * g_r, 2.0 * g_i, -omega_m, -gamma / 2.0,
+    )
+
+
 def drift_matrix_from_rates(
     kappa: float, gamma: float, omega_m: float, Delta: float, g: complex
 ) -> np.ndarray:
     """Drift matrix A for explicit rates and field-enhanced coupling g."""
-    g = complex(g)
-    g_r, g_i = g.real, g.imag
-    return np.array(
-        [
-            [-kappa / 2.0, -Delta, -2.0 * g_i, 0.0],
-            [Delta, -kappa / 2.0, 2.0 * g_r, 0.0],
-            [0.0, 0.0, -gamma / 2.0, omega_m],
-            [2.0 * g_r, 2.0 * g_i, -omega_m, -gamma / 2.0],
-        ]
-    )
+    return np.array(_drift_entries(kappa, gamma, omega_m, Delta, g)).reshape(4, 4)
 
 
 def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
@@ -108,11 +117,50 @@ def thermal_covariance(n_th: float) -> np.ndarray:
     return np.diag([0.5, 0.5, n_th + 0.5, n_th + 0.5])
 
 
+# Upper-triangle index pairs (i <= j, row-major): a symmetric V as 10 numbers.
+_TRIU = np.triu_indices(4)
+
+
+def _lyapunov_coefficients() -> np.ndarray:
+    """(16, 100) coefficients of the Lyapunov operator on the entries of A.
+
+    The 10x10 matrix of V -> A V + V A^T on upper-triangle coordinates is,
+    in closed form, L = S (A (x) I + I (x) A) Dup on the row-major vec: S
+    keeps the 10 upper-triangle rows and Dup expands the 10 coordinates of a
+    symmetric V into its 16 entries (Magnus & Neudecker, Matrix Differential
+    Calculus).  Row (p, q) of S (A (x) I + I (x) A) is
+    A[p, a] I[q, b] + I[p, a] A[q, b] over (a, b).  L is linear in A, so the
+    closed form is evaluated once, by broadcasting, at the 16 basis matrices.
+    """
+    p, q = _TRIU
+    eye = np.eye(4)
+    basis = np.eye(16).reshape(16, 4, 4)
+    SK = basis[:, p, :, None] * eye[q][:, None, :] + eye[p][:, :, None] * basis[:, q, None, :]
+    dup = np.zeros((4, 4, 10))
+    dup[p, q, np.arange(10)] = dup[q, p, np.arange(10)] = 1.0
+    return (SK.reshape(16, 10, 16) @ dup.reshape(16, 10)).reshape(16, 100)
+
+
+_LYAPUNOV_COEFFICIENTS = _lyapunov_coefficients()
+
+
+def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
+    """10x10 matrix of V -> A V + V A^T on upper-triangle coordinates.
+
+    Each entry is a sum of at most two entries of A, each times 1 or 2, so
+    the only rounding is that of one addition.
+    """
+    return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
+
+
 def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Steady-state covariance solving A V + V A^T + D = 0.
 
-    The Lyapunov equation is vectorized into the 16x16 Kronecker system
-    (I (x) A + A (x) I) vec(V) = -vec(D) and solved directly.  Requires a
+    V is symmetric, so the Lyapunov equation is solved as the 10-unknown
+    system L w = -d on the upper-triangle entries w of V and d of D, with L
+    the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
+    with integrate_covariance); V is filled from w and is exactly symmetric.
+    D must be finite and symmetric (ValueError otherwise).  Requires a
     strictly stable A (UnstableSystemError otherwise); a marginal or
     numerically singular system raises SingularSystemError.
     """
@@ -120,7 +168,9 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     if A.shape != (4, 4) or D.shape != (4, 4):
         raise ValueError(f"A and D must be 4x4 (got {A.shape} and {D.shape})")
-    if not np.allclose(D, D.T, rtol=0.0, atol=1e-12):
+    if not np.all(np.isfinite(D)):
+        raise ValueError("D must have finite entries")
+    if not np.max(np.abs(D - D.T)) <= 1e-12:
         raise ValueError("D must be symmetric")
     if not routh_hurwitz_stable(A, margin=0.0):
         if any(abs(q) <= 1e-10 for q in hurwitz_quantities(A)):
@@ -132,14 +182,13 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"
         )
-    eye = np.eye(4)
-    K = np.kron(eye, A) + np.kron(A, eye)
     try:
-        vec_v = np.linalg.solve(K, -D.reshape(16, order="F"))
+        w = np.linalg.solve(_lyapunov_operator(A), -D[_TRIU])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Lyapunov system is singular: {exc}") from exc
-    V = vec_v.reshape((4, 4), order="F")
-    V = 0.5 * (V + V.T)
+    V = np.empty((4, 4))
+    V[_TRIU] = w
+    V[_TRIU[1], _TRIU[0]] = w
     residual = A @ V + V @ A.T + D
     scale = max(1.0, float(np.max(np.abs(D))))
     if not np.all(np.isfinite(V)) or np.max(np.abs(residual)) > 1e-8 * scale:
@@ -148,10 +197,6 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             f"(max residual {np.max(np.abs(residual)):.3e})"
         )
     return V
-
-
-# Upper-triangle index pairs (i <= j, row-major): a symmetric V as 10 numbers.
-_TRIU = np.triu_indices(4)
 
 
 def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float]:
@@ -175,16 +220,6 @@ def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float]:
             "kappa, gamma, omega_m and Delta can be read off for the step bound"
         )
     return -2.0 * A[0, 0], -2.0 * A[2, 2], A[2, 3], A[1, 0]
-
-
-def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
-    """10x10 matrix of V -> A V + V A^T on upper-triangle coordinates."""
-    L = np.empty((10, 10))
-    for k, (i, j) in enumerate(zip(*_TRIU)):
-        E = np.zeros((4, 4))
-        E[i, j] = E[j, i] = 1.0
-        L[:, k] = (A @ E + E @ A.T)[_TRIU]
-    return L
 
 
 def _rk4_affine_map(L: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +300,15 @@ def quadrature_variances(V: np.ndarray) -> QuadratureVariances:
     )
 
 
+# The constant part (i/2) Omega of the matrix whose eigenvalues
+# physicality_min_eig checks.
+_HALF_I_OMEGA = 0.5j * symplectic_form()
+
+
 def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state."""
     V = np.asarray(V, dtype=float)
-    H = V.astype(complex) + 0.5j * symplectic_form()
+    H = V.astype(complex) + _HALF_I_OMEGA
     return float(np.min(np.linalg.eigvalsh(H)))
 
 

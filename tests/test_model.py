@@ -132,6 +132,17 @@ class TestGeometry:
             coupling_from_geometry(dataclasses.replace(self.GEOM, m_eff=-1.0))
 
 
+class TestConstants:
+    def test_equal_scipy_constants(self):
+        import scipy.constants
+
+        from optomech import model
+
+        assert model._c == scipy.constants.c
+        assert model._hbar == scipy.constants.hbar
+        assert model._k_B == scipy.constants.k
+
+
 class TestRadiationPressure:
     def test_momentum_kick_oracle(self):
         from scipy.constants import c, h

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +16,7 @@ from optomech.errors import (
 from optomech.model import SystemParams
 from optomech.classical import steady_state
 from optomech.quantum import (
+    _lyapunov_operator,
     BEAM_SPLITTER,
     OFF_RESONANT,
     TWO_MODE_SQUEEZER,
@@ -173,6 +179,105 @@ class TestSteadyCovariance:
         with pytest.raises(ValueError, match="symmetric"):
             steady_covariance(A, D)
 
+    def test_symmetry_tolerance(self):
+        A, D = self.sample_system()
+        for gap, accepted in ((5e-13, True), (2e-12, False)):
+            D_gap = D.copy()
+            D_gap[2, 3] = gap
+            if accepted:
+                steady_covariance(A, D_gap)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    steady_covariance(A, D_gap)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_diffusion_rejected(self, bad, monkeypatch):
+        A, D = self.sample_system()
+        D = D.copy()
+        D[2, 2] = bad
+
+        def no_solve(*args):
+            raise AssertionError("solved a system with non-finite D")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(ValueError, match="finite"):
+            steady_covariance(A, D)
+
+    def test_matches_scipy_on_random_dense_systems(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            M = rng.standard_normal((4, 4))
+            shift = np.max(np.linalg.eigvals(M).real) + rng.uniform(0.1, 2.0)
+            A = M - shift * np.eye(4)
+            B = rng.standard_normal((4, 4))
+            D = B @ B.T
+            V = steady_covariance(A, D)
+            V_ref = scipy.linalg.solve_continuous_lyapunov(A, -D)
+            np.testing.assert_array_equal(V, V.T)
+            assert np.max(np.abs(V - V_ref)) <= 1e-10 * max(1.0, np.max(np.abs(V_ref)))
+
+
+def loop_lyapunov_operator(A):
+    """V -> A V + V A^T on upper-triangle coordinates, one basis matrix at a time."""
+    triu = np.triu_indices(4)
+    L = np.empty((10, 10))
+    for k, (i, j) in enumerate(zip(*triu)):
+        E = np.zeros((4, 4))
+        E[i, j] = E[j, i] = 1.0
+        L[:, k] = (A @ E + E @ A.T)[triu]
+    return L
+
+
+class TestLyapunovOperator:
+    def test_equals_loop_on_random_dense_matrices(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            A = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-8, 8, (4, 4))
+            assert np.array_equal(_lyapunov_operator(A), loop_lyapunov_operator(A))
+
+    def test_equals_loop_on_drift_matrices(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            kappa, gamma = rng.uniform(0.01, 2.0, 2)
+            A = drift_matrix_from_rates(
+                kappa, gamma, 1.0, rng.uniform(-2, 2), complex(*rng.uniform(-0.2, 0.2, 2))
+            )
+            assert np.array_equal(_lyapunov_operator(A), loop_lyapunov_operator(A))
+
+    def test_applies_the_lyapunov_map(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((4, 4))
+        S = rng.standard_normal((4, 4))
+        V = S + S.T
+        triu = np.triu_indices(4)
+        np.testing.assert_allclose(
+            _lyapunov_operator(A) @ V[triu], (A @ V + V @ A.T)[triu], rtol=1e-13, atol=1e-13
+        )
+
+
+class TestWithoutScipy:
+    def test_import_and_solves_leave_scipy_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "import optomech\n"
+            "assert 'scipy' not in sys.modules, 'import optomech loaded scipy'\n"
+            "p = optomech.SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=-1.0,\n"
+            "                          A_l=5.0, n_th=10.0)\n"
+            "s = next(s for s in optomech.steady_states(p) if s.stable)\n"
+            "A, D = optomech.drift_matrix(p, s), optomech.diffusion_matrix(p)\n"
+            "V = optomech.steady_covariance(A, D)\n"
+            "optomech.physicality_min_eig(V)\n"
+            "optomech.integrate_covariance(A, D, V, 1.0, 0.01)\n"
+            "assert 'scipy' not in sys.modules, 'a solve loaded scipy'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
 
 def reference_covariance(A, D, V0, times):
     """Covariance RK4 with numpy matrix stages, re-symmetrized after each step."""
@@ -306,6 +411,14 @@ class TestPhysicality:
 
     def test_subvacuum_isotropic_is_unphysical(self):
         assert physicality_min_eig(0.4 * np.eye(4)) < -0.05
+
+    def test_same_bits_as_rebuilt_symplectic_form(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            S = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3, 3)
+            V = S @ S.T + 0.5 * np.eye(4)
+            ref = np.min(np.linalg.eigvalsh(V.astype(complex) + 0.5j * symplectic_form()))
+            assert physicality_min_eig(V) == float(ref)
 
     def test_symplectic_form_is_antisymmetric(self):
         O = symplectic_form()
