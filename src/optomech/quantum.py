@@ -76,11 +76,7 @@ def symplectic_form() -> np.ndarray:
 def _drift_entries(
     kappa: float, gamma: float, omega_m: float, Delta: float, g: complex
 ) -> tuple[float, ...]:
-    """The 16 entries of the drift matrix, row by row, as Python numbers.
-
-    Callers that build many drift matrices collect these in one flat list and
-    make one array of it.
-    """
+    """The 16 drift-matrix entries, row by row, as Python numbers."""
     g = complex(g)
     g_r, g_i = g.real, g.imag
     return (
@@ -300,8 +296,6 @@ def quadrature_variances(V: np.ndarray) -> QuadratureVariances:
     )
 
 
-# The constant part (i/2) Omega of the matrix whose eigenvalues
-# physicality_min_eig checks.
 _HALF_I_OMEGA = 0.5j * symplectic_form()
 
 

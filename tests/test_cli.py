@@ -586,3 +586,62 @@ class TestRunAllConfigsCompare:
         second = ["--config-dir", str(configs), "--output-root", str(tmp_path / "b")]
         assert script.main(second + ["--compare", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "2/2 files identical"
+
+
+class TestBenchSnapshot:
+    @staticmethod
+    def load_script():
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "bench_snapshot.py"
+        spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def record(revision, workload, seed, value, trace=0, cpu="cpu A"):
+        gated = json.loads((CONFIG_DIR.parent / "BENCHMARK.json").read_text())["end_to_end"]
+        return {
+            "workload": workload, "seed": seed, "seconds": 35, "trace": trace,
+            "environment": {"cpu": cpu, "python": "3.11", "revision": revision},
+            "attempted": 10, "failed": 1 if seed == 3 else 0,
+            "metrics": {m["name"]: value for m in gated},
+        }
+
+    def test_folds_runs_per_revision(self, tmp_path, capsys):
+        runs = [
+            self.record("aaaa1111", "cooling-scan", 1, 4.0),
+            self.record("aaaa1111", "cooling-scan", 2, 1.0),
+            self.record("aaaa1111", "cooling-scan", 3, 2.0),
+            self.record("aaaa1111", "cooling-scan", 4, 3.0),
+            self.record("aaaa1111", "cooling-scan", 5, 100.0, trace=1),
+            self.record("bbbb2222", "time-trace", 1, 0.5),
+        ]
+        path = tmp_path / "runs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in runs))
+        out = tmp_path / "snap.json"
+        args = [str(path), "--revision", "bbbb", "--revision", "aaaa", "--output", str(out)]
+        assert self.load_script().main(args) == 0
+        first, second = json.loads(out.read_text())["snapshots"]
+        assert first["revision"] == "bbbb2222"
+        assert list(first["workloads"]) == ["time-trace"]
+        assert second["environment"] == {"cpu": "cpu A", "python": "3.11"}
+        cooling = second["workloads"]["cooling-scan"]
+        assert (cooling["runs"], cooling["seeds"], cooling["attempted"], cooling["failed"]) == (
+            4, [1, 2, 3, 4], 40, 1)
+        wall = cooling["metrics"]["wall_best_s"]
+        assert (wall["q1"], wall["median"], wall["q3"]) == (1.25, 2.5, 3.75)
+        assert wall["iqr"] == 2.5
+
+    def test_rejects_missing_or_mixed_revisions(self, tmp_path, capsys):
+        path = tmp_path / "runs.jsonl"
+        runs = [self.record("aaaa", "time-trace", 1, 1.0),
+                self.record("aaaa", "time-trace", 2, 1.0, cpu="cpu B")]
+        path.write_text("".join(json.dumps(r) + "\n" for r in runs))
+        script = self.load_script()
+        out = tmp_path / "snap.json"
+        assert script.main([str(path), "--revision", "cccc", "--output", str(out)]) == 2
+        assert script.main([str(path), "--revision", "aaaa", "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "2 different environments" in capsys.readouterr().err

@@ -16,10 +16,10 @@ from optomech.errors import (
 from optomech.model import SystemParams
 from optomech.classical import steady_state
 from optomech.quantum import (
-    _lyapunov_operator,
     BEAM_SPLITTER,
     OFF_RESONANT,
     TWO_MODE_SQUEEZER,
+    _lyapunov_operator,
     diffusion_matrix,
     drift_matrix,
     drift_matrix_from_rates,
@@ -244,16 +244,6 @@ class TestLyapunovOperator:
             )
             assert np.array_equal(_lyapunov_operator(A), loop_lyapunov_operator(A))
 
-    def test_applies_the_lyapunov_map(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((4, 4))
-        S = rng.standard_normal((4, 4))
-        V = S + S.T
-        triu = np.triu_indices(4)
-        np.testing.assert_allclose(
-            _lyapunov_operator(A) @ V[triu], (A @ V + V @ A.T)[triu], rtol=1e-13, atol=1e-13
-        )
-
 
 class TestWithoutScipy:
     def test_import_and_solves_leave_scipy_unloaded(self):
@@ -263,7 +253,7 @@ class TestWithoutScipy:
         code = (
             "import sys\n"
             "import optomech\n"
-            "assert 'scipy' not in sys.modules, 'import optomech loaded scipy'\n"
+            "if 'scipy' in sys.modules: sys.exit('import optomech loaded scipy')\n"
             "p = optomech.SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=-1.0,\n"
             "                          A_l=5.0, n_th=10.0)\n"
             "s = next(s for s in optomech.steady_states(p) if s.stable)\n"
@@ -271,7 +261,7 @@ class TestWithoutScipy:
             "V = optomech.steady_covariance(A, D)\n"
             "optomech.physicality_min_eig(V)\n"
             "optomech.integrate_covariance(A, D, V, 1.0, 0.01)\n"
-            "assert 'scipy' not in sys.modules, 'a solve loaded scipy'\n"
+            "if 'scipy' in sys.modules: sys.exit('a solve loaded scipy')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
