@@ -33,6 +33,7 @@ from .classical import (
     cubic_value,
     effective_susceptibility,
     hysteresis_sweep,
+    hysteresis_traces,
     integrate_mean_field,
     intracavity_cubic,
     lorentzian_comb_model,
@@ -48,6 +49,7 @@ from .classical import (
     self_energy,
     solve_intracavity_occupancy,
     stability_map,
+    static_equilibria,
     static_potential,
     steady_state,
     steady_state_grid,

@@ -389,37 +389,57 @@ def _labels_for(count: int) -> tuple[str, ...]:
     return ("lower", "middle", "upper") if count == 3 else ("only",)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, width: float) -> float:
-    """Bisect a sign change of f on [lo, hi] (f(lo) = f_lo) down to width."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
+    """Bisect the sign change of f on every bracket [lo, hi] in lockstep.
+
+    lo, hi, f_lo = f(lo) and width hold one value per bracket.  Each round
+    makes one call f(mid, k) at the midpoints mid of the unfinished brackets
+    k (an index array) and halves each of them.  A bracket ends at its
+    midpoint once it is no wider than its width, or at the first midpoint
+    where f is exactly zero.  Per bracket this is the scalar bisection
+    loop, so the results carry its bits.
+    """
+    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
+    out = np.empty_like(lo)
+    k = np.arange(lo.size)
+    while True:
+        wide = hi[k] - lo[k] > width[k]
+        done = k[~wide]
+        out[done] = 0.5 * (lo[done] + hi[done])
+        k = k[wide]
+        if not k.size:
+            return out
+        mid = 0.5 * (lo[k] + hi[k])
+        f_mid = f(mid, k)
+        zero = f_mid == 0.0
+        out[k[zero]] = mid[zero]
+        same = (f_mid > 0) == (f_lo[k] > 0)
+        lo[k[same]], f_lo[k[same]] = mid[same], f_mid[same]
+        hi[k[~same]] = mid[~same]
+        k = k[~zero]
 
 
-def _refine_edge(params: SystemParams, lo: float, hi: float) -> float:
-    """Bisect the detuning at which the cubic discriminant changes sign.
+def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Detunings in [lo, hi] where the cubic discriminant changes sign.
 
     The root count is defined by the discriminant sign, so grid neighbours
-    with different counts always bracket a sign change (or hit a zero).
+    with different counts always bracket a sign change (or hit a zero).  The
+    discriminant is evaluated on Python floats, as intracavity_cubic forms
+    the coefficients, and all brackets are bisected together.
     """
-    def disc(d: float) -> float:
-        return cubic_discriminant(
-            intracavity_cubic(dataclasses.replace(params, Delta0=float(d)))
-        )
+    def disc(detunings, _=None) -> np.ndarray:
+        return np.array([
+            _discriminant(*_cubic_coefficients(params, d, params.A_l)[:4])
+            for d in detunings.tolist()
+        ])
 
     f_lo, f_hi = disc(lo), disc(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    return _bisect(disc, lo, hi, f_lo, _EDGE_ATOL * max(1.0, abs(lo), abs(hi)))
+    edges = np.where(f_lo == 0.0, lo, hi)
+    k = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    width = _EDGE_ATOL * np.maximum(1.0, np.maximum(np.abs(lo[k]), np.abs(hi[k])))
+    edges[k] = _bisect(disc, lo[k], hi[k], f_lo[k], width)
+    return edges
 
 
 def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> BistabilityBranch:
@@ -432,42 +452,54 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
     if detunings.ndim != 1 or detunings.size < 2:
         raise ValueError("detunings must be a 1-D grid with at least 2 points")
     grid = steady_state_grid(params, detunings, params.A_l)
-    edges = [
-        _refine_edge(params, *sorted((float(detunings[i]), float(detunings[i + 1]))))
-        for i in np.flatnonzero(np.diff(grid.counts)).tolist()
-    ]
+    i = np.flatnonzero(np.diff(grid.counts))
+    a, b = detunings[i], detunings[i + 1]
+    edges = _window_edges(params, np.minimum(a, b), np.maximum(a, b))
     return BistabilityBranch(
         detunings=detunings,
         roots=grid.per_point("N_o"),
         branch_labels=tuple(map(_labels_for, grid.counts)),
         stability=grid.per_point("stable"),
-        window_edges=tuple(sorted(edges)),
+        window_edges=tuple(sorted(edges.tolist())),
     )
+
+
+def _continue_from(start: float, roots) -> list[float]:
+    """Nearest-root continuation: start, then per point the root nearest the last."""
+    trace = [start]
+    for point_roots in roots:
+        prev = trace[-1]
+        trace.append(min(point_roots, key=lambda r: abs(r - prev)))
+    return trace
+
+
+def hysteresis_traces(
+    params: SystemParams, detunings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up- and down-sweep occupancy traces (N_up, N_down) from one root solve.
+
+    The up sweep starts on the smallest root at the first detuning, the down
+    sweep on the largest root at the last; each later point takes the root
+    nearest the previously occupied one, which reproduces hysteretic jumps
+    at the bistability window edges.  Both traces are indexed like the grid.
+    """
+    detunings = np.asarray(detunings, dtype=float)
+    if detunings.ndim != 1 or detunings.size < 1:
+        raise ValueError("detunings must be a non-empty 1-D grid")
+    roots = _roots_at(params, _batch_points(params, detunings, params.A_l))
+    up = _continue_from(roots[0][0], roots[1:])
+    down = _continue_from(roots[-1][-1], roots[-2::-1])
+    return np.array(up), np.array(down[::-1])
 
 
 def hysteresis_sweep(
     params: SystemParams, detunings: np.ndarray, direction: str = "up"
 ) -> np.ndarray:
-    """Occupancy trace along a detuning sweep with nearest-root continuation.
-
-    The first point takes the smallest root when sweeping "up" and the
-    largest when sweeping "down"; each later point takes the root nearest
-    the previously occupied one, which reproduces hysteretic jumps at the
-    bistability window edges.  The result is indexed like the input grid.
-    """
+    """The "up" or "down" occupancy trace of hysteresis_traces."""
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down' (got {direction!r})")
-    detunings = np.asarray(detunings, dtype=float)
-    if detunings.ndim != 1 or detunings.size < 1:
-        raise ValueError("detunings must be a non-empty 1-D grid")
-    roots = _roots_at(params, _batch_points(params, detunings, params.A_l))
-    if direction == "down":
-        roots = roots[::-1]
-    trace = [roots[0][0] if direction == "up" else roots[0][-1]]
-    for point_roots in roots[1:]:
-        prev = trace[-1]
-        trace.append(min(point_roots, key=lambda r: abs(r - prev)))
-    return np.array(trace if direction == "up" else trace[::-1])
+    up, down = hysteresis_traces(params, detunings)
+    return up if direction == "up" else down
 
 
 def stability_map(
@@ -533,6 +565,32 @@ def effective_susceptibility(omega, g_s, Delta, kappa, m, omega_m, gamma):
     return 1.0 / denom
 
 
+def _finite_closed_form(name: str, evaluate, g_s, Delta, kappa, omega_m):
+    """evaluate(Delta) for a closed form of (g_s, Delta, kappa, omega_m), checked finite.
+
+    The arithmetic runs under np.errstate, so an overflow warns nowhere; a
+    non-finite value, or a float power that overflows, raises
+    SimulationError naming the inputs at the first such point.
+    """
+    if not (kappa > 0 and omega_m > 0):
+        raise ValueError("kappa and omega_m must be > 0")
+    Delta = np.asarray(Delta, dtype=float)
+    try:
+        with np.errstate(all="ignore"):
+            out = evaluate(Delta)
+        bad = ~np.isfinite(out)
+    except OverflowError:  # a float power of a Python float: every point
+        out, bad = None, np.True_
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        g, d = (float(v.flat[k]) for v in np.broadcast_arrays(g_s, Delta, bad)[:2])
+        raise SimulationError(
+            f"{name} is not finite at g_s = {g!r}, Delta = {d!r}, "
+            f"kappa = {kappa!r}, omega_m = {omega_m!r}"
+        )
+    return float(out) if out.ndim == 0 else out
+
+
 def optomechanical_damping(g_s, Delta, kappa, omega_m):
     """Cavity-induced mechanical damping rate gamma_om(Delta).
 
@@ -540,13 +598,12 @@ def optomechanical_damping(g_s, Delta, kappa, omega_m):
                             - 1/(kappa^2/4 + (omega_m - Delta)^2)];
     negative (anti-damping) for blue detuning Delta > 0.
     """
-    if not (kappa > 0 and omega_m > 0):
-        raise ValueError("kappa and omega_m must be > 0")
-    Delta = np.asarray(Delta, dtype=float)
-    lor_plus = 1.0 / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
-    lor_minus = 1.0 / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
-    out = g_s ** 2 * kappa * (lor_plus - lor_minus)
-    return float(out) if out.ndim == 0 else out
+    def evaluate(Delta):
+        lor_plus = 1.0 / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
+        lor_minus = 1.0 / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
+        return g_s ** 2 * kappa * (lor_plus - lor_minus)
+
+    return _finite_closed_form("optomechanical damping", evaluate, g_s, Delta, kappa, omega_m)
 
 
 def optical_spring_shift(g_s, Delta, kappa, omega_m):
@@ -555,13 +612,12 @@ def optical_spring_shift(g_s, Delta, kappa, omega_m):
     delta_omega_m = g_s^2 [(omega_m + Delta)/(kappa^2/4 + (omega_m + Delta)^2)
                            - (omega_m - Delta)/(kappa^2/4 + (omega_m - Delta)^2)].
     """
-    if not (kappa > 0 and omega_m > 0):
-        raise ValueError("kappa and omega_m must be > 0")
-    Delta = np.asarray(Delta, dtype=float)
-    term_plus = (omega_m + Delta) / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
-    term_minus = (omega_m - Delta) / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
-    out = g_s ** 2 * (term_plus - term_minus)
-    return float(out) if out.ndim == 0 else out
+    def evaluate(Delta):
+        term_plus = (omega_m + Delta) / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
+        term_minus = (omega_m - Delta) / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
+        return g_s ** 2 * (term_plus - term_minus)
+
+    return _finite_closed_form("optical spring shift", evaluate, g_s, Delta, kappa, omega_m)
 
 
 def response_quantities(
@@ -728,51 +784,78 @@ def radiation_potential(model: StaticPotentialModel, x) -> np.ndarray:
     return -model.F0 * (model.width / 2.0) * np.sum(np.arctan(s), axis=1)
 
 
-def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
-    """Total potential landscape and its stable equilibria on the grid x.
+def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stable equilibria and their stiffness on the grid x, for each model.
 
-    Equilibria are sign changes of dV_t/dx = k_HO x - F_RP(x) between grid
-    nodes, refined by bisection to 1e-10 of a wavelength and kept when the
-    curvature K_eff = k_HO - dF_RP/dx is positive.
+    The models are one comb at several forces F0: they must share k_HO,
+    x_res, width and finesse.  Equilibria are sign changes of
+    dV_t/dx = k_HO x - F_RP(x) between grid nodes (and nodes where it is
+    exactly zero), refined by bisection to 1e-10 of a wavelength and kept
+    when the curvature K_eff = k_HO - dF_RP/dx is positive; a candidate
+    within 1e-9 of a wavelength of the last kept one is skipped.
+    F_RP = F0 S(x), so the comb sum S is evaluated once at F0 = 1 and
+    scaled per force; every bracket of every force is bisected in one
+    lockstep pass, and all curvatures come from one gradient call.  Returns
+    one (equilibria ascending, K_eff) pair per model.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x must be a 1-D grid with at least 2 points")
     if np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing")
-    res = np.asarray(model.x_res)
+    models = list(models)
+    if not models:
+        return []
+    comb = dataclasses.replace(models[0], F0=1.0)
+    if any(dataclasses.replace(m, F0=1.0) != comb for m in models):
+        raise ValueError("models must share k_HO, x_res, width and finesse")
+    res = np.asarray(comb.x_res)
     if not np.any((res >= x[0]) & (res <= x[-1])):
         raise ValueError("grid must cover at least one comb resonance")
-    wavelength = model.width * 2.0 * model.finesse
+    k_HO = comb.k_HO
+    wavelength = comb.width * 2.0 * comb.finesse
+    F0 = np.array([m.F0 for m in models], dtype=float)
 
-    def slope(pos: float) -> float:
-        return model.k_HO * pos - float(radiation_force(model, pos)[0])
-
-    h = model.k_HO * x - radiation_force(model, x)
+    h = k_HO * x - F0[:, None] * radiation_force(comb, x)
     positive, nonzero = h > 0, h != 0.0
-    brackets = np.flatnonzero((positive[:-1] != positive[1:]) & nonzero[:-1] & nonzero[1:])
-    candidates = x[~nonzero].tolist() + [
-        _bisect(slope, float(x[i]), float(x[i + 1]), float(h[i]), 1e-10 * wavelength)
-        for i in brackets.tolist()
+    force, node = np.nonzero(
+        (positive[:, :-1] != positive[:, 1:]) & nonzero[:, :-1] & nonzero[:, 1:]
+    )
+    roots = _bisect(
+        lambda mid, k: k_HO * mid - F0[force[k]] * radiation_force(comb, mid),
+        x[node], x[node + 1], h[force, node], 1e-10 * wavelength,
+    )
+    candidates = [
+        sorted(x[~nonzero[f]].tolist() + roots[force == f].tolist()) for f in range(F0.size)
     ]
-    stable_eq: list[float] = []
-    stiffness: list[float] = []
-    for pos in sorted(candidates):
-        if stable_eq and abs(pos - stable_eq[-1]) <= 1e-9 * wavelength:
-            continue
-        k_eff = model.k_HO - float(radiation_force_gradient(model, pos)[0])
-        if k_eff > 0:
-            stable_eq.append(pos)
-            stiffness.append(k_eff)
+    owner = np.repeat(np.arange(F0.size), list(map(len, candidates)))
+    flat = np.array([pos for positions in candidates for pos in positions])
+    k_eff = iter((k_HO - F0[owner] * radiation_force_gradient(comb, flat)).tolist())
+    found = []
+    for positions in candidates:
+        stable_eq: list[float] = []
+        stiffness: list[float] = []
+        for pos, k in zip(positions, k_eff):  # draws len(positions) values of k_eff
+            if stable_eq and abs(pos - stable_eq[-1]) <= 1e-9 * wavelength:
+                continue
+            if k > 0:
+                stable_eq.append(pos)
+                stiffness.append(k)
+        found.append((np.array(stable_eq), np.array(stiffness)))
+    return found
+
+
+def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
+    """Total potential landscape and its stable equilibria on the grid x.
+
+    The equilibria are those of static_equilibria at this one model.
+    """
+    ((equilibria, K_eff),) = static_equilibria([model], x)
+    x = np.asarray(x, dtype=float)
     V_RP = radiation_potential(model, x)
     V_HO = 0.5 * model.k_HO * x ** 2
     return StaticPotentialResult(
-        x=x,
-        V_RP=V_RP,
-        V_HO=V_HO,
-        V_t=V_RP + V_HO,
-        equilibria=np.array(stable_eq),
-        K_eff=np.array(stiffness),
+        x=x, V_RP=V_RP, V_HO=V_HO, V_t=V_RP + V_HO, equilibria=equilibria, K_eff=K_eff
     )
 
 

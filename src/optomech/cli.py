@@ -261,8 +261,7 @@ def _run_bistability(spec: RunSpec) -> dict:
 
 def _run_hysteresis(spec: RunSpec) -> dict:
     grid = spec.grids["Delta0"].values()
-    n_up = classical.hysteresis_sweep(spec.params, grid, direction="up")
-    n_down = classical.hysteresis_sweep(spec.params, grid, direction="down")
+    n_up, n_down = classical.hysteresis_traces(spec.params, grid)
     return {"hysteresis": {"Delta0": grid, "N_up": n_up, "N_down": n_down}}
 
 
@@ -348,17 +347,23 @@ def _run_static_potential(spec: RunSpec) -> dict:
             f"x grid must cover at least one comb resonance (spacing {spacing:g})"
         )
     k_ho = spec.params.m * spec.params.omega_m ** 2
-    rows = []
-    for f0 in forces:
-        model = classical.lorentzian_comb_model(
+    models = [
+        classical.lorentzian_comb_model(
             k_ho, float(f0), STATIC_WAVELENGTH, STATIC_FINESSE, float(x[0]), float(x[-1])
         )
-        result = classical.static_potential(model, x)
-        rows += [(f0, pos, stiff) for pos, stiff in zip(result.equilibria, result.K_eff)]
+        for f0 in forces
+    ]
+    rows = [
+        (f0, pos, stiff)
+        for f0, (equilibria, K_eff) in zip(forces, classical.static_equilibria(models, x))
+        for pos, stiff in zip(equilibria, K_eff)
+    ]
+    # the potential curves of the largest force on the grid
+    V_RP = classical.radiation_potential(models[-1], x)
+    V_HO = 0.5 * k_ho * x ** 2
     return {
         "equilibria": _rows_to_columns(("F0", "x_eq", "K_eff"), rows),
-        # the potential curves of the largest force on the grid
-        "potential": {"x": x, "V_RP": result.V_RP, "V_HO": result.V_HO, "V_t": result.V_t},
+        "potential": {"x": x, "V_RP": V_RP, "V_HO": V_HO, "V_t": V_RP + V_HO},
     }
 
 

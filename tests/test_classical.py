@@ -17,6 +17,7 @@ from optomech.errors import (
 from optomech.model import SystemParams
 from optomech.classical import (
     CubicProblem,
+    _bisect,
     _occupancy_roots,
     _polish_root,
     classify_regime,
@@ -24,6 +25,7 @@ from optomech.classical import (
     cubic_value,
     effective_susceptibility,
     hysteresis_sweep,
+    hysteresis_traces,
     integrate_mean_field,
     intracavity_cubic,
     lorentzian_comb_model,
@@ -39,6 +41,7 @@ from optomech.classical import (
     self_energy,
     solve_intracavity_occupancy,
     stability_map,
+    static_equilibria,
     static_potential,
     steady_state,
     steady_state_grid,
@@ -441,6 +444,96 @@ class TestBistabilitySweep:
             assert d_lo * d_hi < 0  # sign change within 1e-6 of the edge
 
 
+def _bisect_scalar(f, lo, hi, f_lo, width):
+    """The one-bracket bisection loop as it was before brackets ran in lockstep."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _refine_edge_reference(params, lo, hi):
+    """One window edge as it was bisected one bracket at a time."""
+    def disc(d):
+        return cubic_discriminant(intracavity_cubic(dataclasses.replace(params, Delta0=float(d))))
+
+    f_lo, f_hi = disc(lo), disc(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    return _bisect_scalar(disc, lo, hi, f_lo, 1e-10 * max(1.0, abs(lo), abs(hi)))
+
+
+class TestBisect:
+    def test_equals_scalar_loop_per_bracket(self):
+        # brackets of different widths, one whose first midpoint is an exact zero
+        roots = np.array([0.5, 0.3, 2.7, -1.0 / 3.0])
+        lo = np.array([0.0, 0.0, 2.0, -1.0])
+        hi = np.array([1.0, 1.0, 3.0, 0.0])
+        width = np.array([1e-3, 1e-12, 1e-6, 1e-15])
+        calls = []
+
+        def f(mid, k):
+            calls.append(k.tolist())
+            return mid - roots[k]
+
+        out = _bisect(f, lo, hi, lo - roots, width)
+        for i in range(roots.size):
+            expected = _bisect_scalar(
+                lambda m: m - roots[i], lo[i], hi[i], lo[i] - roots[i], width[i]
+            )
+            assert out[i] == expected
+        assert out[0] == 0.5
+        # the exact zero ends bracket 0 after one round; each bracket stops at its own width
+        assert calls[0] == [0, 1, 2, 3] and all(0 not in k for k in calls[1:])
+        rounds = [sum(i in k for k in calls) for i in range(roots.size)]
+        assert rounds[1] < rounds[3] and rounds[2] < rounds[1]
+
+    def test_bracket_within_width_makes_no_call(self):
+        def f(mid, k):
+            raise AssertionError("evaluated a finished bracket")
+
+        out = _bisect(f, [0.0, 1.0], [1e-12, 1.5], [-1.0, 1.0], [1e-11, 1.0])
+        assert out.tolist() == [0.5 * (0.0 + 1e-12), 0.5 * (1.0 + 1.5)]
+        assert _bisect(f, [], [], [], 1e-3).shape == (0,)
+
+
+class TestWindowEdges:
+    def test_equal_one_bracket_at_a_time(self):
+        # the second regime puts the edges beyond |Delta0| = 1, where the
+        # bisection width scales with the bracket
+        rng = np.random.default_rng(20261018)
+        edges_seen = 0
+        for g0, A_l, kappa, lowest in [((0.003, 0.008), (3.0, 8.0), (0.1, 0.2), -0.6)] * 25 + [
+            ((0.01, 0.05), (20.0, 80.0), (1.0, 2.0), -8.0)
+        ] * 25:
+            p = dataclasses.replace(
+                FIG5,
+                g0=float(rng.uniform(*g0)),
+                A_l=float(rng.uniform(*A_l)),
+                kappa=float(rng.uniform(*kappa)),
+            )
+            grid = np.linspace(lowest, float(rng.uniform(-0.1, 0.1)), int(rng.integers(11, 202)))
+            for detunings in (grid, grid[::-1]):
+                sweep = sweep_bistability(p, detunings)
+                counts = [len(r) for r in sweep.roots]
+                expected = sorted(
+                    _refine_edge_reference(p, *sorted(detunings[i:i + 2].tolist()))
+                    for i in range(detunings.size - 1)
+                    if counts[i] != counts[i + 1]
+                )
+                assert sweep.window_edges == tuple(expected)
+                edges_seen += len(expected)
+        assert edges_seen >= 80
+
+
 class TestHysteresis:
     GRID = np.linspace(-0.35, -0.05, 301)
 
@@ -465,6 +558,18 @@ class TestHysteresis:
         jumps = np.abs(np.diff(up))
         # one discontinuous jump (upward, at the upper edge)
         assert np.max(jumps) > 10 * np.median(jumps[jumps > 0])
+
+    def test_traces_equal_both_sweeps(self):
+        p = dataclasses.replace(FIG5, g0=0.005)
+        for grid in (self.GRID, self.GRID[::-1], self.GRID[:1], self.GRID[:2]):
+            up, down = hysteresis_traces(p, grid)
+            assert up.tolist() == hysteresis_sweep(p, grid, "up").tolist()
+            assert down.tolist() == hysteresis_sweep(p, grid, "down").tolist()
+            assert up.shape == down.shape == grid.shape
+
+    def test_traces_grid_validated(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            hysteresis_traces(FIG5, np.array([]))
 
     def test_direction_validated(self):
         with pytest.raises(ValueError, match="direction"):
@@ -636,6 +741,29 @@ class TestDampingAndSpring:
         out = optomechanical_damping(0.05, Delta, 0.15, 1.0)
         assert out.shape == Delta.shape
 
+    @pytest.mark.parametrize("closed_form", [optomechanical_damping, optical_spring_shift])
+    @pytest.mark.parametrize(
+        "g_s, Delta",
+        [
+            (1e160, -1.0),                        # Python float power overflows
+            (np.array([0.05, 1e160]), np.array([-1.0, 0.5])),  # numpy square overflows
+            (1e154, -0.925),                      # g_s^2 is finite, the product is not
+        ],
+    )
+    def test_non_finite_is_simulation_error(self, closed_form, g_s, Delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="not finite") as info:
+                closed_form(g_s, Delta, 0.15, 1.0)
+        message = str(info.value)
+        assert all(f"{name} = " in message for name in ("g_s", "Delta", "kappa", "omega_m"))
+
+    def test_names_the_first_non_finite_point(self):
+        with pytest.raises(SimulationError, match=r"g_s = 1e\+160, Delta = 0\.5,"):
+            optomechanical_damping(
+                np.array([0.05, 1e160, 1e170]), np.array([-1.0, 0.5, 1.0]), 0.15, 1.0
+            )
+
 
 class TestResponseQuantities:
     def test_bundle_consistency(self):
@@ -768,6 +896,35 @@ class TestIntegrateMeanField:
 # static potential
 
 
+def _static_equilibria_reference(model, x):
+    """Equilibria as found one force and one bracket at a time, one position per call."""
+    wavelength = model.width * 2.0 * model.finesse
+
+    def slope(pos):
+        return model.k_HO * pos - float(radiation_force(model, pos)[0])
+
+    h = model.k_HO * x - radiation_force(model, x)
+    positive, nonzero = h > 0, h != 0.0
+    brackets = np.flatnonzero((positive[:-1] != positive[1:]) & nonzero[:-1] & nonzero[1:])
+    candidates = x[~nonzero].tolist() + [
+        _bisect_scalar(slope, float(x[i]), float(x[i + 1]), float(h[i]), 1e-10 * wavelength)
+        for i in brackets.tolist()
+    ]
+    stable_eq, stiffness = [], []
+    for pos in sorted(candidates):
+        if stable_eq and abs(pos - stable_eq[-1]) <= 1e-9 * wavelength:
+            continue
+        k_eff = model.k_HO - float(radiation_force_gradient(model, pos)[0])
+        if k_eff > 0:
+            stable_eq.append(pos)
+            stiffness.append(k_eff)
+    return np.array(stable_eq), np.array(stiffness)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestStaticPotential:
     X = np.linspace(-2.2, 2.2, 2201)
 
@@ -835,6 +992,60 @@ class TestStaticPotential:
             static_potential(model, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="resonance"):
             static_potential(model, np.linspace(0.05, 0.2, 50))
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_equal_one_force_one_bracket_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        k_HO = float(10 ** rng.uniform(-0.5, 0.5))
+        wavelength = float(rng.uniform(0.5, 2.0))
+        finesse = float(rng.uniform(3.0, 30.0))
+        count = int(rng.integers(300, 2500))
+        x = np.linspace(rng.uniform(-3.0, -0.6), rng.uniform(0.6, 3.0), count)
+        forces = [0.0, *sorted(rng.uniform(0.0, 2.0, size=int(rng.integers(1, 8))).tolist())]
+        models = [
+            lorentzian_comb_model(k_HO, F0, wavelength, finesse, x[0], x[-1]) for F0 in forces
+        ]
+        found = static_equilibria(models, x)
+        assert len(found) == len(models)
+        for model, (equilibria, K_eff) in zip(models, found):
+            ref_eq, ref_k = _static_equilibria_reference(model, x)
+            assert _same_bits(equilibria, ref_eq) and _same_bits(K_eff, ref_k)
+            single = static_potential(model, x)
+            assert _same_bits(single.equilibria, ref_eq) and _same_bits(single.K_eff, ref_k)
+            assert _same_bits(single.V_RP, radiation_potential(model, x))
+
+    def test_zero_force_on_an_exact_zero_node(self):
+        x = np.arange(-1100, 1101) / 500.0
+        assert x[1100] == 0.0
+        models = [lorentzian_comb_model(1.3, F0, 1.0, 10.0, x[0], x[-1]) for F0 in (0.0, 0.9)]
+        (eq0, k0), (eq1, k1) = static_equilibria(models, x)
+        assert eq0.tolist() == [0.0] and k0.tolist() == [1.3]  # the node itself, h == 0
+        for model, eq, k in zip(models, (eq0, eq1), (k0, k1)):
+            ref_eq, ref_k = _static_equilibria_reference(model, x)
+            assert _same_bits(eq, ref_eq) and _same_bits(k, ref_k)
+
+    def test_golden_grid_equal_one_force_at_a_time(self):
+        x = np.linspace(-2.2, 2.2, 2201)
+        models = [
+            lorentzian_comb_model(1.0, F0, 1.0, 10.0, x[0], x[-1])
+            for F0 in np.linspace(0.0, 1.5, 16)
+        ]
+        for model, (eq, k) in zip(models, static_equilibria(models, x)):
+            ref_eq, ref_k = _static_equilibria_reference(model, x)
+            assert _same_bits(eq, ref_eq) and _same_bits(k, ref_k)
+
+    def test_models_must_share_the_comb(self):
+        base = self.model(0.5)
+        others = [
+            lorentzian_comb_model(2.0, 0.5, 1.0, 10.0, self.X[0], self.X[-1]),   # k_HO
+            lorentzian_comb_model(1.0, 0.5, 1.0, 12.0, self.X[0], self.X[-1]),   # finesse, width
+            lorentzian_comb_model(1.0, 0.5, 1.0, 10.0, self.X[0], self.X[-1], pad_resonances=3),
+            dataclasses.replace(base, width=0.06),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="share"):
+                static_equilibria([base, other], self.X)
+        assert static_equilibria([], self.X) == []
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

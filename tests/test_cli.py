@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,33 @@ class TestCommands:
         pot = np.genfromtxt(out / "potential.csv", delimiter=",", names=True)
         assert pot.shape == (1101,)
 
+    def test_static_potential_tables_equal_per_force_calls(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            command="static-potential",
+            params={"kappa": 0.15, "gamma": 0.005, "g0": 0.003, "Delta0": 0.0, "A_l": 5.0,
+                    "m": 1.7, "omega_m": 0.8},
+            grids={
+                "x": {"start": -2.3, "stop": 1.9, "count": 1501},
+                "F0": {"start": 0.0, "stop": 1.4, "count": 6},
+            },
+        )
+        tables = {t.name: t.columns for t in run_command(load_config(config))}
+        x = np.linspace(-2.3, 1.9, 1501)
+        rows = []
+        for F0 in np.linspace(0.0, 1.4, 6):
+            model = classical.lorentzian_comb_model(
+                1.7 * 0.8 ** 2, float(F0), 1.0, 10.0, x[0], x[-1]
+            )
+            result = classical.static_potential(model, x)
+            rows += [(F0, pos, k) for pos, k in zip(result.equilibria, result.K_eff)]
+        expected = np.array(rows)
+        assert expected.shape[0] > 6
+        for k, name in enumerate(("F0", "x_eq", "K_eff")):
+            assert tables["equilibria"][name].tobytes() == expected[:, k].tobytes()
+        for name in ("x", "V_RP", "V_HO", "V_t"):  # the curves of the last force
+            assert tables["potential"][name].tobytes() == getattr(result, name).tobytes()
+
     def test_regime_interaction_code(self, tmp_path):
         code, out = self.run(
             tmp_path,
@@ -458,6 +486,21 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "numerical error" in err and "Delta0 = 1e+155" in err
+
+    @pytest.mark.parametrize("command", ["damping", "spring"])
+    def test_closed_form_overflow_is_2_without_warning(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path, command=command, output_dir=str(tmp_path / "out"),
+            overrides={"params.A_l": 1e160},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([str(config), "--quiet"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert all(f"{name} = " in err[0] for name in ("g_s", "Delta", "kappa", "omega_m"))
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_is_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
