@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -565,32 +566,41 @@ def effective_susceptibility(omega, g_s, Delta, kappa, m, omega_m, gamma):
     return 1.0 / denom
 
 
-def _finite_closed_form(name: str, evaluate, g_s, Delta, kappa, omega_m):
-    """evaluate(Delta) for a closed form of (g_s, Delta, kappa, omega_m), checked finite.
+def _finite_closed_form(name: str):
+    """Decorate a closed form f(g_s, Delta, kappa, omega_m) of the linear cavity.
 
-    The arithmetic runs under np.errstate, so an overflow warns nowhere; a
-    non-finite value, or a float power that overflows, raises
-    SimulationError naming the inputs at the first such point.
+    The wrapper checks kappa, omega_m > 0 and evaluates f at Delta as a
+    float array under np.errstate, so an overflow warns nowhere.  A
+    non-finite value, or a float power that overflows, raises SimulationError
+    naming the inputs at the first such point.
     """
-    if not (kappa > 0 and omega_m > 0):
-        raise ValueError("kappa and omega_m must be > 0")
-    Delta = np.asarray(Delta, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            out = evaluate(Delta)
-        bad = ~np.isfinite(out)
-    except OverflowError:  # a float power of a Python float: every point
-        out, bad = None, np.True_
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        g, d = (float(v.flat[k]) for v in np.broadcast_arrays(g_s, Delta, bad)[:2])
-        raise SimulationError(
-            f"{name} is not finite at g_s = {g!r}, Delta = {d!r}, "
-            f"kappa = {kappa!r}, omega_m = {omega_m!r}"
-        )
-    return float(out) if out.ndim == 0 else out
+    def decorate(f):
+        @functools.wraps(f)
+        def checked(g_s, Delta, kappa, omega_m):
+            if not (kappa > 0 and omega_m > 0):
+                raise ValueError("kappa and omega_m must be > 0")
+            Delta = np.asarray(Delta, dtype=float)
+            try:
+                with np.errstate(all="ignore"):
+                    out = f(g_s, Delta, kappa, omega_m)
+                bad = ~np.isfinite(out)
+            except OverflowError:  # a float power of a Python float: every point
+                out, bad = None, np.True_
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                g, d = (float(v.flat[k]) for v in np.broadcast_arrays(g_s, Delta, bad)[:2])
+                raise SimulationError(
+                    f"{name} is not finite at g_s = {g!r}, Delta = {d!r}, "
+                    f"kappa = {kappa!r}, omega_m = {omega_m!r}"
+                )
+            return float(out) if out.ndim == 0 else out
+
+        return checked
+
+    return decorate
 
 
+@_finite_closed_form("optomechanical damping")
 def optomechanical_damping(g_s, Delta, kappa, omega_m):
     """Cavity-induced mechanical damping rate gamma_om(Delta).
 
@@ -598,26 +608,21 @@ def optomechanical_damping(g_s, Delta, kappa, omega_m):
                             - 1/(kappa^2/4 + (omega_m - Delta)^2)];
     negative (anti-damping) for blue detuning Delta > 0.
     """
-    def evaluate(Delta):
-        lor_plus = 1.0 / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
-        lor_minus = 1.0 / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
-        return g_s ** 2 * kappa * (lor_plus - lor_minus)
-
-    return _finite_closed_form("optomechanical damping", evaluate, g_s, Delta, kappa, omega_m)
+    lor_plus = 1.0 / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
+    lor_minus = 1.0 / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
+    return g_s ** 2 * kappa * (lor_plus - lor_minus)
 
 
+@_finite_closed_form("optical spring shift")
 def optical_spring_shift(g_s, Delta, kappa, omega_m):
     """Cavity-induced mechanical frequency shift delta_omega_m(Delta).
 
     delta_omega_m = g_s^2 [(omega_m + Delta)/(kappa^2/4 + (omega_m + Delta)^2)
                            - (omega_m - Delta)/(kappa^2/4 + (omega_m - Delta)^2)].
     """
-    def evaluate(Delta):
-        term_plus = (omega_m + Delta) / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
-        term_minus = (omega_m - Delta) / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
-        return g_s ** 2 * (term_plus - term_minus)
-
-    return _finite_closed_form("optical spring shift", evaluate, g_s, Delta, kappa, omega_m)
+    term_plus = (omega_m + Delta) / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
+    term_minus = (omega_m - Delta) / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
+    return g_s ** 2 * (term_plus - term_minus)
 
 
 def response_quantities(
