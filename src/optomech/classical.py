@@ -11,6 +11,9 @@ Steady states satisfy a cubic in the photon number N = |alpha_s|^2,
     C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2),
 
 which admits one or three positive roots; three roots is the bistable window.
+It is solved in y = C N, as g(y) = y (4 (y + Delta0)^2 + kappa^2) - 4 A_l^2 C,
+per root on a closed-form bracket between 0, the critical points of g and a
+top bound, in at most 96 evaluations of g (solve_intracavity_occupancy).
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -23,6 +26,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,8 @@ from .stability import routh_hurwitz_stable
 from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, |c0|)
+_NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 
 
@@ -46,6 +52,8 @@ class CubicProblem:
     c1: float
     c0: float
     C: float  # static frequency-pull coefficient 2 g0^2 omega_m / (gamma^2/4 + omega_m^2)
+    Delta0: float  # Delta0 and kappa: the inputs of the form in y = C N
+    kappa: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class StaticPotentialResult:
 
 
 def _cubic_coefficients(params: SystemParams, Delta0: float, A_l: float):
-    """(c3, c2, c1, c0, C) at one (Delta0, A_l); the other inputs from params.
+    """The CubicProblem fields at one (Delta0, A_l); the other inputs from params.
 
     A coefficient that overflows (a float power raises, a product gives inf)
     raises SimulationError naming the coefficients and the inputs.
@@ -159,7 +167,7 @@ def _cubic_coefficients(params: SystemParams, Delta0: float, A_l: float):
             + ("" if coefficients is None else f" to {coefficients}")
             + f" for Delta0 = {Delta0!r}, A_l = {A_l!r}, g0 = {params.g0!r}"
         )
-    return (*coefficients, C)
+    return (*coefficients, C, Delta0, params.kappa)
 
 
 def intracavity_cubic(params: SystemParams) -> CubicProblem:
@@ -169,8 +177,7 @@ def intracavity_cubic(params: SystemParams) -> CubicProblem:
     raises SimulationError naming the coefficients and the inputs.
     """
     validate_params(params)
-    c3, c2, c1, c0, C = _cubic_coefficients(params, params.Delta0, params.A_l)
-    return CubicProblem(c3, c2, c1, c0, C=C)
+    return CubicProblem(*_cubic_coefficients(params, params.Delta0, params.A_l))
 
 
 def cubic_value(problem: CubicProblem, N: float) -> float:
@@ -178,115 +185,107 @@ def cubic_value(problem: CubicProblem, N: float) -> float:
     return ((problem.c3 * N + problem.c2) * N + problem.c1) * N + problem.c0
 
 
-def _discriminant(a: float, b: float, c: float, d: float) -> float:
-    return (
-        18.0 * a * b * c * d
-        - 4.0 * (b * b * b) * d
-        + (b * b) * (c * c)
-        - 4.0 * a * (c * c * c)
-        - 27.0 * (a * a) * (d * d)
+def _discriminant(c1: float, c0: float, C: float, Delta0: float, kappa: float) -> float:
+    """Discriminant of g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y + c0 C, c1 = 4 Delta0^2 + kappa^2.
+
+    Free of the expanded form's cancellation for |Delta0| >> kappa; an
+    overflow gives inf or nan, which reads as not positive.
+    """
+    t, k2 = -c0 * C, kappa * kappa
+    return -16.0 * (
+        c1 * c1 * k2 + 4.0 * Delta0 * t * (4.0 * Delta0 * Delta0 + 9.0 * k2) + 27.0 * t * t
     )
 
 
 def cubic_discriminant(problem: CubicProblem) -> float:
-    """Discriminant of the cubic; positive iff three distinct real roots.
+    """Discriminant of the cubic in y = C N; positive iff three distinct real roots.
 
-    Products rather than powers: on overflow a float power raises, a product
-    gives inf or nan, which reads as not positive (one root).
+    It is the photon-number form's over C^2, and negative (not 0) for C = 0.
     """
-    return _discriminant(problem.c3, problem.c2, problem.c1, problem.c0)
+    return _discriminant(problem.c1, problem.c0, problem.C, problem.Delta0, problem.kappa)
 
 
-def _polish_root(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
-    """Newton-polish a root of c3 N^3 + c2 N^2 + c1 N + c0, keeping the best residual.
+def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> float:
+    """Root of g(y) = y (4 (y + D)^2 + k2) - t between neg and pos, from y.
 
-    Stops once the step is below 1e-16 max(1, |x|), or once the new iterate
-    equals the current or the previous one: each iterate is a fixed function
-    of the one before, so from there on the iteration only revisits iterates
-    whose residuals were already compared, and the result is the one the full
-    40 rounds give.
+    g(neg) <= 0 <= g(pos) is known, not evaluated.  Each round moves the end
+    of g(y)'s sign to y, then takes the Newton iterate if it lies strictly
+    inside (at most _NEWTON_ROUNDS times), else the float that halves the
+    bracket's bit pattern: nonnegative floats span < 2^63 patterns, so g is
+    evaluated at most _NEWTON_ROUNDS + 64 times.
     """
-    f = ((c3 * x + c2) * x + c1) * x + c0
-    best, best_res = x, abs(f)
-    prev = None
-    for _ in range(40):
-        dp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if dp == 0.0:
-            break
-        step = f / dp
-        new = x - step
-        f = ((c3 * new + c2) * new + c1) * new + c0
-        if abs(f) < best_res:
-            best, best_res = new, abs(f)
-        if abs(step) <= 1e-16 * max(1.0, abs(new)) or new == x or new == prev:
-            break
-        prev, x = x, new
-    return best
-
-
-def _occupancy_roots(problems: list[tuple[float, float, float, float]]):
-    """Real roots of each cubic (c3, c2, c1, c0), ascending and Newton-polished.
-
-    The rules are those of solve_intracavity_occupancy.  The cubics np.roots
-    treats as cubics (nonzero leading and trailing coefficient, a finite
-    companion matrix) share one stacked eigvals call on the companion
-    matrices np.roots builds, which gives per matrix the bits np.roots
-    gives; the others go through np.roots one by one.  Returns one tuple of
-    roots per cubic.
-    """
-    out: list[tuple[float, ...] | None] = []
-    pending = []
-    companions = []
-    for c3, c2, c1, c0 in problems:
-        if c3 == 0.0 and c1 <= 0.0:
-            raise RootSolveError("degenerate cubic with non-positive linear coefficient")
-        three = _discriminant(c3, c2, c1, c0) > 0.0
-        if not three and c1 > 0.0:
-            n_lin = -c0 / c1
-            if (c3 * n_lin + abs(c2)) * (n_lin * n_lin) <= 1e-17 * max(1.0, abs(c0)):
-                out.append((n_lin,))
+    newton = _NEWTON_ROUNDS
+    while True:
+        u = y + D
+        f = y * (4.0 * u * u + k2) - t
+        if f < 0.0:
+            neg = y
+        elif f > 0.0:
+            pos = y
+        else:  # a root, or nan past an overflow
+            return y
+        lo, hi = (neg, pos) if neg < pos else (pos, neg)
+        slope = 4.0 * u * (u + 2.0 * y) + k2
+        if newton and slope:
+            newton -= 1
+            y_new = y - f / slope
+            if y_new == y:
+                return y
+            if lo < y_new < hi:
+                y = y_new
                 continue
-        top = (-c2 / c3, -c1 / c3, -c0 / c3) if c3 != 0.0 and c0 != 0.0 else (math.nan,)
-        stacked = all(map(math.isfinite, top))
-        if stacked:
-            companions.append((top, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-        pending.append((len(out), three, stacked))
-        out.append(None)
-    eigenvalues = iter(np.linalg.eigvals(np.array(companions)).tolist() if companions else ())
-    for k, three, stacked in pending:
-        c3, c2, c1, c0 = problems[k]
-        raw = next(eigenvalues) if stacked else np.roots(problems[k]).tolist()
-        if not three:
-            raw = [min(raw, key=lambda z: abs(z.imag))]
-        roots = sorted(_polish_root(c3, c2, c1, c0, z.real) for z in raw)
-        tol = _ROOT_RTOL * max(1.0, abs(c0))
-        for x in roots:
-            residual = ((c3 * x + c2) * x + c1) * x + c0
-            if abs(residual) > tol:
-                raise RootSolveError(
-                    f"root N = {x:.17g} has residual {residual:.3e} above tolerance {tol:.3e}"
-                )
-        out[k] = tuple(roots)
-    return out
+        a, b = (_I64.unpack(_F64.pack(end))[0] for end in (lo, hi))
+        if b - a <= 1:
+            return y
+        y = _F64.unpack(_I64.pack((a + b) // 2))[0]
+
+
+def _occupancy_roots(c3, c2, c1, c0, C, Delta0, kappa) -> tuple[float, ...]:
+    """Real roots of one cubic given as CubicProblem fields, ascending.
+
+    Each y starts where g and g'' share a sign, so Newton nears it from one
+    side.  N = y / C, or 4 A_l^2 / (4 (y + Delta0)^2 + kappa^2) for
+    y <= kappa / 2, as accurate there and exact as C and y vanish (nan if
+    that denominator underflows to 0, which the residual check rejects).
+    """
+    D, k2, t = Delta0, kappa * kappa, -c0 * C
+    top = max(t ** (1.0 / 3.0), -2.0 * D)
+    bend = max(0.0, -2.0 * D / 3.0)  # inflection point of g
+    if _discriminant(c1, c0, C, D, kappa) > 0.0:
+        s = math.sqrt(max(0.0, D * D - 0.75 * k2)) / 3.0  # g' = 0 at bend -+ s
+        brackets = ((0.0, bend - s, 0.0), (bend + s, bend - s, bend), (bend + s, top, top))
+    else:
+        u = bend + D
+        convex = bend * (4.0 * u * u + k2) - t <= 0.0
+        brackets = ((0.0, top, top if convex else 0.0),)
+    roots = []
+    tol = _ROOT_RTOL * max(1.0, abs(c0))
+    for neg, pos, start in brackets:
+        y = _y_root(D, k2, t, neg, pos, start)
+        N = y / C if y > 0.5 * kappa else -c0 / (c1 + 4.0 * y * (y + 2.0 * D) or math.nan)
+        residual = ((c3 * N + c2) * N + c1) * N + c0
+        if not abs(residual) <= tol:
+            raise RootSolveError(
+                f"root N = {N:.17g} has residual {residual:.3e} above tolerance {tol:.3e}"
+            )
+        roots.append(N)
+    return tuple(sorted(roots))
 
 
 def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
-    """All real roots of the cubic, ascending and Newton-polished.
+    """All real roots of the cubic, ascending.
 
-    For A_l > 0 every real root is positive: the cubic equals
-    N (4 (C N + Delta0)^2 + kappa^2) - 4 A_l^2, which is negative for all
-    N <= 0.  (For A_l = 0 the only real root is N = 0.)  The root count is
-    defined by the sign of cubic_discriminant: three roots when it is
-    positive, otherwise one.  With three, the real parts of all companion-
-    matrix eigenvalues are polished; with one, only the eigenvalue of
-    smallest imaginary part.  When c3 N^3 + c2 N^2 is below rounding at the
-    linear root -c0/c1 (g0 = 0 or vanishingly small) and the discriminant is
-    not positive, that linear root is returned without forming the companion
-    matrix, which would overflow.  Every returned root N satisfies
-    |cubic(N)| <= 1e-8 max(1, |c0|).  This is the solver of
-    steady_state_grid at batch size 1.
+    In y = C N the cubic is g(y) = y (4 (y + Delta0)^2 + kappa^2) - t, t = 4 A_l^2 C,
+    negative for y <= 0.  Three roots (cubic_discriminant > 0, which needs
+    Delta0 < 0 and Delta0^2 > 3 kappa^2 / 4) lie in [0, y-], [y-, y+], [y+, top]
+    around the critical points y-+ = (-2 Delta0 -+ sqrt(Delta0^2 - 3 kappa^2/4)) / 3;
+    one lies in [0, top] (and below t / kappa^2), top = max(t^(1/3), -2 Delta0).
+    Newton on Python floats, with a fallback that halves the bracket's bit
+    pattern, evaluates g at most 96 times per root.  Each root satisfies
+    |cubic(N)| <= 1e-8 max(1, |c0|), or RootSolveError is raised.  This is the
+    solver of steady_state_grid at batch size 1.
     """
-    return _occupancy_roots([(problem.c3, problem.c2, problem.c1, problem.c0)])[0]
+    return _occupancy_roots(*dataclasses.astuple(problem))
 
 
 @dataclass(frozen=True)
@@ -338,7 +337,7 @@ def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]
 
 def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
     """Roots of the cubic at each (Delta0, A_l) point, one tuple per point."""
-    return _occupancy_roots([_cubic_coefficients(params, d, a)[:4] for d, a in points])
+    return [_occupancy_roots(*_cubic_coefficients(params, d, a)) for d, a in points]
 
 
 def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
@@ -346,7 +345,7 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
 
     Delta0 and A_l are broadcast against each other and flattened (C order);
     params supplies every other parameter.  One call solves the cubics of all
-    points (one stacked companion eigvals, per-root Newton polish), forms the
+    points (per root a bracketed Newton iteration on Python floats), forms the
     amplitudes of every root and takes all Routh-Hurwitz verdicts from one
     stacked call.  steady_states and steady_state are this kernel at batch
     size 1.
@@ -431,7 +430,7 @@ def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.nd
     """
     def disc(detunings, _=None) -> np.ndarray:
         return np.array([
-            _discriminant(*_cubic_coefficients(params, d, params.A_l)[:4])
+            _discriminant(*_cubic_coefficients(params, d, params.A_l)[2:])
             for d in detunings.tolist()
         ])
 

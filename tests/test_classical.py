@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from optomech.errors import (
     DivergenceError,
     PoleError,
+    RootSolveError,
     SimulationError,
     StepSizeError,
 )
@@ -18,8 +19,7 @@ from optomech.model import SystemParams
 from optomech.classical import (
     CubicProblem,
     _bisect,
-    _occupancy_roots,
-    _polish_root,
+    _roots_at,
     classify_regime,
     cubic_discriminant,
     cubic_value,
@@ -51,27 +51,75 @@ from optomech.classical import (
 from optomech.quantum import drift_matrix
 from test_acceptance import _independent_discriminant
 
-def _polish_40_rounds(c3, c2, c1, c0, x):
-    """The Newton polish as it was before it stopped on repeated iterates."""
-    value = lambda N: ((c3 * N + c2) * N + c1) * N + c0
-    best, best_res = x, abs(value(x))
-    for _ in range(40):
-        dp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        if dp == 0.0:
-            break
-        step = value(x) / dp
-        x = x - step
-        res = abs(value(x))
-        if res < best_res:
-            best, best_res = x, res
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return best
+def _np_roots_oracle(problem):
+    """Real roots of the photon-number cubic from np.roots, ascending.
+
+    None when the cubic is not well conditioned for the oracle: two real
+    roots, or a real and a complex root, within 1e-3 of the largest root
+    magnitude of each other.
+    """
+    z = np.roots([problem.c3, problem.c2, problem.c1, problem.c0])
+    scale = np.abs(z).max()
+    real = np.abs(z.imag) <= 1e-9 * scale
+    if np.any(~real & (np.abs(z.imag) < 1e-3 * scale)):
+        return None
+    roots = np.sort(z.real[real])
+    if np.any(np.diff(roots) < 1e-3 * scale):
+        return None
+    return roots
+
+
+def _check_against_oracle(problem, roots):
+    """Roots within 1e-12 relative of np.roots, counted by the discriminant sign,
+    each within the residual bound.  Returns False for a cubic the oracle skips."""
+    assert len(roots) == (3 if cubic_discriminant(problem) > 0 else 1)
+    scale = max(1.0, abs(problem.c0))
+    assert all(abs(cubic_value(problem, r)) <= 1e-8 * scale for r in roots)
+    oracle = _np_roots_oracle(problem)
+    if oracle is None:
+        return False
+    assert len(roots) == oracle.size
+    for r, o in zip(roots, oracle):
+        assert abs(r - o) <= 1e-12 * abs(o)
+    return True
 
 
 FIG5 = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=0.0, A_l=5.0)
 BISTABLE = dataclasses.replace(FIG5, g0=0.005, Delta0=-0.21)
+# steady_states raised a raw LinAlgError here, from np.roots after an
+# "overflow encountered in divide" (c3 is subnormal, so c2 / c3 overflows)
+LINALG_ERROR_INPUT = dict(
+    kappa=4.571e-07, gamma=3.727e7, g0=4.749e-151, Delta0=1.339e17, A_l=1.230e101,
+    omega_m=4.343e-06,
+)
 
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def signed_log_uniform(lo, hi):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(lo, hi)).map(
+        lambda s: s[0] * s[1]
+    )
+
+
+def or_zero(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+# every field of SystemParams over many decades, within validate_params
+VALID_PARAMS = st.fixed_dictionaries({
+    "kappa": log_uniform(1e-6, 1e6),
+    "gamma": log_uniform(1e-6, 1e6),
+    "omega_m": log_uniform(1e-6, 1e6),
+    "m": log_uniform(1e-6, 1e6),
+    "g0": or_zero(log_uniform(1e-80, 1e3)),
+    "Delta0": or_zero(signed_log_uniform(1e-6, 1e50)),
+    "A_l": or_zero(log_uniform(1e-6, 1e60)),
+    "n_th": or_zero(log_uniform(1e-3, 1e3)),
+})
 
 # ---------------------------------------------------------------------------
 # cubic and steady states
@@ -180,52 +228,53 @@ class TestCubic:
         with pytest.raises(SimulationError):
             steady_states(p)
 
-    def test_polish_equals_full_forty_round_loop(self):
-        # the early stop on a repeated iterate must not change a single bit
+    def test_roots_match_np_roots_oracle(self):
+        # seeded physical draws, monostable and bistable, against np.roots
         rng = np.random.default_rng(20261018)
+        checked = three = 0
         for _ in range(2000):
             p = SystemParams(
                 kappa=rng.uniform(0.01, 2.0), gamma=rng.uniform(1e-3, 0.05),
                 g0=10.0 ** rng.uniform(-4, -1), Delta0=rng.uniform(-2, 1),
                 A_l=rng.uniform(0.1, 30),
             )
-            c = intracavity_cubic(p)
-            coefficients = (c.c3, c.c2, c.c1, c.c0)
-            starts = np.roots(coefficients).real
-            for x in np.concatenate([starts, starts * (1 + rng.uniform(-1e-3, 1e-3, 3))]):
-                x = float(x)
-                assert _polish_root(*coefficients, x) == _polish_40_rounds(*coefficients, x)
+            problem = intracavity_cubic(p)
+            roots = solve_intracavity_occupancy(problem)
+            checked += _check_against_oracle(problem, roots)
+            three += len(roots) == 3
+        assert checked >= 1900 and three >= 50
 
-    def test_batch_matches_per_cubic_np_roots(self):
-        # stacked eigvals, the np.roots fallback (zero leading or trailing
-        # coefficient) and the linear root, mixed in one batch, against a
-        # test-local per-cubic np.roots solve
-        def reference(c3, c2, c1, c0):
-            if not cubic_discriminant(CubicProblem(c3, c2, c1, c0, C=0.0)) > 0.0 and c1 > 0.0:
-                n_lin = -c0 / c1
-                if (c3 * n_lin + abs(c2)) * (n_lin * n_lin) <= 1e-17 * max(1.0, abs(c0)):
-                    return (n_lin,)
-            raw = np.roots([c3, c2, c1, c0])
-            if not cubic_discriminant(CubicProblem(c3, c2, c1, c0, C=0.0)) > 0.0:
-                raw = raw[[np.argmin(np.abs(raw.imag))]]
-            return tuple(sorted(_polish_40_rounds(c3, c2, c1, c0, float(r.real)) for r in raw))
-
+    def test_batch_matches_np_roots_oracle(self):
+        # linear cavities (g0 = 0), dark cavities (A_l = 0) and bistable
+        # points mixed in one batch, each against a per-cubic np.roots solve
         rng = np.random.default_rng(5)
-        cubics = [(0.0, 1.0, 3.0, -4.0), (1.0, -3.0, 2.0, 0.0), (0.0, 0.0, 2.0, -8.0)]
-        for _ in range(300):
-            p = dataclasses.replace(
-                FIG5, g0=rng.uniform(0.001, 0.01), Delta0=rng.uniform(-0.4, 0.1),
-                A_l=rng.choice([0.0, rng.uniform(1, 10)]),
-            )
-            c = intracavity_cubic(p)
-            cubics.append((c.c3, c.c2, c.c1, c.c0))
-        order = rng.permutation(len(cubics))
-        batch = [cubics[k] for k in order]
-        assert _occupancy_roots(batch) == [reference(*c) for c in batch]
+        points = [
+            (rng.uniform(-0.4, 0.1), rng.choice([0.0, rng.uniform(1, 10)])) for _ in range(300)
+        ]
+        checked = three = 0
+        for g0 in (0.0, 0.005, 0.01):
+            p = dataclasses.replace(FIG5, g0=g0)
+            for (d, a), roots in zip(points, _roots_at(p, points)):
+                problem = intracavity_cubic(dataclasses.replace(p, Delta0=d, A_l=a))
+                checked += _check_against_oracle(problem, roots)
+                three += len(roots) == 3
+        assert checked >= 850 and three >= 20
+
+    def test_linalg_error_input_solves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (state,) = steady_states(SystemParams(**LINALG_ERROR_INPUT))
+        assert state.N_o == pytest.approx(8.438185508452407e+167, rel=1e-12)
 
     def test_bistable_point_has_three_roots(self):
         roots = solve_intracavity_occupancy(intracavity_cubic(BISTABLE))
         assert len(roots) == 3
+
+    def test_underflowing_linear_coefficient_is_root_solve_error(self):
+        # kappa^2 and 4 Delta0^2 underflow, so c1 = 0 and 4 A_l^2 / c1 has no value
+        p = SystemParams(kappa=1e-170, gamma=0.005, g0=0.0, Delta0=0.0, A_l=1.0)
+        with pytest.raises(RootSolveError, match="N = nan"):
+            solve_intracavity_occupancy(intracavity_cubic(p))
 
     def test_zero_drive_dark_cavity(self):
         p = dataclasses.replace(FIG5, A_l=0.0)
@@ -356,6 +405,30 @@ class TestSteadyStateGrid:
         assert grid.per_point("N_o")[1 * 2 + 1] == tuple(
             s.N_o for s in steady_states(dataclasses.replace(FIG5, g0=0.005, Delta0=det[1], A_l=5.0))
         )
+
+    @given(
+        params=VALID_PARAMS,
+        detunings=st.lists(or_zero(signed_log_uniform(1e-6, 1e50)), min_size=1, max_size=4),
+        amplitudes=st.lists(or_zero(log_uniform(1e-6, 1e60)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(
+        params={**LINALG_ERROR_INPUT, "m": 1.0, "n_th": 0.0},
+        detunings=[LINALG_ERROR_INPUT["Delta0"]], amplitudes=[LINALG_ERROR_INPUT["A_l"]],
+    )
+    def test_raises_only_simulation_error(self, params, detunings, amplitudes):
+        # every valid input gives finite fixed points or a SimulationError,
+        # without a warning
+        p = SystemParams(**params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                grid = steady_state_grid(p, np.array(detunings)[:, None], amplitudes)
+            except SimulationError:
+                return
+        assert len(grid.counts) == len(detunings) * len(amplitudes)
+        assert set(grid.counts) <= {1, 3} and len(grid.states) == sum(grid.counts)
+        assert all(math.isfinite(s.N_o) and s.N_o >= 0 for s in grid.states)
 
     def test_grid_validates_points(self):
         with pytest.raises(ValueError, match="A_l"):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from optomech.cli import (
 )
 from optomech.errors import ConfigError
 from optomech import classical
+from test_classical import LINALG_ERROR_INPUT, VALID_PARAMS, log_uniform, or_zero, signed_log_uniform
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -43,6 +45,28 @@ BASE = {
     "output_dir": "out",
     "seed": 0,
 }
+
+
+@st.composite
+def valid_runs(draw):
+    """(command, params, grids): any command, valid params, a small grid of each kind it needs."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    grids = {}
+    for name in COMMANDS[command][0]:
+        if name in ("Delta0", "Delta"):
+            start = draw(signed_log_uniform(1e-6, 1e50))
+            stop = start + abs(start) * draw(log_uniform(1e-3, 10)) + draw(log_uniform(1e-6, 1))
+        elif name == "A_l":
+            start = draw(or_zero(log_uniform(1e-6, 1e60)))
+            stop = start * (1 + draw(log_uniform(1e-3, 10))) + draw(log_uniform(1e-6, 1))
+        elif name == "t":
+            start, stop = 0.0, draw(log_uniform(1e-6, 1e3))
+        elif name == "x":
+            start, stop = -2.2, 2.2  # the command requires a comb resonance inside
+        else:
+            start, stop = 0.0, draw(log_uniform(1e-6, 1e6))
+        grids[name] = {"start": start, "stop": stop, "count": draw(st.integers(2, 5))}
+    return command, draw(VALID_PARAMS), grids
 
 
 def write_config(tmp_path, overrides=None, **replace):
@@ -477,6 +501,35 @@ class TestExitCodes:
                 code = main([str(config), "--quiet"])
         assert code in (0, 2)
         assert "config error" not in err.getvalue()
+
+    @given(run=valid_runs())
+    @settings(max_examples=300, deadline=None)
+    @example(run=("steady", {**LINALG_ERROR_INPUT, "m": 1.0, "n_th": 0.0}, {}))
+    def test_every_command_keeps_the_error_contract(self, run):
+        # exit 0 with finite CSVs, or exit 2 with one "numerical error:" line,
+        # and no warning on the way
+        command, params, grids = run
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            config = write_config(
+                Path(tmp), command=command, params=params, grids=grids, output_dir=str(out)
+            )
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([str(config), "--quiet"])
+            cells = [
+                float(cell)
+                for path in out.glob("*.csv")
+                for line in path.read_text().splitlines()[1:]
+                for cell in line.split(",")
+            ]
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2)
+        assert lines == [] if code == 0 else (
+            len(lines) == 1 and lines[0].startswith("numerical error:")
+        )
+        assert all(map(math.isfinite, cells))
 
     def test_overflow_error_names_the_inputs(self, tmp_path, capsys):
         config = write_config(
