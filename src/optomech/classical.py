@@ -243,8 +243,8 @@ def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> 
 def _occupancy_roots(c3, c2, c1, c0, C, Delta0, kappa) -> tuple[float, ...]:
     """Real roots of one cubic given as CubicProblem fields, ascending.
 
-    Each y starts where g and g'' share a sign, so Newton nears it from one
-    side.  N = y / C, or 4 A_l^2 / (4 (y + Delta0)^2 + kappa^2) for
+    Each y starts at 0, the inflection point or top, from where Newton nears
+    it from one side.  N = y / C, or 4 A_l^2 / (4 (y + Delta0)^2 + kappa^2) for
     y <= kappa / 2, as accurate there and exact as C and y vanish (nan if
     that denominator underflows to 0, which the residual check rejects).
     """

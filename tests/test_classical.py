@@ -17,7 +17,6 @@ from optomech.errors import (
 )
 from optomech.model import SystemParams
 from optomech.classical import (
-    CubicProblem,
     _bisect,
     _roots_at,
     classify_regime,
@@ -70,8 +69,11 @@ def _np_roots_oracle(problem):
 
 
 def _check_against_oracle(problem, roots):
-    """Roots within 1e-12 relative of np.roots, counted by the discriminant sign,
-    each within the residual bound.  Returns False for a cubic the oracle skips."""
+    """Check roots against the discriminant count, the residual bound and np.roots.
+
+    Roots must lie within 1e-12 relative of the oracle's.  Returns False for
+    a cubic the oracle skips.
+    """
     assert len(roots) == (3 if cubic_discriminant(problem) > 0 else 1)
     scale = max(1.0, abs(problem.c0))
     assert all(abs(cubic_value(problem, r)) <= 1e-8 * scale for r in roots)
@@ -120,6 +122,7 @@ VALID_PARAMS = st.fixed_dictionaries({
     "A_l": or_zero(log_uniform(1e-6, 1e60)),
     "n_th": or_zero(log_uniform(1e-3, 1e3)),
 })
+
 
 # ---------------------------------------------------------------------------
 # cubic and steady states

@@ -27,7 +27,13 @@ from optomech.cli import (
 )
 from optomech.errors import ConfigError
 from optomech import classical
-from test_classical import LINALG_ERROR_INPUT, VALID_PARAMS, log_uniform, or_zero, signed_log_uniform
+from test_classical import (
+    LINALG_ERROR_INPUT,
+    VALID_PARAMS,
+    log_uniform,
+    or_zero,
+    signed_log_uniform,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
