@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         gam = optomechanical_damping(args.g_s, Delta, args.kappa, omega_m)
         spring = optical_spring_shift(args.g_s, Delta, args.kappa, omega_m)
         A = drift_matrix_from_rates(args.kappa, args.gamma, omega_m, Delta, args.g_s)
-        if routh_hurwitz_stable(A, margin=0.0):
+        if routh_hurwitz_stable(A):
             v_qq = f"{steady_covariance(A, D)[2, 2]:10.4f}"
         else:
             v_qq = f"{'unstable':>10}"

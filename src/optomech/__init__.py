@@ -32,7 +32,6 @@ from .classical import (
     cubic_discriminant,
     cubic_value,
     effective_susceptibility,
-    hysteresis_sweep,
     hysteresis_traces,
     integrate_mean_field,
     intracavity_cubic,

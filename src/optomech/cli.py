@@ -17,7 +17,9 @@ values}}; run_command wraps them in ResultTables and attaches the run
 configuration as their metadata.  Every table is written as a CSV (17
 significant digits, LF line endings) plus a .meta.json sidecar that echoes
 that configuration, so any output directory can be re-run byte-identically
-from its own sidecar.  Exit codes: 0 success, 1 configuration error,
+from its own sidecar.  The optional "seed" key (a non-negative integer,
+default 0) is accepted and echoed into the sidecars but ignored: every
+command is deterministic.  Exit codes: 0 success, 1 configuration error,
 2 numerical error, 3 I/O error.
 """
 
@@ -339,13 +341,6 @@ def _run_covariance(spec: RunSpec) -> dict:
 def _run_static_potential(spec: RunSpec) -> dict:
     x = spec.grids["x"].values()
     forces = spec.grids["F0"].values()
-    if np.any(forces < 0):
-        raise ConfigError("F0 grid must be non-negative")
-    spacing = STATIC_WAVELENGTH / 2.0
-    if np.ceil(x[0] / spacing) * spacing > x[-1]:
-        raise ConfigError(
-            f"x grid must cover at least one comb resonance (spacing {spacing:g})"
-        )
     k_ho = spec.params.m * spec.params.omega_m ** 2
     models = [
         classical.lorentzian_comb_model(

@@ -19,10 +19,6 @@ class RootSolveError(SimulationError):
     """Cubic root finding failed to converge to the requested residual."""
 
 
-class MarginalStabilityError(SimulationError):
-    """A Routh-Hurwitz quantity sits inside the configured margin around zero."""
-
-
 class UnstableSystemError(SimulationError):
     """The drift matrix is not strictly stable, so no steady state exists."""
 

@@ -97,12 +97,13 @@ def mean_thermal_occupancy(omega_m: float, T: float) -> float:
     """Bose-Einstein occupancy 1 / (exp(hbar omega_m / k_B T) - 1).
 
     omega_m is an SI angular frequency [rad/s], T a temperature [K].
-    T = 0 returns exactly 0.
+    T = 0 returns exactly 0.  An occupancy beyond the float range (k_B T
+    above ~1e308 hbar omega_m) raises ValueError.
     """
-    if not omega_m > 0:
-        raise ValueError(f"omega_m must be > 0 (got {omega_m!r})")
-    if T < 0:
-        raise ValueError(f"T must be >= 0 (got {T!r})")
+    if not (math.isfinite(omega_m) and omega_m > 0):
+        raise ValueError(f"omega_m must be > 0 and finite (got {omega_m!r})")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be >= 0 and finite (got {T!r})")
     if T == 0:
         return 0.0
     denom = _k_B * T
@@ -111,7 +112,10 @@ def mean_thermal_occupancy(omega_m: float, T: float) -> float:
     x = _hbar * omega_m / denom
     if x > 700.0:  # expm1 would overflow; occupancy is e^-x to ~e^-700
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    occupancy = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if occupancy == math.inf:
+        raise ValueError(f"occupancy at omega_m = {omega_m!r}, T = {T!r} is not finite")
+    return occupancy
 
 
 def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
@@ -128,13 +132,13 @@ def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
 
 def photon_momentum_kick(E_photon: float) -> float:
     """Momentum transferred to a perfect mirror by one reflected photon, 2E/c."""
-    if E_photon < 0:
-        raise ValueError(f"E_photon must be >= 0 (got {E_photon!r})")
+    if not (math.isfinite(E_photon) and E_photon >= 0):
+        raise ValueError(f"E_photon must be >= 0 and finite (got {E_photon!r})")
     return 2.0 * E_photon / _c
 
 
 def beam_radiation_force(P: float) -> float:
     """Time-averaged radiation force of a beam of power P on a perfect mirror, 2P/c."""
-    if P < 0:
-        raise ValueError(f"P must be >= 0 (got {P!r})")
+    if not (math.isfinite(P) and P >= 0):
+        raise ValueError(f"P must be >= 0 and finite (got {P!r})")
     return 2.0 * P / _c

@@ -20,10 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MarginalStabilityError
-
-DEFAULT_MARGIN = 1e-10
-
 # Up to this many matrices the minors are formed per matrix on Python floats,
 # where numpy's cost per call would dominate; above it, entry-wise on numpy
 # arrays across the stack.  The arithmetic is the same either way, and so are
@@ -113,23 +109,14 @@ def hurwitz_quantities(A):
     return _unscaled(A, [0, 2, 3, 4], [1, 3, 4, 6])
 
 
-def routh_hurwitz_stable(A, margin: float = DEFAULT_MARGIN):
+def routh_hurwitz_stable(A):
     """True iff every eigenvalue of the 4x4 matrix A has negative real part.
 
-    Quantities within +/-margin of zero raise MarginalStabilityError instead
-    of returning a verdict; pass margin=0.0 to force a strict boolean.  A
-    stack of matrices gives a boolean array, and one marginal matrix raises
-    for the whole stack.  The verdict reads the signs of the scaled
-    quantities, which are exact even where the unscaled ones overflow.
+    The verdict is strict: a Hurwitz quantity of exactly zero reads not
+    stable.  A stack of matrices gives a boolean array.  The verdict reads
+    the signs of the scaled quantities, which are exact even where the
+    unscaled ones overflow.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0 (got {margin!r})")
-    if margin > 0:
-        quantities = hurwitz_quantities(A)
-        if np.any(np.abs(quantities) <= margin):
-            raise MarginalStabilityError(
-                f"Routh-Hurwitz quantity within +/-{margin:g} of zero: {quantities}"
-            )
     values, _, shape = _scaled(A)
     if not isinstance(values, list):
         return np.all(values[..., [0, 2, 3, 4]] > 0, axis=-1)

@@ -22,7 +22,7 @@ from optomech import (
     beam_radiation_force,
     drift_matrix,
     drift_matrix_from_rates,
-    hysteresis_sweep,
+    hysteresis_traces,
     integrate_covariance,
     intracavity_cubic,
     lorentzian_comb_model,
@@ -93,8 +93,7 @@ def test_criterion_02_bistability_window_and_hysteresis():
 
     t0 = time.perf_counter()
     sweep = sweep_bistability(coupled, grid)
-    up = hysteresis_sweep(coupled, grid, direction="up")
-    down = hysteresis_sweep(coupled, grid, direction="down")
+    up, down = hysteresis_traces(coupled, grid)
     elapsed = time.perf_counter() - t0
 
     def window_nonempty(g0v: float) -> bool:
@@ -365,7 +364,7 @@ def test_criterion_07_red_detuning_cools_mechanical_quadrature():
     A_red = drift_matrix_from_rates(kappa, gamma, 1.0, -1.0, g_s)
     V_red = steady_covariance(A_red, D)
     A_blue = drift_matrix_from_rates(kappa, gamma, 1.0, +1.0, g_s)
-    blue_stable = routh_hurwitz_stable(A_blue, margin=0.0)
+    blue_stable = routh_hurwitz_stable(A_blue)
     elapsed = time.perf_counter() - t0
 
     v_qq = V_red[2, 2]

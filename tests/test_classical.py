@@ -23,7 +23,6 @@ from optomech.classical import (
     cubic_discriminant,
     cubic_value,
     effective_susceptibility,
-    hysteresis_sweep,
     hysteresis_traces,
     integrate_mean_field,
     intracavity_cubic,
@@ -49,6 +48,27 @@ from optomech.classical import (
 )
 from optomech.quantum import drift_matrix
 from test_acceptance import _independent_discriminant
+
+
+def _continuation_reference(p, det):
+    """Up and down hysteresis traces from one scalar root solve per point.
+
+    The up trace starts on the smallest root at det[0], the down trace on the
+    largest at det[-1]; each later point takes the root nearest the last.
+    """
+    traces = []
+    for direction, order in (("up", det), ("down", det[::-1])):
+        trace = []
+        for d in order:
+            cubic = intracavity_cubic(dataclasses.replace(p, Delta0=float(d)))
+            roots = solve_intracavity_occupancy(cubic)
+            if not trace:
+                trace.append(roots[0] if direction == "up" else roots[-1])
+            else:
+                trace.append(min(roots, key=lambda r: abs(r - trace[-1])))
+        traces.append(trace if direction == "up" else trace[::-1])
+    return tuple(traces)
+
 
 def _np_roots_oracle(problem):
     """Real roots of the photon-number cubic from np.roots, ascending.
@@ -279,6 +299,47 @@ class TestCubic:
         with pytest.raises(RootSolveError, match="N = nan"):
             solve_intracavity_occupancy(intracavity_cubic(p))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(
+                kappa=0.25940063663925916, gamma=1.187282672793965e-06,
+                g0=9.559526317674634e-11, Delta0=-3459135283.126823,
+                A_l=2.8681949277281924e+16, omega_m=4186.986074016767,
+            ),
+            SystemParams(
+                kappa=0.001447452097944006, gamma=48046.01010700848,
+                g0=6.3247711565149345e-12, Delta0=-1.6165871420928515e+35,
+                A_l=4.5643761194219066e+48, omega_m=1790.7596103153203,
+            ),
+            SystemParams(
+                kappa=1001.3942079131176, gamma=1.2814648244470793e-06,
+                g0=6.551030167265504e-11, Delta0=-1.8531943913195912e+41,
+                A_l=1.9470261933618974e+39, omega_m=0.20057192093890172,
+            ),
+        ],
+    )
+    def test_far_detuned_roots_pass_backward_error_gate(self, p):
+        # |Delta0| / kappa >= 1e10: the Horner residual of an accurate root is
+        # about eps 4 Delta0^2 N, far above 1e-8 |c0| but within 1e-8 of the
+        # sum of the cubic's absolute terms
+        import mpmath
+
+        with mpmath.workdps(130):
+            m = mpmath.mpf
+            C = 2 * m(p.g0) ** 2 * m(p.omega_m) / (m(p.gamma) ** 2 / 4 + m(p.omega_m) ** 2)
+            exact = mpmath.polyroots(
+                [4 * C * C, 8 * C * m(p.Delta0), 4 * m(p.Delta0) ** 2 + m(p.kappa) ** 2,
+                 -4 * m(p.A_l) ** 2],
+                maxsteps=500, extraprec=500,
+            )
+            assert all(abs(mpmath.im(z)) <= 1e-60 * abs(z) for z in exact)
+            exact = sorted(float(mpmath.re(z)) for z in exact)
+        roots = solve_intracavity_occupancy(intracavity_cubic(p))
+        assert len(roots) == 3
+        for N, reference in zip(roots, exact):
+            assert abs(N - reference) <= 1e-15 * reference
+
     def test_zero_drive_dark_cavity(self):
         p = dataclasses.replace(FIG5, A_l=0.0)
         roots = solve_intracavity_occupancy(intracavity_cubic(p))
@@ -356,16 +417,8 @@ class TestSteadyStateGrid:
         sweep = sweep_bistability(p, det)
         assert sweep.roots == tuple(tuple(s.N_o for s in c) for c in along)
         assert sweep.stability == tuple(tuple(s.stable for s in c) for c in along)
-        for direction, order in (("up", det), ("down", det[::-1])):
-            trace = []
-            for d in order:
-                roots = solve_intracavity_occupancy(intracavity_cubic(point(d, p.A_l)))
-                if not trace:
-                    trace.append(roots[0] if direction == "up" else roots[-1])
-                else:
-                    trace.append(min(roots, key=lambda r: abs(r - trace[-1])))
-            expected = trace if direction == "up" else trace[::-1]
-            assert hysteresis_sweep(p, det, direction).tolist() == expected
+        up, down = hysteresis_traces(p, det)
+        assert (up.tolist(), down.tolist()) == _continuation_reference(p, det)
 
         d, a = det[-1], amp[-1]
         single = states[-1][-1]
@@ -616,21 +669,19 @@ class TestHysteresis:
     def test_traces_differ_exactly_inside_window(self):
         p = dataclasses.replace(FIG5, g0=0.005)
         sweep = sweep_bistability(p, self.GRID)
-        up = hysteresis_sweep(p, self.GRID, "up")
-        down = hysteresis_sweep(p, self.GRID, "down")
+        up, down = hysteresis_traces(p, self.GRID)
         inside = np.array([len(r) == 3 for r in sweep.roots])
         np.testing.assert_array_equal(up != down, inside)
         assert np.all(up[inside] < down[inside])  # lower branch vs upper branch
 
     def test_monostable_traces_coincide(self):
         p = dataclasses.replace(FIG5, g0=0.001)
-        up = hysteresis_sweep(p, self.GRID, "up")
-        down = hysteresis_sweep(p, self.GRID, "down")
+        up, down = hysteresis_traces(p, self.GRID)
         np.testing.assert_array_equal(up, down)
 
     def test_jump_at_window_edges(self):
         p = dataclasses.replace(FIG5, g0=0.005)
-        up = hysteresis_sweep(p, self.GRID, "up")
+        up, _ = hysteresis_traces(p, self.GRID)
         jumps = np.abs(np.diff(up))
         # one discontinuous jump (upward, at the upper edge)
         assert np.max(jumps) > 10 * np.median(jumps[jumps > 0])
@@ -639,17 +690,12 @@ class TestHysteresis:
         p = dataclasses.replace(FIG5, g0=0.005)
         for grid in (self.GRID, self.GRID[::-1], self.GRID[:1], self.GRID[:2]):
             up, down = hysteresis_traces(p, grid)
-            assert up.tolist() == hysteresis_sweep(p, grid, "up").tolist()
-            assert down.tolist() == hysteresis_sweep(p, grid, "down").tolist()
+            assert (up.tolist(), down.tolist()) == _continuation_reference(p, grid)
             assert up.shape == down.shape == grid.shape
 
     def test_traces_grid_validated(self):
         with pytest.raises(ValueError, match="non-empty"):
             hysteresis_traces(FIG5, np.array([]))
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError, match="direction"):
-            hysteresis_sweep(FIG5, self.GRID, "sideways")
 
 
 class TestStabilityMap:

@@ -568,17 +568,27 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 3
         assert "i/o error" in capsys.readouterr().err
 
-    def test_x_grid_without_resonance_is_1(self, tmp_path):
-        config = write_config(
+    @staticmethod
+    def static_potential_config(tmp_path, x, F0):
+        return write_config(
             tmp_path,
             command="static-potential",
             grids={
-                "x": {"start": 0.05, "stop": 0.2, "count": 50},
-                "F0": {"start": 0.0, "stop": 1.0, "count": 3},
+                "x": {"start": x[0], "stop": x[1], "count": 50},
+                "F0": {"start": F0[0], "stop": F0[1], "count": 3},
             },
             output_dir=str(tmp_path / "out"),
         )
+
+    def test_x_grid_without_resonance_is_1(self, tmp_path, capsys):
+        config = self.static_potential_config(tmp_path, (0.05, 0.2), (0.0, 1.0))
         assert main([str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_force_grid_is_1(self, tmp_path, capsys):
+        config = self.static_potential_config(tmp_path, (-2.2, 2.2), (-1.0, 1.0))
+        assert main([str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestMainOptions:
@@ -688,6 +698,23 @@ class TestRunAllConfigsCompare:
         second = ["--config-dir", str(configs), "--output-root", str(tmp_path / "b")]
         assert script.main(second + ["--compare", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "2/2 files identical"
+
+
+class TestCoolingSummary:
+    def test_default_run(self, capsys):
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "cooling_summary.py"
+        spec = importlib.util.spec_from_file_location("cooling_summary", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.main([]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 17
+        unstable = [float(row[0]) for row in rows if row[3] == "unstable"]
+        assert unstable and all(delta > 0 for delta in unstable)
+        (v_qq,) = [float(row[3]) for row in rows if float(row[0]) == -1.0]
+        assert v_qq < 10.5
 
 
 class TestBenchSnapshot:

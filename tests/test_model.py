@@ -104,6 +104,21 @@ class TestThermalOccupancy:
         with pytest.raises(ValueError, match="T"):
             mean_thermal_occupancy(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "omega, T, name",
+        [
+            (1.0, math.inf, "T"),
+            (1.0, math.nan, "T"),
+            (math.inf, 1.0, "omega_m"),
+            (math.nan, 1.0, "omega_m"),
+            (1e-10, 1e303, "occupancy"),  # hbar omega / k_B T underflows to 0
+            (1e-10, 1e290, "occupancy"),  # 1 / expm1 of a subnormal overflows
+        ],
+    )
+    def test_non_finite_rejected(self, omega, T, name):
+        with pytest.raises(ValueError, match=name):
+            mean_thermal_occupancy(omega, T)
+
 
 class TestGeometry:
     # 1 cm cavity, 1064 nm light, 1 ng mirror oscillating at 1 MHz
@@ -165,6 +180,14 @@ class TestRadiationPressure:
             photon_momentum_kick(-1.0)
         with pytest.raises(ValueError):
             beam_radiation_force(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "helper, name", [(photon_momentum_kick, "E_photon"), (beam_radiation_force, "P")]
+    )
+    def test_non_finite_rejected(self, helper, name, bad):
+        with pytest.raises(ValueError, match=name):
+            helper(bad)
 
     @given(p1=st.floats(0, 1e6), p2=st.floats(0, 1e6))
     @settings(max_examples=50)

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from optomech.errors import MarginalStabilityError
 from optomech.stability import (
     characteristic_coefficients,
     hurwitz_quantities,
@@ -41,16 +40,13 @@ def test_verdict_matches_eigenvalues_on_random_matrices():
         lam = np.max(np.linalg.eigvals(A).real)
         if abs(lam) <= 1e-6:
             continue
-        try:
-            verdict = routh_hurwitz_stable(A)
-        except MarginalStabilityError:
-            continue
+        verdict = routh_hurwitz_stable(A)
         assert verdict == (lam < 0), f"disagreement at max Re(eig) = {lam}"
         checked += 1
     assert checked > 400
 
 
-def test_marginal_rotation_block_raises():
+def test_marginal_rotation_block_is_not_stable():
     # (s^2 + 1)(s + 1)^2: undamped oscillator pair, Hurwitz determinant = 0
     A = np.array(
         [
@@ -60,10 +56,8 @@ def test_marginal_rotation_block_raises():
             [0.0, 0.0, 0.0, -1.0],
         ]
     )
-    with pytest.raises(MarginalStabilityError):
-        routh_hurwitz_stable(A)
-    # strict mode must return a verdict, and marginal is not strictly stable
-    assert routh_hurwitz_stable(A, margin=0.0) is False
+    # the verdict is strict, and marginal is not strictly stable
+    assert routh_hurwitz_stable(A) is False
 
 
 def test_hurwitz_quantities_positive_iff_stable():
@@ -76,7 +70,7 @@ def test_hurwitz_quantities_positive_iff_stable():
         ]
     )
     q = hurwitz_quantities(A)
-    assert routh_hurwitz_stable(A, margin=0.0) == all(v > 0 for v in q)
+    assert routh_hurwitz_stable(A) == all(v > 0 for v in q)
 
 
 def test_input_validation():
@@ -84,8 +78,6 @@ def test_input_validation():
         routh_hurwitz_stable(np.eye(3))
     with pytest.raises(ValueError, match="finite"):
         routh_hurwitz_stable(np.full((4, 4), np.nan))
-    with pytest.raises(ValueError, match="margin"):
-        routh_hurwitz_stable(-np.eye(4), margin=-1.0)
 
 
 @pytest.mark.parametrize("count", [1, 5, 40])
@@ -97,9 +89,9 @@ def test_stack_equals_matrix_by_matrix(count):
         columns = f(stack)
         for k, A in enumerate(stack):
             assert tuple(float(c[k]) for c in columns) == f(A)
-    verdicts = routh_hurwitz_stable(stack, margin=0.0)
-    assert verdicts.tolist() == [routh_hurwitz_stable(A, margin=0.0) for A in stack]
-    assert routh_hurwitz_stable(stack.reshape(count, 1, 4, 4), margin=0.0).shape == (count, 1)
+    verdicts = routh_hurwitz_stable(stack)
+    assert verdicts.tolist() == [routh_hurwitz_stable(A) for A in stack]
+    assert routh_hurwitz_stable(stack.reshape(count, 1, 4, 4)).shape == (count, 1)
 
 
 @pytest.mark.parametrize("detuning", [1e10, 1e100])
@@ -116,9 +108,9 @@ def test_widely_split_eigenvalues(detuning):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stable = routh_hurwitz_stable(A, margin=0.0)
+        stable = routh_hurwitz_stable(A)
         quantities = hurwitz_quantities(A)
-        flipped = routh_hurwitz_stable(-A, margin=0.0)
+        flipped = routh_hurwitz_stable(-A)
     assert stable == (np.linalg.eigvals(A).real.max() < 0) == True  # noqa: E712
     assert flipped is False
     assert all(q > 0 for q in quantities)
