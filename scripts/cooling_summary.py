@@ -18,9 +18,9 @@ from optomech import (
     drift_matrix_from_rates,
     optical_spring_shift,
     optomechanical_damping,
-    routh_hurwitz_stable,
     steady_covariance,
 )
+from optomech.errors import UnstableSystemError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,9 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         gam = optomechanical_damping(args.g_s, Delta, args.kappa, omega_m)
         spring = optical_spring_shift(args.g_s, Delta, args.kappa, omega_m)
         A = drift_matrix_from_rates(args.kappa, args.gamma, omega_m, Delta, args.g_s)
-        if routh_hurwitz_stable(A):
+        try:
             v_qq = f"{steady_covariance(A, D)[2, 2]:10.4f}"
-        else:
+        except UnstableSystemError:
             v_qq = f"{'unstable':>10}"
         print(f"{Delta:8.3f} {gam:12.3e} {spring:12.3e} {v_qq}")
     return 0

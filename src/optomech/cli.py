@@ -11,6 +11,8 @@ A run is described by a flat JSON file:
       "seed": 0
     }
 
+The keys of the config, of "params" and of each grid are the fields of
+RunSpec, SystemParams and GridSpec; those without a default are required.
 COMMANDS maps each command name to the grids its config must define and a
 handler.  A handler returns plain columns, {table name: {column name:
 values}}; run_command wraps them in ResultTables and attaches the run
@@ -50,10 +52,6 @@ INTERACTION_CODES = {
     quantum.TWO_MODE_SQUEEZER: 2,
 }
 
-_PARAM_KEYS = ("kappa", "gamma", "g0", "Delta0", "A_l", "omega_m", "n_th", "m")
-_REQUIRED_PARAM_KEYS = ("kappa", "gamma", "g0", "Delta0", "A_l")
-_GRID_KEYS = ("start", "stop", "count")
-_TOP_KEYS = ("command", "params", "grids", "output_dir", "seed")
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -77,8 +75,8 @@ class RunSpec:
 
     command: str
     params: SystemParams
-    grids: dict[str, GridSpec]
     output_dir: str
+    grids: dict[str, GridSpec] = field(default_factory=dict)
     seed: int = 0
 
 
@@ -102,10 +100,29 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}{_suggest(key, allowed)}")
 
 
+def _checked_object(raw, cls, where: str) -> dict:
+    """raw, checked as a JSON object whose keys are fields of the dataclass cls.
+
+    Unknown keys and missing fields without a default raise ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    _reject_unknown(raw, [f.name for f in fields], where)
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in raw:
+            raise ConfigError(f"{where} is missing required key {f.name!r}")
+    return raw
+
+
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number (got {value!r})")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
 
 
 def load_config(path: str | Path) -> RunSpec:
@@ -119,25 +136,13 @@ def load_config(path: str | Path) -> RunSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    for required in ("command", "params", "output_dir"):
-        if required not in raw:
-            raise ConfigError(f"config is missing required key {required!r}")
+    raw = _checked_object(raw, RunSpec, "config")
 
     command = raw["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}{_suggest(str(command), COMMANDS)}")
 
-    params_raw = raw["params"]
-    if not isinstance(params_raw, dict):
-        raise ConfigError("params must be a JSON object")
-    _reject_unknown(params_raw, _PARAM_KEYS, "params")
-    for required in _REQUIRED_PARAM_KEYS:
-        if required not in params_raw:
-            raise ConfigError(f"params is missing required key {required!r}")
+    params_raw = _checked_object(raw["params"], SystemParams, "params")
     kwargs = {k: _as_float(v, f"params.{k}") for k, v in params_raw.items()}
     try:
         params = validate_params(SystemParams(**kwargs))
@@ -154,12 +159,7 @@ def load_config(path: str | Path) -> RunSpec:
             raise ConfigError(f"command {command!r} requires grid {name!r}")
     grids: dict[str, GridSpec] = {}
     for name, g in grids_raw.items():
-        if not isinstance(g, dict):
-            raise ConfigError(f"grids.{name} must be a JSON object")
-        _reject_unknown(g, _GRID_KEYS, f"grids.{name}")
-        for k in _GRID_KEYS:
-            if k not in g:
-                raise ConfigError(f"grids.{name} is missing required key {k!r}")
+        g = _checked_object(g, GridSpec, f"grids.{name}")
         start = _as_float(g["start"], f"grids.{name}.start")
         stop = _as_float(g["stop"], f"grids.{name}.stop")
         count = g["count"]
@@ -182,22 +182,13 @@ def load_config(path: str | Path) -> RunSpec:
         raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
 
     return RunSpec(
-        command=command, params=params, grids=grids, output_dir=output_dir, seed=seed
+        command=command, params=params, output_dir=output_dir, grids=grids, seed=seed
     )
 
 
 def spec_to_config(spec: RunSpec) -> dict:
     """RunSpec as a plain dict in the config-file schema (round-trippable)."""
-    return {
-        "command": spec.command,
-        "params": {k: getattr(spec.params, k) for k in _PARAM_KEYS},
-        "grids": {
-            name: {"start": g.start, "stop": g.stop, "count": g.count}
-            for name, g in spec.grids.items()
-        },
-        "output_dir": spec.output_dir,
-        "seed": spec.seed,
-    }
+    return dataclasses.asdict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +308,6 @@ def _run_mean_field(spec: RunSpec) -> dict:
     }
 
 
-_V_COLUMNS = (
-    ("V_xx", 0, 0), ("V_xy", 0, 1), ("V_xq", 0, 2), ("V_xp", 0, 3),
-    ("V_yy", 1, 1), ("V_yq", 1, 2), ("V_yp", 1, 3),
-    ("V_qq", 2, 2), ("V_qp", 2, 3), ("V_pp", 3, 3),
-)
-
-
 def _run_covariance(spec: RunSpec) -> dict:
     grid = spec.grids["t"]
     state = _first_stable_state(spec.params)
@@ -334,7 +318,10 @@ def _run_covariance(spec: RunSpec) -> dict:
         A, D, V0, t_end=grid.stop - grid.start, dt=grid.step
     )
     columns = {"t": _sampled_times(grid, traj.t)}
-    columns.update((name, traj.V[:, i, j]) for name, i, j in _V_COLUMNS)
+    names = [q.lower() for q in quantum.QUADRATURE_NAMES]
+    columns.update(
+        (f"V_{names[i]}{names[j]}", traj.V[:, i, j]) for i, j in zip(*np.triu_indices(4))
+    )
     return {"covariance": columns}
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AmbiguousRegimeError, SingularSystemError, UnstableSystemError
 from .model import SteadyState, SystemParams
 from .rk4 import step_times
-from .stability import hurwitz_quantities, routh_hurwitz_stable
+from .stability import routh_hurwitz_stable
 
 QUADRATURE_NAMES = ("X", "Y", "Q", "P")
 
@@ -157,8 +157,10 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
     with integrate_covariance); V is filled from w and is exactly symmetric.
     D must be finite and symmetric (ValueError otherwise).  Requires a
-    strictly stable A (UnstableSystemError otherwise); a marginal or
-    numerically singular system raises SingularSystemError.
+    strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
+    ones included, raises UnstableSystemError.  SingularSystemError means
+    the solve itself failed: a singular system, a non-finite V or a residual
+    above tolerance.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -169,11 +171,6 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     if not np.max(np.abs(D - D.T)) <= 1e-12:
         raise ValueError("D must be symmetric")
     if not routh_hurwitz_stable(A):
-        if any(abs(q) <= 1e-10 for q in hurwitz_quantities(A)):
-            raise SingularSystemError(
-                "drift matrix is marginal (a Routh-Hurwitz quantity vanishes); "
-                "the Lyapunov system is singular"
-            )
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"

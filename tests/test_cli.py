@@ -143,6 +143,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="kappa"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["kappa", "gamma", "g0", "Delta0", "A_l"])
+    def test_every_required_param_is_required(self, tmp_path, key):
+        path = write_config(tmp_path, overrides={f"params.{key}": ...})
+        with pytest.raises(ConfigError, match=f"params is missing required key '{key}'"):
+            load_config(path)
+
     def test_invalid_param_value(self, tmp_path):
         path = write_config(tmp_path, overrides={"params.kappa": -1.0})
         with pytest.raises(ConfigError, match="kappa"):
@@ -219,6 +225,21 @@ class TestRoundTrip:
         sidecar = tmp_path / "out" / "damping.meta.json"
         respec = load_config(sidecar)
         assert spec_to_config(respec) == spec_to_config(load_config(config))
+
+    def test_sidecar_fills_in_defaults(self, tmp_path):
+        config = write_config(tmp_path, overrides={"seed": ...}, output_dir=str(tmp_path / "out"))
+        assert main([str(config), "--quiet"]) == 0
+        sidecar = json.loads((tmp_path / "out" / "damping.meta.json").read_text())
+        assert sidecar == {
+            "command": "damping",
+            "params": {
+                "kappa": 0.1, "gamma": 0.005, "g0": 0.003, "Delta0": 0.0, "A_l": 5.0,
+                "omega_m": 1.0, "n_th": 0.0, "m": 1.0,
+            },
+            "grids": {"Delta": {"start": -2.0, "stop": 2.0, "count": 11}},
+            "output_dir": str(tmp_path / "out"),
+            "seed": 0,
+        }
 
 
 class TestEmitCsv:
@@ -446,6 +467,13 @@ class TestExitCodes:
     def test_config_error_is_1(self, tmp_path, capsys):
         assert main([str(tmp_path / "missing.json")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["params.kappa", "grids.Delta.start"])
+    def test_int_too_large_for_float_is_1(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, overrides={key: 10 ** 400})
+        assert main([str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_invalid_json_is_1(self, tmp_path):
         path = tmp_path / "bad.json"

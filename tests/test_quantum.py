@@ -160,7 +160,16 @@ class TestSteadyCovariance:
         with pytest.raises(UnstableSystemError):
             steady_covariance(A, D)
 
-    def test_marginal_raises_singular(self):
+    @pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3, 1e-60])
+    def test_unstable_verdict_is_independent_of_time_unit(self, scale):
+        # every rate and D in units scale times larger: max Re(eig) stays > 0
+        A = drift_matrix_from_rates(0.15 * scale, 0.005 * scale, scale, scale, 0.05 * scale)
+        _, D = self.sample_system()
+        assert np.max(np.linalg.eigvals(A).real) > 0
+        with pytest.raises(UnstableSystemError):
+            steady_covariance(A, D * scale)
+
+    def test_marginal_raises_unstable(self):
         A = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -169,8 +178,13 @@ class TestSteadyCovariance:
                 [0.0, 0.0, 0.0, -1.0],
             ]
         )
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(UnstableSystemError):
             steady_covariance(A, 0.1 * np.eye(4))
+
+    def test_overflowing_solution_raises_singular(self):
+        # stable, but V = D / 2e-300 overflows: the solve fails, not the verdict
+        with pytest.raises(SingularSystemError):
+            steady_covariance(-1e-300 * np.eye(4), 1e300 * np.eye(4))
 
     def test_asymmetric_diffusion_rejected(self):
         A, D = self.sample_system()
