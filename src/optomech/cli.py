@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import difflib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,9 +121,12 @@ def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number (got {value!r})")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise ConfigError(f"{where} is too large for a float") from None
+        number = math.inf  # an integer literal beyond the float range
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number (got {number!r})")
+    return number
 
 
 def load_config(path: str | Path) -> RunSpec:
@@ -134,7 +138,7 @@ def load_config(path: str | Path) -> RunSpec:
         raise ConfigError(f"config file not found: {path}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     raw = _checked_object(raw, RunSpec, "config")
 

@@ -123,6 +123,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
+    def test_integer_past_parser_digit_limit(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(BASE).replace('"A_l": 5.0', '"A_l": 1' + "0" * 5000))
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
     def test_unknown_param_suggests_correction(self, tmp_path):
         path = write_config(tmp_path, overrides={"params.gamma_m": 0.005})
         with pytest.raises(ConfigError, match="'gamma'"):
@@ -469,8 +475,9 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["params.kappa", "grids.Delta.start"])
-    def test_int_too_large_for_float_is_1(self, tmp_path, capsys, key):
-        config = write_config(tmp_path, overrides={key: 10 ** 400})
+    @pytest.mark.parametrize("value", [10 ** 400, -math.inf], ids=["int", "inf"])
+    def test_number_beyond_float_range_is_1(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, overrides={key: value})
         assert main([str(config), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
