@@ -13,7 +13,8 @@ Steady states satisfy a cubic in the photon number N = |alpha_s|^2,
 which admits one or three positive roots; three roots is the bistable window.
 It is solved in y = C N, as g(y) = y (4 (y + Delta0)^2 + kappa^2) - 4 A_l^2 C,
 per root on a closed-form bracket between 0, the critical points of g and a
-top bound, in at most 96 evaluations of g (solve_intracavity_occupancy).
+top bound, in at most 96 evaluations of g, and each root is gated on a
+backward-error bound on g in y (solve_intracavity_occupancy).
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -41,6 +42,11 @@ _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, sum of |terms|)
 _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
+_OVERFLOW = (  # raised when a term of the cubic is not finite, filled with Delta0, A_l, g0
+    "steady-state cubic overflows: C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2), t = 4 A_l^2 C"
+    " or a coefficient (c3, c2, c1, c0) = (4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2)"
+    " is not finite for Delta0 = {!r}, A_l = {!r}, g0 = {!r}"
+)
 
 
 @dataclass(frozen=True)
@@ -142,32 +148,19 @@ class StaticPotentialResult:
 # steady-state cubic
 
 
-def _cubic_coefficients(params: SystemParams, Delta0: float, A_l: float):
-    """The CubicProblem fields at one (Delta0, A_l); the other inputs from params.
+def _y_inputs(params: SystemParams, Delta0: float, A_l: float) -> tuple[float, float, float]:
+    """(C, a, c1) of the cubic in y = C N at one (Delta0, A_l); the rest from params.
 
-    A coefficient that overflows (a float power raises, a product gives inf)
-    raises SimulationError naming the coefficients and the inputs.
+    a = 4 A_l^2 = -c0, c1 = 4 Delta0^2 + kappa^2; SimulationError if C, a, c1 or a C overflows.
     """
     try:
-        C = 2.0 * params.g0 ** 2 * params.omega_m / (
-            params.gamma ** 2 / 4.0 + params.omega_m ** 2
-        )
-        coefficients = (
-            4.0 * C * C,
-            8.0 * C * Delta0,
-            4.0 * Delta0 ** 2 + params.kappa ** 2,
-            -4.0 * A_l ** 2,
-        )
+        C = 2.0 * params.g0 ** 2 * params.omega_m / (params.gamma ** 2 / 4.0 + params.omega_m ** 2)
+        inputs = (C, 4.0 * A_l ** 2, 4.0 * Delta0 ** 2 + params.kappa ** 2)
     except OverflowError:
-        coefficients = None
-    if coefficients is None or not all(map(math.isfinite, coefficients)):
-        raise SimulationError(
-            "steady-state cubic coefficients (c3, c2, c1, c0) = "
-            "(4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2) overflow"
-            + ("" if coefficients is None else f" to {coefficients}")
-            + f" for Delta0 = {Delta0!r}, A_l = {A_l!r}, g0 = {params.g0!r}"
-        )
-    return (*coefficients, C, Delta0, params.kappa)
+        inputs = None
+    if inputs is None or not all(map(math.isfinite, (*inputs, inputs[0] * inputs[1]))):
+        raise SimulationError(_OVERFLOW.format(Delta0, A_l, params.g0))
+    return inputs
 
 
 def intracavity_cubic(params: SystemParams) -> CubicProblem:
@@ -177,7 +170,11 @@ def intracavity_cubic(params: SystemParams) -> CubicProblem:
     raises SimulationError naming the coefficients and the inputs.
     """
     validate_params(params)
-    return CubicProblem(*_cubic_coefficients(params, params.Delta0, params.A_l))
+    C, a, c1 = _y_inputs(params, params.Delta0, params.A_l)
+    c3, c2 = 4.0 * C * C, 8.0 * C * params.Delta0
+    if not (math.isfinite(c3) and math.isfinite(c2)):
+        raise SimulationError(_OVERFLOW.format(params.Delta0, params.A_l, params.g0))
+    return CubicProblem(c3, c2, c1, -a, C, params.Delta0, params.kappa)
 
 
 def cubic_value(problem: CubicProblem, N: float) -> float:
@@ -185,13 +182,13 @@ def cubic_value(problem: CubicProblem, N: float) -> float:
     return ((problem.c3 * N + problem.c2) * N + problem.c1) * N + problem.c0
 
 
-def _discriminant(c1: float, c0: float, C: float, Delta0: float, kappa: float) -> float:
-    """Discriminant of g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y + c0 C, c1 = 4 Delta0^2 + kappa^2.
+def _discriminant(c1: float, t: float, Delta0: float, kappa: float) -> float:
+    """Discriminant of g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - t, c1 = 4 Delta0^2 + kappa^2.
 
     Free of the expanded form's cancellation for |Delta0| >> kappa; an
     overflow gives inf or nan, which reads as not positive.
     """
-    t, k2 = -c0 * C, kappa * kappa
+    k2 = kappa * kappa
     return -16.0 * (
         c1 * c1 * k2 + 4.0 * Delta0 * t * (4.0 * Delta0 * Delta0 + 9.0 * k2) + 27.0 * t * t
     )
@@ -202,7 +199,7 @@ def cubic_discriminant(problem: CubicProblem) -> float:
 
     It is the photon-number form's over C^2, and negative (not 0) for C = 0.
     """
-    return _discriminant(problem.c1, problem.c0, problem.C, problem.Delta0, problem.kappa)
+    return _discriminant(problem.c1, -problem.c0 * problem.C, problem.Delta0, problem.kappa)
 
 
 def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> float:
@@ -240,18 +237,18 @@ def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> 
         y = _F64.unpack(_I64.pack((a + b) // 2))[0]
 
 
-def _occupancy_roots(c3, c2, c1, c0, C, Delta0, kappa) -> tuple[float, ...]:
-    """Real roots of one cubic given as CubicProblem fields, ascending.
+def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
+    """Real roots N of the cubic g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - a C, ascending.
 
     Each y starts at 0, the inflection point or top, from where Newton nears
-    it from one side.  N = y / C, or 4 A_l^2 / (4 (y + Delta0)^2 + kappa^2) for
+    it from one side.  N = y / C, or a / (4 (y + Delta0)^2 + kappa^2) for
     y <= kappa / 2, as accurate there and exact as C and y vanish (nan if
-    that denominator underflows to 0, which the residual check rejects).
+    that denominator underflows to 0, which raises RootSolveError).
     """
-    D, k2, t = Delta0, kappa * kappa, -c0 * C
+    D, k2, t = Delta0, kappa * kappa, a * C
     top = max(t ** (1.0 / 3.0), -2.0 * D)
     bend = max(0.0, -2.0 * D / 3.0)  # inflection point of g
-    if _discriminant(c1, c0, C, D, kappa) > 0.0:
+    if _discriminant(c1, t, D, kappa) > 0.0:
         s = math.sqrt(max(0.0, D * D - 0.75 * k2)) / 3.0  # g' = 0 at bend -+ s
         brackets = ((0.0, bend - s, 0.0), (bend + s, bend - s, bend), (bend + s, top, top))
     else:
@@ -261,13 +258,15 @@ def _occupancy_roots(c3, c2, c1, c0, C, Delta0, kappa) -> tuple[float, ...]:
     roots = []
     for neg, pos, start in brackets:
         y = _y_root(D, k2, t, neg, pos, start)
-        N = y / C if y > 0.5 * kappa else -c0 / (c1 + 4.0 * y * (y + 2.0 * D) or math.nan)
-        residual = ((c3 * N + c2) * N + c1) * N + c0
-        scale = ((abs(c3) * N + abs(c2)) * N + abs(c1)) * N + abs(c0)
+        N = y / C if y > 0.5 * kappa else a / (c1 + 4.0 * y * (y + 2.0 * D) or math.nan)
+        residual = ((4.0 * y + 8.0 * D) * y + c1) * y - t
+        scale = ((4.0 * y + 8.0 * abs(D)) * y + c1) * y + t
+        if not math.isfinite(scale):
+            raise SimulationError(f"steady-state cubic terms overflow at y = C N = {y:.17g}")
         tol = _ROOT_RTOL * max(1.0, scale)
-        if not (abs(residual) <= tol and math.isfinite(scale)):
+        if not (abs(residual) <= tol and math.isfinite(N)):
             raise RootSolveError(
-                f"root N = {N:.17g} has residual {residual:.3e} above tolerance {tol:.3e}"
+                f"root N = {N:.17g} at y = {y:.17g}: residual {residual:.3e}, tolerance {tol:.3e}"
             )
         roots.append(N)
     return tuple(sorted(roots))
@@ -276,18 +275,19 @@ def _occupancy_roots(c3, c2, c1, c0, C, Delta0, kappa) -> tuple[float, ...]:
 def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
     """All real roots of the cubic, ascending.
 
-    In y = C N the cubic is g(y) = y (4 (y + Delta0)^2 + kappa^2) - t, t = 4 A_l^2 C,
+    In y = C N the cubic is g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - t, t = 4 A_l^2 C,
     negative for y <= 0.  Three roots (cubic_discriminant > 0, which needs
     Delta0 < 0 and Delta0^2 > 3 kappa^2 / 4) lie in [0, y-], [y-, y+], [y+, top]
     around the critical points y-+ = (-2 Delta0 -+ sqrt(Delta0^2 - 3 kappa^2/4)) / 3;
     one lies in [0, top] (and below t / kappa^2), top = max(t^(1/3), -2 Delta0).
     Newton on Python floats, with a fallback that halves the bracket's bit
     pattern, evaluates g at most 96 times per root.  Each root satisfies the
-    backward-error bound |cubic(N)| <= 1e-8 max(1, S), with
-    S = |c3| N^3 + |c2| N^2 + |c1| N + |c0| finite, or RootSolveError is
-    raised.  This is the solver of steady_state_grid at batch size 1.
+    backward-error bound |g(y)| <= 1e-8 max(1, S_y) in y, with
+    S_y = 4 y^3 + 8 |Delta0| y^2 + c1 y + t, or RootSolveError is raised (also
+    for a non-finite N); SimulationError if S_y overflows.  This is the
+    solver of steady_state_grid at batch size 1.
     """
-    return _occupancy_roots(*dataclasses.astuple(problem))
+    return _occupancy_roots(problem.C, -problem.c0, problem.c1, problem.Delta0, problem.kappa)
 
 
 @dataclass(frozen=True)
@@ -331,15 +331,15 @@ def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]
     """(Delta0, A_l) pairs of a batch, validated with the rest of params."""
     Delta0, A_l = (np.ravel(v).astype(float) for v in np.broadcast_arrays(Delta0, A_l))
     bad = ~(np.isfinite(Delta0) & np.isfinite(A_l) & (A_l >= 0))
-    if Delta0.size:
-        k = int(np.argmax(bad))
-        validate_params(dataclasses.replace(params, Delta0=float(Delta0[k]), A_l=float(A_l[k])))
-    return list(zip(Delta0.tolist(), A_l.tolist()))
+    points = list(zip(Delta0.tolist(), A_l.tolist()))
+    d, a = points[int(np.argmax(bad))] if points else (params.Delta0, params.A_l)
+    validate_params(dataclasses.replace(params, Delta0=d, A_l=a))
+    return points
 
 
 def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
     """Roots of the cubic at each (Delta0, A_l) point, one tuple per point."""
-    return [_occupancy_roots(*_cubic_coefficients(params, d, a)) for d, a in points]
+    return [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
 
 
 def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
@@ -379,7 +379,8 @@ def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
                 f"{len(states)} steady states exist; pass N_o to select a branch"
             )
         return states[0]
-    intracavity_cubic(params)  # validates params and that the cubic is finite
+    validate_params(params)
+    _y_inputs(params, params.Delta0, params.A_l)  # the cubic's inputs are finite
     return _fixed_points(params, [(params.Delta0, params.A_l)], [(float(N_o),)])[0]
 
 
@@ -427,14 +428,12 @@ def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
     The root count is defined by the discriminant sign, so grid neighbours
     with different counts always bracket a sign change (or hit a zero).  The
-    discriminant is evaluated on Python floats, as intracavity_cubic forms
-    the coefficients, and all brackets are bisected together.
+    discriminant is evaluated on Python floats, from the inputs the root
+    solve uses, and all brackets are bisected together.
     """
     def disc(detunings, _=None) -> np.ndarray:
-        return np.array([
-            _discriminant(*_cubic_coefficients(params, d, params.A_l)[2:])
-            for d in detunings.tolist()
-        ])
+        inputs = [(_y_inputs(params, d, params.A_l), d) for d in detunings.tolist()]
+        return np.array([_discriminant(c1, a * C, d, params.kappa) for (C, a, c1), d in inputs])
 
     f_lo, f_hi = disc(lo), disc(hi)
     edges = np.where(f_lo == 0.0, lo, hi)

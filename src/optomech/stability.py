@@ -10,13 +10,15 @@ Before the minors are formed, each matrix is scaled by the power of two that
 brings its largest entry into [1/2, 1).  The scaling is exact, so the signs of
 the Hurwitz quantities do not depend on it, and it keeps their products finite
 for any finite matrix (entries more than about 1e150 below the largest can
-still underflow).  Sums of minors, unlike the power-sum traces of Newton's
-identities, do not cancel when the eigenvalue magnitudes are far apart: a
-detuning of 1e10 against a mechanical frequency of 1 leaves no correct digit
-in a trace-based det A.
+still underflow, and the verdict then comes from exact rationals).  Sums of
+minors, unlike the power-sum traces of Newton's identities, do not cancel
+when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
+mechanical frequency of 1 leaves no correct digit in a trace-based det A.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +27,7 @@ import numpy as np
 # arrays across the stack.  The arithmetic is the same either way, and so are
 # the bits.
 _PER_MATRIX_STACK = 8
+_NORMAL = 2.0 ** -1022  # the smallest normal float
 
 
 def _polynomial(a):
@@ -114,11 +117,20 @@ def routh_hurwitz_stable(A):
 
     The verdict is strict: a Hurwitz quantity of exactly zero reads not
     stable.  A stack of matrices gives a boolean array.  The verdict reads
-    the signs of the scaled quantities, which are exact even where the
-    unscaled ones overflow.
+    the signs of the scaled quantities, exact even where the unscaled ones
+    overflow, or of exact rational ones where a scaled one is below 2^-1022.
     """
     values, _, shape = _scaled(A)
-    if not isinstance(values, list):
-        return np.all(values[..., [0, 2, 3, 4]] > 0, axis=-1)
-    verdicts = [a1 > 0 and a3 > 0 and a4 > 0 and h > 0 for a1, _, a3, a4, h in values]
+    if isinstance(values, list):
+        q = [(a1, a3, a4, h) for a1, _, a3, a4, h in values]
+        verdicts = [min(v) > 0 for v in q]
+        tiny = [k for k, v in enumerate(q) if min(map(abs, v)) < _NORMAL]
+    else:
+        q = values[..., [0, 2, 3, 4]].reshape(-1, 4)
+        verdicts = np.all(q > 0, axis=-1)
+        tiny = np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1))
+    for k in tiny:  # a quantity below the normal range may have lost its sign
+        rows = np.reshape(A, (-1, 4, 4))[k].tolist()
+        a1, _, a3, a4, h = _polynomial([[Fraction(x) for x in row] for row in rows])
+        verdicts[k] = a1 > 0 and a3 > 0 and a4 > 0 and h > 0
     return verdicts[0] if shape == () else np.array(verdicts, dtype=bool).reshape(shape)

@@ -116,6 +116,26 @@ LINALG_ERROR_INPUT = dict(
 )
 
 
+def _mpmath_occupancies(p):
+    """Real roots of the photon-number cubic of p from mpmath at 400 digits, ascending.
+
+    mpmath solves the cubic for y = C N, which is scaled near 1 where the
+    photon-number form's coefficients span hundreds of decades, and the
+    roots are y / C.
+    """
+    import mpmath
+
+    with mpmath.workdps(400):
+        m = mpmath.mpf
+        C = 2 * m(p.g0) ** 2 * m(p.omega_m) / (m(p.gamma) ** 2 / 4 + m(p.omega_m) ** 2)
+        exact = mpmath.polyroots(
+            [4, 8 * m(p.Delta0), 4 * m(p.Delta0) ** 2 + m(p.kappa) ** 2, -4 * m(p.A_l) ** 2 * C],
+            maxsteps=500, extraprec=500,
+        )
+        real = [mpmath.re(z) for z in exact if abs(mpmath.im(z)) <= 1e-60 * abs(z)]
+        return sorted(float(y / C) for y in real)
+
+
 def log_uniform(lo, hi):
     """Floats spread evenly in log10 over [lo, hi]."""
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
@@ -137,7 +157,7 @@ VALID_PARAMS = st.fixed_dictionaries({
     "gamma": log_uniform(1e-6, 1e6),
     "omega_m": log_uniform(1e-6, 1e6),
     "m": log_uniform(1e-6, 1e6),
-    "g0": or_zero(log_uniform(1e-80, 1e3)),
+    "g0": or_zero(log_uniform(1e-150, 1e150)),
     "Delta0": or_zero(signed_log_uniform(1e-6, 1e50)),
     "A_l": or_zero(log_uniform(1e-6, 1e60)),
     "n_th": or_zero(log_uniform(1e-3, 1e3)),
@@ -248,8 +268,44 @@ class TestCubic:
         message = str(info.value)
         assert f"Delta0 = {p.Delta0!r}" in message
         assert f"A_l = {p.A_l!r}" in message and f"g0 = {p.g0!r}" in message
-        with pytest.raises(SimulationError):
+        if field == "g0":
+            return  # only c3 = 4 C^2 overflows; the solve in y = C N does not need it
+        # c1, 4 A_l^2 or t = 4 A_l^2 C overflows, which the solve needs
+        with pytest.raises(SimulationError) as info:
             steady_states(p)
+        message = str(info.value)
+        assert f"Delta0 = {p.Delta0!r}" in message
+        assert f"A_l = {p.A_l!r}" in message and f"g0 = {p.g0!r}" in message
+
+    @pytest.mark.parametrize(
+        "p, count",
+        [
+            # c3 = 4 C^2 overflows; the root is N ~ 2.9e-134
+            (dataclasses.replace(FIG5, g0=1e100, Delta0=-1.0, A_l=1.0), 1),
+            (dataclasses.replace(FIG5, g0=1e77), 1),
+            # c3 = 4 C^2 underflows to 0, and the two upper roots agree to 1e-100
+            (dataclasses.replace(FIG5, kappa=1e-160, g0=1e-100, Delta0=-1.0, A_l=1.0), 3),
+        ],
+        ids=["g0=1e100", "g0=1e77", "kappa=1e-160"],
+    )
+    def test_roots_beyond_the_photon_number_form_match_mpmath(self, p, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = [s.N_o for s in steady_states(p)]
+        exact = _mpmath_occupancies(p)
+        assert len(roots) == len(exact) == count
+        for N, reference in zip(roots, exact):
+            assert abs(N - reference) <= 1e-15 * reference
+        if p.g0 == 1e77:
+            assert roots == [pytest.approx(3.9685191653308993e-103, rel=1e-15)]
+
+    def test_overflowing_terms_are_simulation_error(self):
+        # t = 4 A_l^2 C = 1.6e308 is finite, but the terms of g at its root
+        # sum past the float range, so the gate has no finite tolerance
+        p = dataclasses.replace(FIG5, g0=4.5e153, A_l=1.0, omega_m=1.0)
+        with pytest.raises(SimulationError, match="terms overflow") as info:
+            steady_states(p)
+        assert "tolerance inf" not in str(info.value)
 
     def test_roots_match_np_roots_oracle(self):
         # seeded physical draws, monostable and bistable, against np.roots
@@ -323,20 +379,9 @@ class TestCubic:
         # |Delta0| / kappa >= 1e10: the Horner residual of an accurate root is
         # about eps 4 Delta0^2 N, far above 1e-8 |c0| but within 1e-8 of the
         # sum of the cubic's absolute terms
-        import mpmath
-
-        with mpmath.workdps(130):
-            m = mpmath.mpf
-            C = 2 * m(p.g0) ** 2 * m(p.omega_m) / (m(p.gamma) ** 2 / 4 + m(p.omega_m) ** 2)
-            exact = mpmath.polyroots(
-                [4 * C * C, 8 * C * m(p.Delta0), 4 * m(p.Delta0) ** 2 + m(p.kappa) ** 2,
-                 -4 * m(p.A_l) ** 2],
-                maxsteps=500, extraprec=500,
-            )
-            assert all(abs(mpmath.im(z)) <= 1e-60 * abs(z) for z in exact)
-            exact = sorted(float(mpmath.re(z)) for z in exact)
+        exact = _mpmath_occupancies(p)
         roots = solve_intracavity_occupancy(intracavity_cubic(p))
-        assert len(roots) == 3
+        assert len(roots) == len(exact) == 3
         for N, reference in zip(roots, exact):
             assert abs(N - reference) <= 1e-15 * reference
 
@@ -486,6 +531,13 @@ class TestSteadyStateGrid:
         assert set(grid.counts) <= {1, 3} and len(grid.states) == sum(grid.counts)
         assert all(math.isfinite(s.N_o) and s.N_o >= 0 for s in grid.states)
 
+    def test_empty_batch_validates_params(self):
+        bad = dataclasses.replace(FIG5, kappa=-1.0)
+        with pytest.raises(ValueError, match="kappa"):
+            steady_state_grid(bad, [], [])
+        with pytest.raises(ValueError, match="kappa"):
+            stability_map(bad, np.array([]), np.array([]))
+
     def test_grid_validates_points(self):
         with pytest.raises(ValueError, match="A_l"):
             steady_state_grid(FIG5, [0.0, 0.1], [1.0, -1.0])
@@ -505,6 +557,24 @@ class TestSteadyStateGrid:
             states = steady_states(p)
         for state in states:
             max_re = np.linalg.eigvals(drift_matrix(p, state)).real.max()
+            assert state.stable == bool(max_re < 0)
+
+    def test_underflowing_hurwitz_quantity_verdict_matches_mpmath(self):
+        # branch 2's scaled Hurwitz determinant underflows to exactly 0.0;
+        # every eigenvalue of its drift matrix has a negative real part
+        import mpmath
+
+        p = SystemParams(
+            kappa=6.948097199436363e-06, gamma=0.00026669235609271506,
+            g0=3.738254316342682e-08, Delta0=-3.6989544610054197e+46,
+            A_l=1.304512129513338e+58, omega_m=3.936375764811766e-06,
+        )
+        states = steady_states(p)
+        assert [s.stable for s in states] == [True, False, True]
+        for state in states:
+            with mpmath.workdps(120):
+                A = mpmath.matrix(drift_matrix(p, state).tolist())
+                max_re = max(mpmath.re(z) for z in mpmath.eig(A, left=False, right=False))
             assert state.stable == bool(max_re < 0)
 
 

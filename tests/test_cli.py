@@ -343,6 +343,15 @@ class TestCommands:
         assert float(data["N_o"]) == pytest.approx(4444.444444444444, rel=1e-12)
         assert float(data["stable"]) == 1.0
 
+    def test_steady_past_photon_number_overflow(self, tmp_path):
+        # c3 = 4 C^2 overflows at g0 = 1e100, the cubic in y = C N does not
+        # (test_classical checks this root against mpmath)
+        params = {"kappa": 0.15, "gamma": 0.005, "g0": 1e100, "Delta0": -1.0, "A_l": 1.0}
+        code, out = self.run(tmp_path, command="steady", grids={}, params=params)
+        assert code == 0
+        data = np.genfromtxt(out / "steady.csv", delimiter=",", names=True)
+        assert float(data["N_o"]) == pytest.approx(2.9240299216074176e-134, rel=1e-15)
+
     def test_bistability_tables(self, tmp_path):
         code, out = self.run(
             tmp_path,

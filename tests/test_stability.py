@@ -94,11 +94,9 @@ def test_stack_equals_matrix_by_matrix(count):
     assert routh_hurwitz_stable(stack.reshape(count, 1, 4, 4)).shape == (count, 1)
 
 
-@pytest.mark.parametrize("detuning", [1e10, 1e100])
-def test_widely_split_eigenvalues(detuning):
-    # optical pair at -0.075 +/- i detuning, mechanical pair at -0.0025 +/- i:
-    # the traces of A^k overflow or cancel, the scaled minors stay exact
-    A = np.array(
+def _split_pairs(detuning):
+    """Optical pair at -0.075 +/- i detuning, mechanical pair at -0.0025 +/- i."""
+    return np.array(
         [
             [-0.075, -detuning, -2e-3, 0.0],
             [detuning, -0.075, 1e-3, 0.0],
@@ -106,11 +104,29 @@ def test_widely_split_eigenvalues(detuning):
             [1e-3, 2e-3, -1.0, -0.0025],
         ]
     )
+
+
+@pytest.mark.parametrize("detuning", [1e10, 1e100, 1e300])
+def test_widely_split_eigenvalues(detuning):
+    # the traces of A^k overflow or cancel, the scaled minors stay exact; at
+    # 1e300 some scaled minors underflow and the verdict is taken exactly
+    A = _split_pairs(detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stable = routh_hurwitz_stable(A)
         quantities = hurwitz_quantities(A)
         flipped = routh_hurwitz_stable(-A)
-    assert stable == (np.linalg.eigvals(A).real.max() < 0) == True  # noqa: E712
-    assert flipped is False
-    assert all(q > 0 for q in quantities)
+    assert stable is True and flipped is False
+    if detuning < 1e300:
+        assert stable == (np.linalg.eigvals(A).real.max() < 0)
+        assert all(q > 0 for q in quantities)
+
+
+@pytest.mark.parametrize("count", [1, 5, 40])
+def test_underflow_takes_the_exact_verdict_in_every_stack(count):
+    # a stack of up to 8 matrices is evaluated per matrix, a larger one
+    # across the stack; both take the exact verdict where a quantity underflows
+    A = _split_pairs(1e300)
+    stack = np.stack([A, -A] * count)
+    assert routh_hurwitz_stable(stack).tolist() == [True, False] * count
+    assert routh_hurwitz_stable(stack.reshape(count, 2, 4, 4)).tolist() == [[True, False]] * count
