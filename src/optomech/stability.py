@@ -18,11 +18,12 @@ mechanical frequency of 1 leaves no correct digit in a trace-based det A.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-# Up to this many matrices the minors are formed per matrix on Python floats,
+# Up to this many matrices each is scaled and its minors formed on Python floats,
 # where numpy's cost per call would dominate; above it, entry-wise on numpy
 # arrays across the stack.  The arithmetic is the same either way, and so are
 # the bits.
@@ -62,21 +63,29 @@ def _polynomial(a):
 def _scaled(A):
     """_polynomial of every A 2^-e, the exponents e, and the stack shape.
 
-    Small stacks (and one matrix) give a list of per-matrix tuples of
-    floats, large stacks an array whose last axis holds the five values.
+    Small stacks (and one matrix) are scaled per matrix on Python floats and
+    give a list of per-matrix tuples and a list of exponents; large stacks
+    give an array whose last axis holds the five values, and an array of
+    exponents.  frexp and ldexp are exact either way, and so agree.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
+    if A.size <= 16 * _PER_MATRIX_STACK:
+        values, e = [], []
+        for m in A.reshape(-1, 16).tolist():
+            if not all(map(math.isfinite, m)):
+                raise ValueError("A must have finite entries")
+            e.append(math.frexp(max(map(abs, m)))[1])
+            s = [math.ldexp(x, -e[-1]) for x in m]
+            values.append(_polynomial((s[0:4], s[4:8], s[8:12], s[12:16])))
+        return values, e, A.shape[:-2]
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1)))[1]
     S = np.ldexp(A, -e[..., None, None])
-    if S.size <= 16 * _PER_MATRIX_STACK:
-        values = [_polynomial(m) for m in S.reshape(-1, 4, 4).tolist()]
-    else:
-        values = np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1)
-    return values, e, S.shape[:-2]
+    values = np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1)
+    return values, e, A.shape[:-2]
 
 
 def _unscaled(A, positions, degrees):
@@ -88,7 +97,7 @@ def _unscaled(A, positions, degrees):
     values, e, shape = _scaled(A)
     values = np.reshape(values, shape + (5,))[..., positions]
     with np.errstate(over="ignore", under="ignore"):
-        out = np.ldexp(values, np.multiply.outer(e, degrees))
+        out = np.ldexp(values, np.multiply.outer(np.reshape(e, shape), degrees))
     return tuple(out.tolist()) if out.ndim == 1 else tuple(np.moveaxis(out, -1, 0))
 
 

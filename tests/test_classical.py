@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +17,15 @@ from optomech.errors import (
     SimulationError,
     StepSizeError,
 )
+from optomech import classical
 from optomech.model import SystemParams
 from optomech.classical import (
+    _LOCKSTEP_BATCH,
     _bisect,
+    _occupancy_roots,
     _roots_at,
+    _roots_in_lockstep,
+    _y_inputs,
     classify_regime,
     cubic_discriminant,
     cubic_value,
@@ -114,6 +121,27 @@ LINALG_ERROR_INPUT = dict(
     kappa=4.571e-07, gamma=3.727e7, g0=4.749e-151, Delta0=1.339e17, A_l=1.230e101,
     omega_m=4.343e-06,
 )
+
+# three-root draws #30, #83 and #129 of a seeded fuzz, |Delta0| / kappa from 1.3e10 to 1.9e38
+FAR_DETUNED = (
+    SystemParams(
+        kappa=0.25940063663925916, gamma=1.187282672793965e-06,
+        g0=9.559526317674634e-11, Delta0=-3459135283.126823,
+        A_l=2.8681949277281924e+16, omega_m=4186.986074016767,
+    ),
+    SystemParams(
+        kappa=0.001447452097944006, gamma=48046.01010700848,
+        g0=6.3247711565149345e-12, Delta0=-1.6165871420928515e+35,
+        A_l=4.5643761194219066e+48, omega_m=1790.7596103153203,
+    ),
+    SystemParams(
+        kappa=1001.3942079131176, gamma=1.2814648244470793e-06,
+        g0=6.551030167265504e-11, Delta0=-1.8531943913195912e+41,
+        A_l=1.9470261933618974e+39, omega_m=0.20057192093890172,
+    ),
+)
+# t = 4 A_l^2 C = 1.6e308 is finite, but the terms of g at its root overflow
+TERMS_OVERFLOW = dataclasses.replace(FIG5, g0=4.5e153, A_l=1.0, omega_m=1.0)
 
 
 def _mpmath_occupancies(p):
@@ -300,11 +328,9 @@ class TestCubic:
             assert roots == [pytest.approx(3.9685191653308993e-103, rel=1e-15)]
 
     def test_overflowing_terms_are_simulation_error(self):
-        # t = 4 A_l^2 C = 1.6e308 is finite, but the terms of g at its root
-        # sum past the float range, so the gate has no finite tolerance
-        p = dataclasses.replace(FIG5, g0=4.5e153, A_l=1.0, omega_m=1.0)
+        # the terms of g sum past the float range, so the gate has no finite tolerance
         with pytest.raises(SimulationError, match="terms overflow") as info:
-            steady_states(p)
+            steady_states(TERMS_OVERFLOW)
         assert "tolerance inf" not in str(info.value)
 
     def test_roots_match_np_roots_oracle(self):
@@ -355,26 +381,7 @@ class TestCubic:
         with pytest.raises(RootSolveError, match="N = nan"):
             solve_intracavity_occupancy(intracavity_cubic(p))
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            SystemParams(
-                kappa=0.25940063663925916, gamma=1.187282672793965e-06,
-                g0=9.559526317674634e-11, Delta0=-3459135283.126823,
-                A_l=2.8681949277281924e+16, omega_m=4186.986074016767,
-            ),
-            SystemParams(
-                kappa=0.001447452097944006, gamma=48046.01010700848,
-                g0=6.3247711565149345e-12, Delta0=-1.6165871420928515e+35,
-                A_l=4.5643761194219066e+48, omega_m=1790.7596103153203,
-            ),
-            SystemParams(
-                kappa=1001.3942079131176, gamma=1.2814648244470793e-06,
-                g0=6.551030167265504e-11, Delta0=-1.8531943913195912e+41,
-                A_l=1.9470261933618974e+39, omega_m=0.20057192093890172,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("p", FAR_DETUNED)
     def test_far_detuned_roots_pass_backward_error_gate(self, p):
         # |Delta0| / kappa >= 1e10: the Horner residual of an accurate root is
         # about eps 4 Delta0^2 N, far above 1e-8 |c0| but within 1e-8 of the
@@ -592,6 +599,109 @@ class TestMeanOutputField:
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             mean_output_field(1.0 + 0j, 0.0)
+
+
+# parameter sets of the lockstep property: a bistable window inside the drawn
+# span, a linear cavity, c3 = 4 C^2 overflowing (the form in y solves), terms
+# of g overflowing at A_l = 1, and the far-detuned draws
+LOCKSTEP_CASES = (
+    dataclasses.replace(FIG5, g0=0.005),
+    dataclasses.replace(FIG5, g0=0.01),
+    dataclasses.replace(FIG5, g0=0.0),
+    dataclasses.replace(FIG5, g0=1e77),
+    TERMS_OVERFLOW,
+    *FAR_DETUNED,
+)
+# the (Delta0, A_l) inputs of test_coefficient_overflow_is_simulation_error
+OVERFLOW_INPUTS = (("Delta0", 1e155), ("Delta0", 1e154), ("A_l", 1e160), ("A_l", 1e154))
+
+
+@functools.cache
+def _window_edges_around(p):
+    """Window edges of p's A_l over the span the lockstep property draws Delta0 from."""
+    scale = max(1.0, abs(p.Delta0))
+    try:
+        return sweep_bistability(p, np.linspace(-scale, 0.2 * scale, 201)).window_edges
+    except SimulationError:
+        return ()
+
+
+@st.composite
+def lockstep_batches(draw):
+    """(params, points) with 1 to 2 _LOCKSTEP_BATCH points of mixed kinds.
+
+    A point lies in a span around p.Delta0 (one or three roots), within
+    relative 1e-12..1e-6 of a window edge, in the dark (A_l = 0) or at p's
+    own (Delta0, A_l).  One batch in four gets a point of OVERFLOW_INPUTS.
+    """
+    p = draw(st.sampled_from(LOCKSTEP_CASES))
+    size = draw(st.integers(1, 2 * _LOCKSTEP_BATCH))
+    scale, edges = max(1.0, abs(p.Delta0)), _window_edges_around(p)
+    points = []
+    for kind, u, w in draw(st.lists(
+        st.tuples(st.sampled_from(("span", "edge", "dark", "own")), st.floats(0, 1), st.floats(-1, 1)),
+        min_size=size, max_size=size,
+    )):
+        if kind == "own":
+            points.append((p.Delta0, p.A_l))
+        elif kind == "edge" and edges:
+            edge = edges[int(u * len(edges)) % len(edges)]
+            points.append((edge * (1.0 + math.copysign(10.0 ** (-12.0 + 6.0 * abs(w)), w)), p.A_l))
+        else:
+            points.append((scale * (-1.0 + 1.2 * u), 0.0 if kind == "dark" else p.A_l * 2.0 * abs(w)))
+    if draw(st.integers(0, 3)) == 0:
+        field, value = draw(st.sampled_from(OVERFLOW_INPUTS))
+        at = draw(st.integers(0, len(points)))
+        points.insert(at, (value, p.A_l) if field == "Delta0" else (p.Delta0, value))
+    return p, points
+
+
+class TestLockstepRoots:
+    """_roots_in_lockstep against one _occupancy_roots call per point, under exact ==."""
+
+    @given(batch=lockstep_batches())
+    @settings(max_examples=80, deadline=None)
+    @example(batch=(FAR_DETUNED[0], [(FAR_DETUNED[0].Delta0, FAR_DETUNED[0].A_l)]))
+    @example(batch=(FAR_DETUNED[1], [(FAR_DETUNED[1].Delta0, FAR_DETUNED[1].A_l)] * 2))
+    @example(batch=(FAR_DETUNED[2], [(-1.0, 0.0), (FAR_DETUNED[2].Delta0, FAR_DETUNED[2].A_l)]))
+    @example(batch=(dataclasses.replace(FIG5, g0=1e77), [(0.0, 5.0)]))
+    @example(batch=(TERMS_OVERFLOW, [(0.0, 0.5), (0.0, 1.0)]))
+    @example(batch=(FIG5, [(-0.2, 5.0), (1e155, 5.0)]))
+    @example(batch=(FIG5, [(0.0, 1e160), (-0.2, 5.0)]))
+    @example(batch=(SystemParams(kappa=1e-170, gamma=0.005, g0=0.0, Delta0=0.0, A_l=1.0), [(0.0, 1.0)]))
+    def test_equals_per_point_roots_and_errors(self, batch):
+        p, points = batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = [_occupancy_roots(*_y_inputs(p, d, a), d, p.kappa) for d, a in points]
+            except SimulationError as error:
+                with pytest.raises(SimulationError) as info:
+                    _roots_in_lockstep(p, points)
+                assert type(info.value) is type(error) and str(info.value) == str(error)
+                return
+            # a batch that raises nowhere is solved without the per-point path
+            with mock.patch.object(
+                classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+            ):
+                assert _roots_in_lockstep(p, points) == expected
+
+    def test_threshold_batch_equals_per_point_states(self):
+        # _LOCKSTEP_BATCH points are the smallest batch solved in lockstep
+        p = dataclasses.replace(FIG5, g0=0.005)
+        det = np.linspace(-0.35, -0.05, _LOCKSTEP_BATCH)
+        with mock.patch.object(
+            classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+        ):
+            grid = steady_state_grid(p, det, p.A_l)
+        assert grid.states == tuple(
+            s for d in det for s in steady_states(dataclasses.replace(p, Delta0=float(d)))
+        )
+        assert set(grid.counts) == {1, 3}
+        with mock.patch.object(
+            classical, "_roots_in_lockstep", side_effect=AssertionError("solved in lockstep")
+        ):
+            steady_state_grid(p, det[1:], p.A_l)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from optomech.stability import (
+    _NORMAL,
+    _PER_MATRIX_STACK,
+    _scaled,
     characteristic_coefficients,
     hurwitz_quantities,
     routh_hurwitz_stable,
@@ -130,3 +133,27 @@ def test_underflow_takes_the_exact_verdict_in_every_stack(count):
     stack = np.stack([A, -A] * count)
     assert routh_hurwitz_stable(stack).tolist() == [True, False] * count
     assert routh_hurwitz_stable(stack.reshape(count, 2, 4, 4)).tolist() == [[True, False]] * count
+
+
+def test_small_stacks_scale_like_the_stacked_path():
+    # up to _PER_MATRIX_STACK matrices are scaled with math.frexp and
+    # math.ldexp on Python floats; the same matrices repeated into a larger
+    # stack go through numpy's frexp and ldexp, and give the same bits
+    rng = np.random.default_rng(20261018)
+    exact = 0
+    for _ in range(150):
+        count = int(rng.integers(1, _PER_MATRIX_STACK + 1))
+        stack = rng.choice((-1.0, 1.0), (count, 4, 4)) * 10.0 ** rng.uniform(-100, 100, (count, 4, 4))
+        stack[rng.random((count, 4, 4)) < 0.1] = 0.0
+        large = np.concatenate([stack] * (_PER_MATRIX_STACK // count + 1))
+        values, e, shape = _scaled(stack)
+        stacked_values, stacked_e, _ = _scaled(large)
+        assert isinstance(values, list) and not isinstance(stacked_values, list)
+        assert values == [tuple(v) for v in stacked_values[:count].tolist()]
+        assert e == stacked_e[:count].tolist() and shape == (count,)
+        assert routh_hurwitz_stable(stack).tolist() == routh_hurwitz_stable(large)[:count].tolist()
+        for f in (characteristic_coefficients, hurwitz_quantities):
+            assert np.array_equal(np.array(f(stack)), np.array(f(large))[:, :count])
+        assert routh_hurwitz_stable(stack[0]) == routh_hurwitz_stable(large)[0]
+        exact += sum(min(abs(v[k]) for k in (0, 2, 3, 4)) < _NORMAL for v in values)
+    assert exact >= 40  # verdicts that the exact Fraction fallback takes
