@@ -66,7 +66,7 @@ def _scaled(A):
     Small stacks (and one matrix) are scaled per matrix on Python floats and
     give a list of per-matrix tuples and a list of exponents; large stacks
     give an array whose last axis holds the five values, and an array of
-    exponents.  frexp and ldexp are exact either way, and so agree.
+    exponents.  Both give the same bits.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):

@@ -631,8 +631,9 @@ def lockstep_batches(draw):
     """(params, points) with 1 to 2 _LOCKSTEP_BATCH points of mixed kinds.
 
     A point lies in a span around p.Delta0 (one or three roots), within
-    relative 1e-12..1e-6 of a window edge, in the dark (A_l = 0) or at p's
-    own (Delta0, A_l).  One batch in four gets a point of OVERFLOW_INPUTS.
+    relative 1e-12..1e-6 of a window edge (in the span if p has none), in
+    the dark (A_l = 0) or at p's own (Delta0, A_l).  One batch in four gets
+    a point of OVERFLOW_INPUTS.
     """
     p = draw(st.sampled_from(LOCKSTEP_CASES))
     size = draw(st.integers(1, 2 * _LOCKSTEP_BATCH))
