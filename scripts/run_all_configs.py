@@ -12,7 +12,8 @@ OTHER_ROOT (for instance the outputs of another checkout) and reported as
 identical, differing (with the largest absolute difference between numeric
 CSV cells) or missing on either side; the exit code is 4 if any file is not
 identical.  Sidecars are compared without their "output_dir" entry, which
-names the root they were written to.
+names the root they were written to; a differing sidecar is reported with
+the dotted path of each key whose value differs or that only one side has.
 """
 
 import argparse
@@ -48,6 +49,21 @@ def _without_output_dir(sidecar: Path) -> dict:
     return data
 
 
+_MISSING = object()  # stands in for a key that only the other sidecar has
+
+
+def _differing_keys(ours, theirs, prefix: str = "") -> list[str]:
+    """Dotted paths at which two JSON values differ, descending into objects."""
+    if not (isinstance(ours, dict) and isinstance(theirs, dict)):
+        return [] if ours == theirs else [prefix]
+    return [
+        path
+        for key in sorted(ours.keys() | theirs.keys())
+        for path in _differing_keys(ours.get(key, _MISSING), theirs.get(key, _MISSING),
+                                    f"{prefix}.{key}" if prefix else key)
+    ]
+
+
 def compare_roots(ours: Path, theirs: Path) -> int:
     """Print one line per output file; return the number not identical."""
     suffixes = (".csv", ".json")
@@ -68,7 +84,8 @@ def compare_roots(ours: Path, theirs: Path) -> int:
         elif rel.suffix == ".csv":
             status = _max_abs_difference(a.read_bytes(), b.read_bytes())
         else:
-            status = "sidecars differ"
+            keys = _differing_keys(_without_output_dir(a), _without_output_dir(b))
+            status = f"sidecars differ at {', '.join(keys)}"
         print(f"DIFFERS    {rel}: {status}")
         differing += 1
     print(f"{len(files) - differing}/{len(files)} files identical")

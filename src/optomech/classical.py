@@ -50,6 +50,7 @@ _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
 _LOCKSTEP_BATCH = 128
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
+_PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
 _OVERFLOW = (  # raised when a term of the cubic is not finite, filled with Delta0, A_l, g0
     "steady-state cubic overflows: C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2), t = 4 A_l^2 C"
     " or a coefficient (c3, c2, c1, c0) = (4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2)"
@@ -330,7 +331,7 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
         brackets = ((0.0, bend - s, 0.0), (bend + s, bend - s, bend), (bend + s, top, top))
     else:
         u = bend + D
-        convex = bend * (4.0 * u * u + k2) - t <= 0.0
+        convex = bend * (4.0 * u * u + k2) - t < 0.0
         brackets = ((0.0, top, top if convex else 0.0),)
     roots = []
     for neg, pos, start in brackets:
@@ -442,7 +443,7 @@ def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
         bend = np.where(bend > 0.0, bend, 0.0)
         three = _discriminant(c1, t, D, kappa) > 0.0
         u = bend + D
-        convex = bend * (4.0 * u * u + k2) - t <= 0.0
+        convex = bend * (4.0 * u * u + k2) - t < 0.0
         j = np.flatnonzero(three)
         s = D[j] * D[j] - 0.75 * k2
         s = np.sqrt(np.where(s > 0.0, s, 0.0)) / 3.0
@@ -869,12 +870,11 @@ def lorentzian_comb_model(
     finesse: float,
     x_min: float,
     x_max: float,
-    pad_resonances: int = 10,
 ) -> StaticPotentialModel:
     """Build a StaticPotentialModel whose resonance comb covers [x_min, x_max].
 
     Resonances sit at integer multiples of wavelength/2; the comb extends
-    pad_resonances spacings beyond each end of the interval so edge effects
+    ten spacings (_PAD_RESONANCES) beyond each end of the interval so edge effects
     on the force inside the window stay negligible.
     """
     if not (k_HO > 0 and wavelength > 0 and finesse > 0):
@@ -884,8 +884,8 @@ def lorentzian_comb_model(
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     spacing = wavelength / 2.0
-    j_min = math.floor(x_min / spacing) - pad_resonances
-    j_max = math.ceil(x_max / spacing) + pad_resonances
+    j_min = math.floor(x_min / spacing) - _PAD_RESONANCES
+    j_max = math.ceil(x_max / spacing) + _PAD_RESONANCES
     return StaticPotentialModel(
         k_HO=k_HO,
         F0=F0,

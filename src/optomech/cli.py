@@ -7,8 +7,7 @@ A run is described by a flat JSON file:
       "params": {"kappa": 0.15, "gamma": 0.005, "g0": 0.003,
                  "Delta0": -1.0, "A_l": 5.0},
       "grids": {"Delta": {"start": -2.0, "stop": 2.0, "count": 401}},
-      "output_dir": "out",
-      "seed": 0
+      "output_dir": "out"
     }
 
 The keys of the config, of "params" and of each grid are the fields of
@@ -19,10 +18,8 @@ values}}; run_command wraps them in ResultTables and attaches the run
 configuration as their metadata.  Every table is written as a CSV (17
 significant digits, LF line endings) plus a .meta.json sidecar that echoes
 that configuration, so any output directory can be re-run byte-identically
-from its own sidecar.  The optional "seed" key (a non-negative integer,
-default 0) is accepted and echoed into the sidecars but ignored: every
-command is deterministic.  Exit codes: 0 success, 1 configuration error,
-2 numerical error, 3 I/O error.
+from its own sidecar.  Every command is deterministic.  Exit codes:
+0 success, 1 configuration error, 2 numerical error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ class RunSpec:
     params: SystemParams
     output_dir: str
     grids: dict[str, GridSpec] = field(default_factory=dict)
-    seed: int = 0
 
 
 @dataclass
@@ -181,13 +177,7 @@ def load_config(path: str | Path) -> RunSpec:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a non-empty string")
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
-
-    return RunSpec(
-        command=command, params=params, output_dir=output_dir, grids=grids, seed=seed
-    )
+    return RunSpec(command=command, params=params, output_dir=output_dir, grids=grids)
 
 
 def spec_to_config(spec: RunSpec) -> dict:

@@ -302,15 +302,15 @@ def rwa_interaction(
     omega_m: float,
     kappa: float,
     g_s: float,
-    tol_res: float | None = None,
 ) -> RegimeReport:
     """Classify the dominant linearized interaction at detuning Delta.
 
-    Within tol_res (default kappa/2) of Delta = -omega_m the co-rotating
-    beam-splitter terms dominate; within tol_res of Delta = +omega_m the
-    counter-rotating two-mode-squeezer terms dominate; otherwise neither
-    resonance condition is met.  A tolerance wide enough to satisfy both
-    conditions at once is rejected as ambiguous.
+    Within kappa/2 (half the cavity linewidth) of Delta = -omega_m the
+    co-rotating beam-splitter terms dominate; within kappa/2 of
+    Delta = +omega_m the counter-rotating two-mode-squeezer terms dominate;
+    otherwise neither resonance condition is met.  A linewidth wide enough
+    to satisfy both conditions at once (kappa >= 2 omega_m) is rejected as
+    ambiguous.
     """
     if not omega_m > 0:
         raise ValueError(f"omega_m must be > 0 (got {omega_m!r})")
@@ -318,15 +318,12 @@ def rwa_interaction(
         raise ValueError(f"kappa must be > 0 (got {kappa!r})")
     if g_s < 0:
         raise ValueError(f"g_s must be >= 0 (got {g_s!r})")
-    if tol_res is None:
-        tol_res = kappa / 2.0
-    if not tol_res > 0:
-        raise ValueError(f"tol_res must be > 0 (got {tol_res!r})")
-    near_red = abs(Delta + omega_m) <= tol_res
-    near_blue = abs(Delta - omega_m) <= tol_res
+    half_linewidth = kappa / 2.0
+    near_red = abs(Delta + omega_m) <= half_linewidth
+    near_blue = abs(Delta - omega_m) <= half_linewidth
     if near_red and near_blue:
         raise AmbiguousRegimeError(
-            f"tol_res = {tol_res:g} covers both sideband resonances at "
+            f"kappa/2 = {half_linewidth:g} covers both sideband resonances at "
             f"Delta = {Delta:g}, omega_m = {omega_m:g}"
         )
     if near_red:

@@ -142,6 +142,19 @@ FAR_DETUNED = (
 )
 # t = 4 A_l^2 C = 1.6e308 is finite, but the terms of g at its root overflow
 TERMS_OVERFLOW = dataclasses.replace(FIG5, g0=4.5e153, A_l=1.0, omega_m=1.0)
+# t = 4 A_l^2 C = 0 with g(bend) underflowing to exactly 0: the one-root bracket
+# used to start at top and stop on the spurious zero y = -Delta0 (N = y / C
+# divided by C = 0 in the first, and N = 2.87e-107 instead of 0 in the second)
+ZERO_T = (
+    SystemParams(
+        kappa=5.464385968428583e-140, gamma=0.11337467146676294, g0=0.0,
+        Delta0=-7.17379149738589e-112, A_l=1.239020223194527e-33, omega_m=4.585672565513426e+33,
+    ),
+    SystemParams(
+        kappa=5.464385968428583e-140, gamma=0.005, g0=0.005,
+        Delta0=-7.17379149738589e-112, A_l=0.0,
+    ),
+)
 
 
 def _mpmath_occupancies(p):
@@ -703,6 +716,17 @@ class TestLockstepRoots:
             classical, "_roots_in_lockstep", side_effect=AssertionError("solved in lockstep")
         ):
             steady_state_grid(p, det[1:], p.A_l)
+
+    @pytest.mark.parametrize("p", ZERO_T)
+    def test_zero_t_gives_the_linear_cavity_root(self, p):
+        N_o = 4.0 * p.A_l ** 2 / (4.0 * p.Delta0 ** 2 + p.kappa ** 2)
+        assert [s.N_o for s in steady_states(p)] == [N_o]
+        with mock.patch.object(
+            classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+        ):
+            grid = steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l)
+        assert grid.counts == (1,) * _LOCKSTEP_BATCH
+        assert {s.N_o for s in grid.states} == {N_o}
 
 
 # ---------------------------------------------------------------------------
@@ -1282,9 +1306,10 @@ class TestStaticPotential:
         assert peak == pytest.approx(0.6, rel=1e-2)
 
     def test_comb_periodicity(self):
-        # periodicity is exact for an infinite comb; widen the padding until
-        # truncation error is negligible
-        model = lorentzian_comb_model(1.0, 0.5, 1.0, 10.0, -2.2, 2.2, pad_resonances=200)
+        # periodicity is exact for an infinite comb; widen the comb to 200
+        # resonances past each end of the window so truncation error is negligible
+        model = lorentzian_comb_model(1.0, 0.5, 1.0, 10.0, -2.2, 2.2)
+        model = dataclasses.replace(model, x_res=tuple(j * 0.5 for j in range(-205, 206)))
         f1 = radiation_force(model, np.array([0.13]))[0]
         f2 = radiation_force(model, np.array([0.13 + 0.5]))[0]
         assert f1 == pytest.approx(f2, rel=1e-6)  # half-wavelength period
@@ -1342,7 +1367,7 @@ class TestStaticPotential:
         others = [
             lorentzian_comb_model(2.0, 0.5, 1.0, 10.0, self.X[0], self.X[-1]),   # k_HO
             lorentzian_comb_model(1.0, 0.5, 1.0, 12.0, self.X[0], self.X[-1]),   # finesse, width
-            lorentzian_comb_model(1.0, 0.5, 1.0, 10.0, self.X[0], self.X[-1], pad_resonances=3),
+            dataclasses.replace(base, x_res=base.x_res[7:-7]),                   # narrower comb
             dataclasses.replace(base, width=0.06),
         ]
         for other in others:

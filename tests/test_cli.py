@@ -49,7 +49,6 @@ BASE = {
     },
     "grids": {"Delta": {"start": -2.0, "stop": 2.0, "count": 11}},
     "output_dir": "out",
-    "seed": 0,
 }
 
 
@@ -100,7 +99,6 @@ class TestLoadConfig:
         assert spec.params.kappa == 0.1
         assert spec.grids["Delta"] == GridSpec(-2.0, 2.0, 11)
         assert spec.output_dir == "out"
-        assert spec.seed == 0
 
     def test_grid_values(self, tmp_path):
         spec = load_config(write_config(tmp_path))
@@ -109,8 +107,7 @@ class TestLoadConfig:
         )
 
     def test_defaults_applied(self, tmp_path):
-        spec = load_config(write_config(tmp_path, overrides={"seed": ...}))
-        assert spec.seed == 0
+        spec = load_config(write_config(tmp_path))
         assert spec.params.omega_m == 1.0 and spec.params.m == 1.0
 
     def test_missing_file(self, tmp_path):
@@ -199,9 +196,10 @@ class TestLoadConfig:
             load_config(path)
 
     def test_seed_validation(self, tmp_path):
-        for bad in (-1, 0.5, "0", True):
-            path = write_config(tmp_path, seed=bad)
-            with pytest.raises(ConfigError, match="seed"):
+        # "seed" is no longer part of the schema: every value is an unknown key
+        for value in (0, 1, -1, 0.5, "0", True, None):
+            path = write_config(tmp_path, seed=value)
+            with pytest.raises(ConfigError, match="unknown key 'seed' in config"):
                 load_config(path)
 
     def test_output_dir_validation(self, tmp_path):
@@ -233,7 +231,7 @@ class TestRoundTrip:
         assert spec_to_config(respec) == spec_to_config(load_config(config))
 
     def test_sidecar_fills_in_defaults(self, tmp_path):
-        config = write_config(tmp_path, overrides={"seed": ...}, output_dir=str(tmp_path / "out"))
+        config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert main([str(config), "--quiet"]) == 0
         sidecar = json.loads((tmp_path / "out" / "damping.meta.json").read_text())
         assert sidecar == {
@@ -244,7 +242,6 @@ class TestRoundTrip:
             },
             "grids": {"Delta": {"start": -2.0, "stop": 2.0, "count": 11}},
             "output_dir": str(tmp_path / "out"),
-            "seed": 0,
         }
 
 
@@ -351,6 +348,19 @@ class TestCommands:
         assert code == 0
         data = np.genfromtxt(out / "steady.csv", delimiter=",", names=True)
         assert float(data["N_o"]) == pytest.approx(2.9240299216074176e-134, rel=1e-15)
+
+    def test_steady_at_zero_coupling_and_tiny_linewidth(self, tmp_path):
+        # t = 4 A_l^2 C = 0 and g(bend) underflows to 0; this used to exit 2 with
+        # "float division by zero"
+        params = {
+            "kappa": 5.464385968428583e-140, "gamma": 0.11337467146676294, "g0": 0.0,
+            "Delta0": -7.17379149738589e-112, "A_l": 1.239020223194527e-33,
+            "omega_m": 4.585672565513426e+33,
+        }
+        code, out = self.run(tmp_path, command="steady", grids={}, params=params)
+        assert code == 0
+        data = np.genfromtxt(out / "steady.csv", delimiter=",", names=True)
+        assert float(data["N_o"]) == 2.9830414633508458e+156
 
     def test_bistability_tables(self, tmp_path):
         code, out = self.run(
@@ -721,16 +731,23 @@ class TestRunAllConfigsCompare:
             (root / "run" / "same.meta.json").write_text(
                 json.dumps({"command": "steady", "output_dir": str(root / "run")})
             )
+        (ours / "run" / "nested.meta.json").write_text(
+            json.dumps({"command": "steady", "params": {"kappa": 0.15, "g0": 0.005}, "seed": 0})
+        )
+        (theirs / "run" / "nested.meta.json").write_text(
+            json.dumps({"command": "steady", "params": {"kappa": 0.2, "g0": 0.005}})
+        )
         (ours / "run" / "moved.csv").write_text("x,y\n1,2\n3,4.5\n")
         (theirs / "run" / "moved.csv").write_text("x,y\n1,2.25\n3,4\n")
         (ours / "run" / "only_ours.csv").write_text("x\n1\n")
-        assert self.load_script().compare_roots(ours, theirs) == 2
+        assert self.load_script().compare_roots(ours, theirs) == 3
         lines = capsys.readouterr().out.splitlines()
         assert "identical  run/same.csv" in lines
         assert "identical  run/same.meta.json" in lines
         assert "DIFFERS    run/moved.csv: max abs difference 5.000e-01" in lines
         assert f"DIFFERS    run/only_ours.csv: missing under {theirs}" in lines
-        assert lines[-1] == "2/4 files identical"
+        assert "DIFFERS    run/nested.meta.json: sidecars differ at params.kappa, seed" in lines
+        assert lines[-1] == "2/5 files identical"
 
     def test_golden_configs_compare_identical(self, tmp_path, capsys):
         script = self.load_script()

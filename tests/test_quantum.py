@@ -448,7 +448,7 @@ class TestRwaInteraction:
         assert rwa_interaction(-1.08, 1.0, 0.15, 0.05).interaction_kind == OFF_RESONANT
 
     def test_custom_tolerance(self):
-        r = rwa_interaction(-1.3, 1.0, 0.15, 0.05, tol_res=0.5)
+        r = rwa_interaction(-1.3, 1.0, 1.0, 0.05)  # the tolerance follows kappa: 0.3 <= 1.0 / 2
         assert r.interaction_kind == BEAM_SPLITTER
 
     def test_resolved_sideband_flag(self):
@@ -457,7 +457,7 @@ class TestRwaInteraction:
 
     def test_overlapping_tolerance_is_ambiguous(self):
         with pytest.raises(AmbiguousRegimeError):
-            rwa_interaction(0.0, 1.0, 0.15, 0.05, tol_res=1.5)
+            rwa_interaction(0.0, 1.0, 3.0, 0.05)  # kappa / 2 > omega_m covers both sidebands
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -465,4 +465,4 @@ class TestRwaInteraction:
         with pytest.raises(ValueError):
             rwa_interaction(-1.0, 1.0, 0.15, -0.05)
         with pytest.raises(ValueError):
-            rwa_interaction(-1.0, 1.0, 0.15, 0.05, tol_res=0.0)
+            rwa_interaction(-1.0, 1.0, 0.0, 0.05)  # kappa = 0 leaves no tolerance
