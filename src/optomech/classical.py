@@ -874,8 +874,8 @@ def lorentzian_comb_model(
     """Build a StaticPotentialModel whose resonance comb covers [x_min, x_max].
 
     Resonances sit at integer multiples of wavelength/2; the comb extends
-    ten spacings (_PAD_RESONANCES) beyond each end of the interval so edge effects
-    on the force inside the window stay negligible.
+    _PAD_RESONANCES (10) spacings beyond each end of the interval so edge
+    effects on the force inside the window stay negligible.
     """
     if not (k_HO > 0 and wavelength > 0 and finesse > 0):
         raise ValueError("k_HO, wavelength and finesse must be > 0")
