@@ -11,12 +11,26 @@ Steady states satisfy a cubic in the photon number N = |alpha_s|^2,
     C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2),
 
 which admits one or three positive roots; three roots is the bistable window.
-It is solved in y = C N, as g(y) = y (4 (y + Delta0)^2 + kappa^2) - 4 A_l^2 C,
-per root on a closed-form bracket between 0, the critical points of g and a
-top bound, in at most 96 evaluations of g, and each root is gated on a
-backward-error bound on g in y (solve_intracavity_occupancy).  A large batch
-of points has every bracket of every point iterated at once on numpy arrays,
-with the same float operations, so the same roots (steady_state_grid).
+Every solve works in y = C N instead, which needs no C^2:
+
+    g(y) = y (4 (y + Delta0)^2 + kappa^2) - t = 4 y^3 + 8 Delta0 y^2 + c1 y - t,
+    c1 = 4 Delta0^2 + kappa^2,  t = 4 A_l^2 C,
+
+negative for y <= 0.  If C, 4 A_l^2, c1 or t overflows, SimulationError names
+Delta0, A_l and g0.  Three roots (cubic_discriminant > 0, which needs
+Delta0 < 0 and Delta0^2 > 3 kappa^2 / 4) lie in [0, y-], [y-, y+], [y+, top]
+around the critical points y-+ = (-2 Delta0 -+ sqrt(Delta0^2 - 3 kappa^2/4)) / 3;
+one lies in [0, top] (and below t / kappa^2), top = max(t^(1/3), -2 Delta0).
+Newton on Python floats, with a fallback that halves the bracket's bit
+pattern, evaluates g at most 96 times per root.  Each root satisfies the
+backward-error bound |g(y)| <= 1e-8 max(1, S_y), S_y = 4 y^3 + 8 |Delta0| y^2
++ c1 y + t, or RootSolveError is raised (also for a non-finite N).  The bound
+is evaluated on g / 4 and S_y / 4, an exact power-of-two scaling, so a
+representable root with t near the float maximum passes it; SimulationError
+if S_y / 4 overflows.  A large batch of points has every bracket of every
+point iterated at once on numpy arrays, with the same float operations, so
+the same roots (steady_state_grid); solve_intracavity_occupancy and
+steady_states are that kernel at one point.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -51,24 +65,10 @@ _LOCKSTEP_BATCH = 128
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 _PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
-_OVERFLOW = (  # raised when a term of the cubic is not finite, filled with Delta0, A_l, g0
-    "steady-state cubic overflows: C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2), t = 4 A_l^2 C"
-    " or a coefficient (c3, c2, c1, c0) = (4 C^2, 8 C Delta0, 4 Delta0^2 + kappa^2, -4 A_l^2)"
-    " is not finite for Delta0 = {!r}, A_l = {!r}, g0 = {!r}"
+_OVERFLOW = (  # raised when an input of the cubic is not finite, filled with Delta0, A_l, g0
+    "steady-state cubic overflows: C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2), 4 A_l^2,"
+    " 4 Delta0^2 + kappa^2 or t = 4 A_l^2 C is not finite for Delta0 = {!r}, A_l = {!r}, g0 = {!r}"
 )
-
-
-@dataclass(frozen=True)
-class CubicProblem:
-    """Coefficients of the steady-state photon-number cubic (c3 N^3 + ... + c0)."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-    C: float  # static frequency-pull coefficient 2 g0^2 omega_m / (gamma^2/4 + omega_m^2)
-    Delta0: float  # Delta0 and kappa: the inputs of the form in y = C N
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -198,25 +198,6 @@ def _batch_inputs(params: SystemParams, points):
     return D, C, a, c1, t
 
 
-def intracavity_cubic(params: SystemParams) -> CubicProblem:
-    """Coefficients of the steady-state cubic for the photon number.
-
-    A coefficient that overflows (a float power raises, a product gives inf)
-    raises SimulationError naming the coefficients and the inputs.
-    """
-    validate_params(params)
-    C, a, c1 = _y_inputs(params, params.Delta0, params.A_l)
-    c3, c2 = 4.0 * C * C, 8.0 * C * params.Delta0
-    if not (math.isfinite(c3) and math.isfinite(c2)):
-        raise SimulationError(_OVERFLOW.format(params.Delta0, params.A_l, params.g0))
-    return CubicProblem(c3, c2, c1, -a, C, params.Delta0, params.kappa)
-
-
-def cubic_value(problem: CubicProblem, N: float) -> float:
-    """Evaluate the steady-state cubic at occupancy N (Horner form)."""
-    return ((problem.c3 * N + problem.c2) * N + problem.c1) * N + problem.c0
-
-
 def _discriminant(c1: float, t: float, Delta0: float, kappa: float) -> float:
     """Discriminant of g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - t, c1 = 4 Delta0^2 + kappa^2.
 
@@ -229,12 +210,14 @@ def _discriminant(c1: float, t: float, Delta0: float, kappa: float) -> float:
     )
 
 
-def cubic_discriminant(problem: CubicProblem) -> float:
+def cubic_discriminant(params: SystemParams) -> float:
     """Discriminant of the cubic in y = C N; positive iff three distinct real roots.
 
     It is the photon-number form's over C^2, and negative (not 0) for C = 0.
     """
-    return _discriminant(problem.c1, -problem.c0 * problem.C, problem.Delta0, problem.kappa)
+    validate_params(params)
+    C, a, c1 = _y_inputs(params, params.Delta0, params.A_l)
+    return _discriminant(c1, a * C, params.Delta0, params.kappa)
 
 
 def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> float:
@@ -337,35 +320,17 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
     for neg, pos, start in brackets:
         y = _y_root(D, k2, t, neg, pos, start)
         N = y / C if y > 0.5 * kappa else a / (c1 + 4.0 * y * (y + 2.0 * D) or math.nan)
-        residual = ((4.0 * y + 8.0 * D) * y + c1) * y - t
-        scale = ((4.0 * y + 8.0 * abs(D)) * y + c1) * y + t
+        residual = ((y + 2.0 * D) * y + c1 / 4.0) * y - t / 4.0  # g(y) / 4
+        scale = ((y + 2.0 * abs(D)) * y + c1 / 4.0) * y + t / 4.0  # S_y / 4
         if not math.isfinite(scale):
             raise SimulationError(f"steady-state cubic terms overflow at y = C N = {y:.17g}")
-        tol = _ROOT_RTOL * max(1.0, scale)
+        tol = _ROOT_RTOL * max(0.25, scale)
         if not (abs(residual) <= tol and math.isfinite(N)):
             raise RootSolveError(
-                f"root N = {N:.17g} at y = {y:.17g}: residual {residual:.3e}, tolerance {tol:.3e}"
+                f"root N = {N:.17g} at y = {y:.17g}: g(y) / 4 = {residual:.3e}, tolerance {tol:.3e}"
             )
         roots.append(N)
     return tuple(sorted(roots))
-
-
-def solve_intracavity_occupancy(problem: CubicProblem) -> tuple[float, ...]:
-    """All real roots of the cubic, ascending.
-
-    In y = C N the cubic is g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - t, t = 4 A_l^2 C,
-    negative for y <= 0.  Three roots (cubic_discriminant > 0, which needs
-    Delta0 < 0 and Delta0^2 > 3 kappa^2 / 4) lie in [0, y-], [y-, y+], [y+, top]
-    around the critical points y-+ = (-2 Delta0 -+ sqrt(Delta0^2 - 3 kappa^2/4)) / 3;
-    one lies in [0, top] (and below t / kappa^2), top = max(t^(1/3), -2 Delta0).
-    Newton on Python floats, with a fallback that halves the bracket's bit
-    pattern, evaluates g at most 96 times per root.  Each root satisfies the
-    backward-error bound |g(y)| <= 1e-8 max(1, S_y) in y, with
-    S_y = 4 y^3 + 8 |Delta0| y^2 + c1 y + t, or RootSolveError is raised (also
-    for a non-finite N); SimulationError if S_y overflows.  This is the
-    solver of steady_state_grid below _LOCKSTEP_BATCH points.
-    """
-    return _occupancy_roots(problem.C, -problem.c0, problem.c1, problem.Delta0, problem.kappa)
 
 
 @dataclass(frozen=True)
@@ -460,9 +425,9 @@ def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
         y = _y_roots(D, k2, t, neg, pos, start)
         den = c1 + 4.0 * y * (y + 2.0 * D)
         N = np.where(y > 0.5 * kappa, y / C, a / np.where(den == 0.0, np.nan, den))
-        residual = ((4.0 * y + 8.0 * D) * y + c1) * y - t
-        scale = ((4.0 * y + 8.0 * np.abs(D)) * y + c1) * y + t
-        tol = _ROOT_RTOL * np.where(scale > 1.0, scale, 1.0)
+        residual = ((y + 2.0 * D) * y + c1 / 4.0) * y - t / 4.0
+        scale = ((y + 2.0 * np.abs(D)) * y + c1 / 4.0) * y + t / 4.0
+        tol = _ROOT_RTOL * np.where(scale > 0.25, scale, 0.25)
         ok = np.isfinite(scale) & (np.abs(residual) <= tol) & np.isfinite(N)
     if not ok.all():
         return _roots_per_point(params, points)
@@ -491,8 +456,8 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     points (per root a bracketed Newton iteration; from _LOCKSTEP_BATCH points
     on, all roots iterate in lockstep on arrays, to the same bits), forms the
     amplitudes of every root and takes all Routh-Hurwitz verdicts from one
-    stacked call.  steady_states and steady_state are this kernel at batch
-    size 1.
+    stacked call.  solve_intracavity_occupancy, steady_states and steady_state
+    are this kernel at batch size 1.
     """
     points = _batch_points(params, Delta0, A_l)
     roots = _roots_at(params, points)
@@ -501,11 +466,16 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     )
 
 
+def solve_intracavity_occupancy(params: SystemParams) -> tuple[float, ...]:
+    """All real roots N of the steady-state cubic, ascending (see the module docstring)."""
+    validate_params(params)
+    return _roots_at(params, [(params.Delta0, params.A_l)])[0]
+
+
 def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     """All classical fixed points, in ascending photon number."""
-    validate_params(params)
-    points = [(params.Delta0, params.A_l)]
-    return tuple(_fixed_points(params, points, _roots_at(params, points)))
+    roots = solve_intracavity_occupancy(params)
+    return tuple(_fixed_points(params, [(params.Delta0, params.A_l)], [roots]))
 
 
 def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:

@@ -24,7 +24,6 @@ from optomech import (
     drift_matrix_from_rates,
     hysteresis_traces,
     integrate_covariance,
-    intracavity_cubic,
     lorentzian_comb_model,
     optical_spring_shift,
     optomechanical_damping,
@@ -99,9 +98,7 @@ def test_criterion_02_bistability_window_and_hysteresis():
     def window_nonempty(g0v: float) -> bool:
         p = dataclasses.replace(BASE, g0=g0v)
         return any(
-            len(solve_intracavity_occupancy(
-                intracavity_cubic(dataclasses.replace(p, Delta0=float(d)))
-            )) == 3
+            len(solve_intracavity_occupancy(dataclasses.replace(p, Delta0=float(d)))) == 3
             for d in grid
         )
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -759,6 +760,24 @@ class TestRunAllConfigsCompare:
         second = ["--config-dir", str(configs), "--output-root", str(tmp_path / "b")]
         assert script.main(second + ["--compare", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "2/2 files identical"
+
+
+class TestReadme:
+    def test_quick_start_runs(self):
+        # the README's one python block, with every warning an error
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        branches = [line for line in result.stdout.splitlines() if line.startswith("N = ")]
+        assert len(branches) == 3
 
 
 class TestCoolingSummary:
