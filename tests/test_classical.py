@@ -656,7 +656,7 @@ class TestMeanOutputField:
 
 # parameter sets of the lockstep property: a bistable window inside the drawn
 # span, a linear cavity, c3 = 4 C^2 overflowing (the form in y solves), terms
-# of g overflowing at A_l = 1, and the far-detuned draws
+# of g / 4 overflowing at A_l = 1, and the far-detuned draws
 LOCKSTEP_CASES = (
     dataclasses.replace(FIG5, g0=0.005),
     dataclasses.replace(FIG5, g0=0.01),
