@@ -10,10 +10,12 @@ With --compare OTHER_ROOT, every CSV and .meta.json sidecar under the output
 root is then checked against the file at the same relative path under
 OTHER_ROOT (for instance the outputs of another checkout) and reported as
 identical, differing (with the largest absolute difference between numeric
-CSV cells) or missing on either side; the exit code is 4 if any file is not
-identical.  Sidecars are compared without their "output_dir" entry, which
-names the root they were written to; a differing sidecar is reported with
-the dotted path of each key whose value differs or that only one side has.
+CSV cells and the number of cells whose text differs, so that a -0 against a
+0 or a change of formatting still shows) or missing on either side; the exit
+code is 4 if any file is not identical.  Sidecars are compared without their
+"output_dir" entry, which names the root they were written to; a differing
+sidecar is reported with the dotted path of each key whose value differs or
+that only one side has.
 """
 
 import argparse
@@ -27,20 +29,28 @@ from optomech.cli import main as run_config
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _max_abs_difference(ours: bytes, theirs: bytes) -> str:
-    """Largest |a - b| over CSV cells, or why the files cannot be compared cellwise."""
+def _cell_differences(ours: bytes, theirs: bytes) -> str:
+    """Largest |a - b| over CSV cells and the count of cells whose text differs.
+
+    Or why the files cannot be compared cellwise.
+    """
     rows_a, rows_b = ours.decode().splitlines(), theirs.decode().splitlines()
     if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
         return f"{len(rows_a)} vs {len(rows_b)} lines, or different headers"
-    worst = 0.0
+    worst, differing, cells = 0.0, 0, 0
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         cells_a, cells_b = row_a.split(","), row_b.split(",")
         if len(cells_a) != len(cells_b):
             return "rows of different lengths"
-        for a, b in zip(map(float, cells_a), map(float, cells_b)):
+        cells += len(cells_a)
+        for text_a, text_b in zip(cells_a, cells_b):
+            if text_a == text_b:
+                continue
+            differing += 1
+            a, b = float(text_a), float(text_b)
             if a != b and not (math.isnan(a) and math.isnan(b)):
                 worst = max(worst, abs(a - b))
-    return f"max abs difference {worst:.3e}"
+    return f"max abs difference {worst:.3e}, {differing} of {cells} cells differ as text"
 
 
 def _without_output_dir(sidecar: Path) -> dict:
@@ -82,7 +92,7 @@ def compare_roots(ours: Path, theirs: Path) -> int:
             print(f"identical  {rel}")
             continue
         elif rel.suffix == ".csv":
-            status = _max_abs_difference(a.read_bytes(), b.read_bytes())
+            status = _cell_differences(a.read_bytes(), b.read_bytes())
         else:
             keys = _differing_keys(_without_output_dir(a), _without_output_dir(b))
             status = f"sidecars differ at {', '.join(keys)}"

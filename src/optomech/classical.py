@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -72,24 +71,35 @@ _OVERFLOW = (  # raised when an input of the cubic is not finite, filled with De
 
 
 @dataclass(frozen=True)
-class BistabilityBranch:
-    """Steady-state branches over a detuning sweep."""
+class SteadyStateGrid:
+    """Classical fixed points of a batch of (Delta0, A_l) points, one entry per root.
 
-    detunings: np.ndarray
-    roots: tuple[tuple[float, ...], ...]          # ascending occupancies per point
-    branch_labels: tuple[tuple[str, ...], ...]    # lower/middle/upper, or only
-    stability: tuple[tuple[bool, ...], ...]
-    window_edges: tuple[float, ...]               # refined detunings where root count changes
+    Every field is a 1-D array listing the roots point by point, in ascending
+    N_o within a point.
+    """
+
+    Delta0: np.ndarray     # detuning of the root's point
+    A_l: np.ndarray        # drive amplitude of the root's point
+    point: np.ndarray      # index of that point in the flattened batch
+    branch: np.ndarray     # index of the root among its point's roots
+    N_o: np.ndarray        # intracavity photon number
+    alpha_s: np.ndarray    # complex intracavity field amplitude
+    beta_s: np.ndarray     # complex mechanical amplitude
+    Delta_eff: np.ndarray  # effective detuning Delta0 + 2 g0 Re(beta_s)
+    stable: np.ndarray     # bool, Routh-Hurwitz verdict for the linearization
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of roots (1 or 3) per point."""
+        return np.bincount(self.point)
 
 
 @dataclass(frozen=True)
-class StabilityMap:
-    """Root structure and stability over a (Delta0, A_l) grid."""
+class BistabilityBranch:
+    """Steady-state branches over a detuning sweep."""
 
-    detunings: np.ndarray
-    amplitudes: np.ndarray
-    roots: tuple[tuple[tuple[float, ...], ...], ...]   # [i_detuning][j_amplitude]
-    stable: tuple[tuple[tuple[bool, ...], ...], ...]
+    states: SteadyStateGrid            # point k at the k-th detuning of the sweep
+    window_edges: tuple[float, ...]    # refined detunings where root count changes
 
 
 @dataclass(frozen=True)
@@ -298,6 +308,16 @@ def _y_roots(D, k2: float, t, neg, pos, y) -> np.ndarray:
     return out
 
 
+def _gate_terms(y, D, c1, t):
+    """(g(y) / 4, S_y / 4) of the backward-error gate, on floats or arrays alike.
+
+    The root at y passes when |g(y) / 4| <= _ROOT_RTOL max(1/4, S_y / 4).
+    """
+    residual = ((y + 2.0 * D) * y + c1 / 4.0) * y - t / 4.0
+    scale = ((y + 2.0 * abs(D)) * y + c1 / 4.0) * y + t / 4.0
+    return residual, scale
+
+
 def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
     """Real roots N of the cubic g(y) = 4 y^3 + 8 Delta0 y^2 + c1 y - a C, ascending.
 
@@ -320,8 +340,7 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
     for neg, pos, start in brackets:
         y = _y_root(D, k2, t, neg, pos, start)
         N = y / C if y > 0.5 * kappa else a / (c1 + 4.0 * y * (y + 2.0 * D) or math.nan)
-        residual = ((y + 2.0 * D) * y + c1 / 4.0) * y - t / 4.0  # g(y) / 4
-        scale = ((y + 2.0 * abs(D)) * y + c1 / 4.0) * y + t / 4.0  # S_y / 4
+        residual, scale = _gate_terms(y, D, c1, t)
         if not math.isfinite(scale):
             raise SimulationError(f"steady-state cubic terms overflow at y = C N = {y:.17g}")
         tol = _ROOT_RTOL * max(0.25, scale)
@@ -333,25 +352,13 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
-class SteadyStateGrid:
-    """Classical fixed points at every point of a batch of (Delta0, A_l)."""
-
-    counts: tuple[int, ...]             # number of roots (1 or 3) per point
-    states: tuple[SteadyState, ...]     # point by point, ascending N_o within a point
-
-    def per_point(self, field: str) -> tuple[tuple, ...]:
-        """One field of the states, as one tuple per point."""
-        values = (getattr(s, field) for s in self.states)
-        return tuple(tuple(itertools.islice(values, n)) for n in self.counts)
-
-
-def _fixed_points(params: SystemParams, points, roots) -> list[SteadyState]:
+def _fixed_points(params: SystemParams, points, roots) -> list[tuple]:
     """The fixed points at given photon numbers, point by point.
 
     points holds (Delta0, A_l) pairs and roots one tuple of photon numbers
-    per point.  The amplitudes use the scalar complex formulas root by root;
-    the drift entries of all roots go into one flat list, made into one
+    per point.  Each fixed point is a tuple of Python numbers in SteadyState
+    field order.  The amplitudes use the scalar complex formulas root by
+    root; the drift entries of all roots go into one flat list, made into one
     (n, 4, 4) stack for a single Routh-Hurwitz call.
     """
     mech = params.gamma / 2.0 + 1j * params.omega_m
@@ -367,7 +374,7 @@ def _fixed_points(params: SystemParams, points, roots) -> list[SteadyState]:
                 params.kappa, params.gamma, params.omega_m, Delta_eff, params.g0 * alpha_s
             )
     stable = routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
-    return [SteadyState(*f, stable=s) for f, s in zip(fields, stable)]
+    return [(*f, s) for f, s in zip(fields, stable)]
 
 
 def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]]:
@@ -380,24 +387,24 @@ def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]
     return points
 
 
-def _roots_per_point(params: SystemParams, points) -> list[tuple[float, ...]]:
+def _roots_pointwise(params: SystemParams, points) -> list[tuple[float, ...]]:
     """Roots of the cubic at each (Delta0, A_l) point, one _occupancy_roots call each."""
     return [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
 
 
 def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
-    """_roots_per_point, with every bracket of every point solved at once on arrays.
+    """_roots_pointwise, with every bracket of every point solved at once on arrays.
 
     The brackets, starts, N recovery and gate are _occupancy_roots' and the
     iteration is _y_root's (_y_roots), each on arrays with the same float
     operations, so every root has the same bits.  A point that would raise
     (an input, S_y or N not finite, or the gate failing) sends the whole
-    batch through _roots_per_point, which raises its error at its point.
+    batch through _roots_pointwise, which raises its error at its point.
     """
     try:
         D, C, a, c1, t = _batch_inputs(params, points)
     except SimulationError:
-        return _roots_per_point(params, points)
+        return _roots_pointwise(params, points)
     kappa = params.kappa
     k2 = kappa * kappa
     # Python's float power per point, as in _occupancy_roots: numpy's differs in bits
@@ -425,12 +432,11 @@ def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
         y = _y_roots(D, k2, t, neg, pos, start)
         den = c1 + 4.0 * y * (y + 2.0 * D)
         N = np.where(y > 0.5 * kappa, y / C, a / np.where(den == 0.0, np.nan, den))
-        residual = ((y + 2.0 * D) * y + c1 / 4.0) * y - t / 4.0
-        scale = ((y + 2.0 * np.abs(D)) * y + c1 / 4.0) * y + t / 4.0
+        residual, scale = _gate_terms(y, D, c1, t)
         tol = _ROOT_RTOL * np.where(scale > 0.25, scale, 0.25)
         ok = np.isfinite(scale) & (np.abs(residual) <= tol) & np.isfinite(N)
     if not ok.all():
-        return _roots_per_point(params, points)
+        return _roots_pointwise(params, points)
     roots = np.full((3, three.size), np.nan)
     roots[0] = N[:three.size]
     roots[1:, j] = N[three.size:].reshape(2, -1)
@@ -444,7 +450,7 @@ def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
     A batch of _LOCKSTEP_BATCH points or more is solved in lockstep, a
     smaller one point by point; both give the same roots and errors.
     """
-    solve = _roots_in_lockstep if len(points) >= _LOCKSTEP_BATCH else _roots_per_point
+    solve = _roots_in_lockstep if len(points) >= _LOCKSTEP_BATCH else _roots_pointwise
     return solve(params, points)
 
 
@@ -456,13 +462,23 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     points (per root a bracketed Newton iteration; from _LOCKSTEP_BATCH points
     on, all roots iterate in lockstep on arrays, to the same bits), forms the
     amplitudes of every root and takes all Routh-Hurwitz verdicts from one
-    stacked call.  solve_intracavity_occupancy, steady_states and steady_state
-    are this kernel at batch size 1.
+    stacked call; each field of a root becomes one entry of a column.
+    solve_intracavity_occupancy, steady_states and steady_state are this
+    kernel at batch size 1.
     """
     points = _batch_points(params, Delta0, A_l)
     roots = _roots_at(params, points)
+    point = np.repeat(np.arange(len(points)), list(map(len, roots)))
+    Delta0, A_l = np.array(points, dtype=float).reshape(-1, 2).T
+    columns = list(zip(*_fixed_points(params, points, roots))) or [()] * 5
+    alpha_s, beta_s, N_o, Delta_eff, stable = (
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(columns, (complex, complex, float, float, bool))
+    )
     return SteadyStateGrid(
-        counts=tuple(map(len, roots)), states=tuple(_fixed_points(params, points, roots))
+        Delta0=Delta0[point], A_l=A_l[point], point=point,
+        branch=np.arange(point.size) - np.searchsorted(point, point),
+        N_o=N_o, alpha_s=alpha_s, beta_s=beta_s, Delta_eff=Delta_eff, stable=stable,
     )
 
 
@@ -475,7 +491,9 @@ def solve_intracavity_occupancy(params: SystemParams) -> tuple[float, ...]:
 def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     """All classical fixed points, in ascending photon number."""
     roots = solve_intracavity_occupancy(params)
-    return tuple(_fixed_points(params, [(params.Delta0, params.A_l)], [roots]))
+    return tuple(
+        SteadyState(*f) for f in _fixed_points(params, [(params.Delta0, params.A_l)], [roots])
+    )
 
 
 def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
@@ -493,15 +511,11 @@ def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
         return states[0]
     validate_params(params)
     _y_inputs(params, params.Delta0, params.A_l)  # the cubic's inputs are finite
-    return _fixed_points(params, [(params.Delta0, params.A_l)], [(float(N_o),)])[0]
+    return SteadyState(*_fixed_points(params, [(params.Delta0, params.A_l)], [(float(N_o),)])[0])
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _labels_for(count: int) -> tuple[str, ...]:
-    return ("lower", "middle", "upper") if count == 3 else ("only",)
 
 
 def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
@@ -569,13 +583,7 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
     i = np.flatnonzero(np.diff(grid.counts))
     a, b = detunings[i], detunings[i + 1]
     edges = _window_edges(params, np.minimum(a, b), np.maximum(a, b))
-    return BistabilityBranch(
-        detunings=detunings,
-        roots=grid.per_point("N_o"),
-        branch_labels=tuple(map(_labels_for, grid.counts)),
-        stability=grid.per_point("stable"),
-        window_edges=tuple(sorted(edges.tolist())),
-    )
+    return BistabilityBranch(states=grid, window_edges=tuple(sorted(edges.tolist())))
 
 
 def _continue_from(start: float, roots) -> list[float]:
@@ -608,26 +616,19 @@ def hysteresis_traces(
 
 def stability_map(
     params: SystemParams, detunings: np.ndarray, amplitudes: np.ndarray
-) -> StabilityMap:
-    """Root structure and Routh-Hurwitz verdicts over a (Delta0, A_l) grid."""
+) -> SteadyStateGrid:
+    """Root structure and Routh-Hurwitz verdicts over a (Delta0, A_l) grid.
+
+    The fixed points of detunings[i] and amplitudes[j] are point
+    i * amplitudes.size + j of the returned grid.
+    """
     detunings = np.asarray(detunings, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
     if detunings.ndim != 1 or amplitudes.ndim != 1:
         raise ValueError("detunings and amplitudes must be 1-D grids")
     if np.any(amplitudes < 0):
         raise ValueError("amplitudes must be >= 0")
-    grid = steady_state_grid(params, detunings[:, None], amplitudes[None, :])
-    width = amplitudes.size
-
-    def rows(per_point):
-        return tuple(per_point[i * width:(i + 1) * width] for i in range(detunings.size))
-
-    return StabilityMap(
-        detunings=detunings,
-        amplitudes=amplitudes,
-        roots=rows(grid.per_point("N_o")),
-        stable=rows(grid.per_point("stable")),
-    )
+    return steady_state_grid(params, detunings[:, None], amplitudes[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def load_config(path: str | Path) -> RunSpec:
     raw = _checked_object(raw, RunSpec, "config")
 
     command = raw["command"]
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}{_suggest(str(command), COMMANDS)}")
 
     params_raw = _checked_object(raw["params"], SystemParams, "params")
@@ -198,24 +198,6 @@ def _first_stable_state(params: SystemParams):
     )
 
 
-def _rows_to_columns(names, rows) -> dict[str, np.ndarray]:
-    """Long-format float columns from row tuples ordered like names."""
-    values = np.array(rows, dtype=float).reshape(-1, len(names))
-    return {name: values[:, k] for k, name in enumerate(names)}
-
-
-def _branch_columns(keys, points) -> dict[str, np.ndarray]:
-    """One row per steady-state branch; points yields (key values, roots, stable)."""
-    return _rows_to_columns(
-        (*keys, "branch", "N_o", "stable"),
-        [
-            (*key, b, N, ok)
-            for key, roots, stable in points
-            for b, (N, ok) in enumerate(zip(roots, stable))
-        ],
-    )
-
-
 def _sampled_times(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     """Grid times, checked against the integrator's sample count."""
     t = grid.values()
@@ -227,21 +209,26 @@ def _sampled_times(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _run_steady(spec: RunSpec) -> dict:
-    rows = [
-        (b, s.N_o, s.alpha_s.real, s.alpha_s.imag, s.beta_s.real, s.beta_s.imag,
-         s.Delta_eff, s.stable)
-        for b, s in enumerate(classical.steady_states(spec.params))
-    ]
-    names = ("branch", "N_o", "alpha_re", "alpha_im", "beta_re", "beta_im",
-             "Delta_eff", "stable")
-    return {"steady": _rows_to_columns(names, rows)}
+    grid = classical.steady_state_grid(spec.params, spec.params.Delta0, spec.params.A_l)
+    return {
+        "steady": {
+            "branch": grid.branch,
+            "N_o": grid.N_o,
+            "alpha_re": grid.alpha_s.real,
+            "alpha_im": grid.alpha_s.imag,
+            "beta_re": grid.beta_s.real,
+            "beta_im": grid.beta_s.imag,
+            "Delta_eff": grid.Delta_eff,
+            "stable": grid.stable,
+        }
+    }
 
 
 def _run_bistability(spec: RunSpec) -> dict:
     sweep = classical.sweep_bistability(spec.params, spec.grids["Delta0"].values())
-    points = zip(((d,) for d in sweep.detunings), sweep.roots, sweep.stability)
+    names = ("Delta0", "branch", "N_o", "stable")
     return {
-        "bistability": _branch_columns(("Delta0",), points),
+        "bistability": {name: getattr(sweep.states, name) for name in names},
         "window_edges": {"Delta0_edge": np.array(sweep.window_edges, dtype=float)},
     }
 
@@ -253,15 +240,11 @@ def _run_hysteresis(spec: RunSpec) -> dict:
 
 
 def _run_stability_map(spec: RunSpec) -> dict:
-    result = classical.stability_map(
+    grid = classical.stability_map(
         spec.params, spec.grids["Delta0"].values(), spec.grids["A_l"].values()
     )
-    points = (
-        ((d, a), result.roots[i][j], result.stable[i][j])
-        for i, d in enumerate(result.detunings)
-        for j, a in enumerate(result.amplitudes)
-    )
-    return {"stability_map": _branch_columns(("Delta0", "A_l"), points)}
+    names = ("Delta0", "A_l", "branch", "N_o", "stable")
+    return {"stability_map": {name: getattr(grid, name) for name in names}}
 
 
 def _linear_cavity_sweep(column: str, closed_form):
@@ -329,16 +312,16 @@ def _run_static_potential(spec: RunSpec) -> dict:
         )
         for f0 in forces
     ]
-    rows = [
-        (f0, pos, stiff)
-        for f0, (equilibria, K_eff) in zip(forces, classical.static_equilibria(models, x))
-        for pos, stiff in zip(equilibria, K_eff)
-    ]
+    equilibria, K_eff = zip(*classical.static_equilibria(models, x))
     # the potential curves of the largest force on the grid
     V_RP = classical.radiation_potential(models[-1], x)
     V_HO = 0.5 * k_ho * x ** 2
     return {
-        "equilibria": _rows_to_columns(("F0", "x_eq", "K_eff"), rows),
+        "equilibria": {
+            "F0": np.repeat(forces, [eq.size for eq in equilibria]),
+            "x_eq": np.concatenate(equilibria),
+            "K_eff": np.concatenate(K_eff),
+        },
         "potential": {"x": x, "V_RP": V_RP, "V_HO": V_HO, "V_t": V_RP + V_HO},
     }
 

@@ -104,9 +104,9 @@ def test_criterion_02_bistability_window_and_hysteresis():
 
     # threshold existence: empty window below, nonempty above, bracket refined
     weak = sweep_bistability(dataclasses.replace(BASE, g0=0.001), grid)
-    if weak.window_edges or any(len(r) != 1 for r in weak.roots):
+    if weak.window_edges or np.any(weak.states.counts != 1):
         problems.append("g0 = 0.001 already shows a 3-root window")
-    if len(sweep.window_edges) != 2 or not any(len(r) == 3 for r in sweep.roots):
+    if len(sweep.window_edges) != 2 or not np.any(sweep.states.counts == 3):
         problems.append("g0 = 0.005 does not show a nonempty 3-root window")
     lo, hi = 0.001, 0.005
     for _ in range(12):
@@ -160,15 +160,19 @@ def test_criterion_03_stability_map_matches_eigenvalues():
     smap = stability_map(coupled, d_grid, a_grid)
     elapsed = time.perf_counter() - t0
 
+    # the roots and verdicts of point i * a_grid.size + j of the map
+    cuts = np.cumsum(smap.counts)[:-1]
+    roots, verdicts = np.split(smap.N_o, cuts), np.split(smap.stable, cuts)
     checked = disagree = marginal = n_stable = n_unstable = blue_unstable = 0
     for i, d in enumerate(d_grid):
         for j, a in enumerate(a_grid):
             p = dataclasses.replace(coupled, Delta0=float(d), A_l=float(a))
             states = steady_states(p)
-            if tuple(s.N_o for s in states) != smap.roots[i][j]:
+            k = i * a_grid.size + j
+            if tuple(s.N_o for s in states) != tuple(roots[k].tolist()):
                 problems.append(f"root mismatch at ({d:.3f}, {a:.3f})")
                 continue
-            for state, verdict in zip(states, smap.stable[i][j]):
+            for state, verdict in zip(states, verdicts[k].tolist()):
                 n_stable += verdict
                 n_unstable += not verdict
                 blue_unstable += (not verdict) and d > 0

@@ -443,7 +443,7 @@ class TestCubic:
 
         roots = outcome(lambda: solve_intracavity_occupancy(p))
         assert roots == outcome(lambda: tuple(s.N_o for s in steady_states(p)))
-        assert roots == outcome(lambda: steady_state_grid(p, p.Delta0, p.A_l).per_point("N_o")[0])
+        assert roots == outcome(lambda: tuple(steady_state_grid(p, p.Delta0, p.A_l).N_o.tolist()))
         discriminant = outcome(lambda: cubic_discriminant(p))
         if discriminant[0] == "raised":
             assert roots == discriminant
@@ -498,8 +498,32 @@ class TestSteadyState:
             assert lhs == pytest.approx(A_l + 0j, rel=1e-7, abs=1e-9)
 
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """A column as int64: float and complex parts as bit patterns, so -0.0 != 0.0."""
+    return column.astype(np.int64) if column.dtype.kind in "bi" else column.view(np.int64)
+
+
+def assert_grid_is_per_point(grid, points, p):
+    """Every column of grid equals the per-point steady_states, bit for bit.
+
+    points lists the batch's (Delta0, A_l) pairs in order; p supplies the rest.
+    """
+    expected = {name: [] for name in (
+        "Delta0", "A_l", "point", "branch", "N_o", "alpha_s", "beta_s", "Delta_eff", "stable"
+    )}
+    for k, (d, a) in enumerate(points):
+        for b, s in enumerate(steady_states(dataclasses.replace(p, Delta0=float(d), A_l=float(a)))):
+            values = dict(dataclasses.asdict(s), Delta0=float(d), A_l=float(a), point=k, branch=b)
+            for name, column in expected.items():
+                column.append(values[name])
+    for name, values in expected.items():
+        column, want = getattr(grid, name), np.array(values)
+        assert column.dtype == want.dtype, name
+        np.testing.assert_array_equal(_bits(column), _bits(want), err_msg=name)
+
+
 class TestSteadyStateGrid:
-    """The batched kernel against the scalar API, point by point, under exact ==."""
+    """The batched kernel against the scalar API, point by point, bit for bit."""
 
     @staticmethod
     def check_batch_equals_scalar(p, det, amp):
@@ -510,26 +534,23 @@ class TestSteadyStateGrid:
         def point(d, a):
             return dataclasses.replace(p, Delta0=float(d), A_l=float(a))
 
-        states = [[steady_states(point(d, a)) for a in amp] for d in det]
+        points = [(d, a) for d in det for a in amp]
         smap = stability_map(p, det, amp)
-        assert smap.roots == tuple(tuple(tuple(s.N_o for s in c) for c in row) for row in states)
-        assert smap.stable == tuple(tuple(tuple(s.stable for s in c) for c in row) for row in states)
-        for d, row in zip(det, smap.roots):
-            for a, roots in zip(amp, row):
-                assert roots == solve_intracavity_occupancy(point(d, a))
+        assert_grid_is_per_point(smap, points, p)
+        for k, (d, a) in enumerate(points):
+            roots = tuple(smap.N_o[smap.point == k].tolist())
+            assert roots == solve_intracavity_occupancy(point(d, a))
 
-        along = [steady_states(point(d, p.A_l)) for d in det]
         sweep = sweep_bistability(p, det)
-        assert sweep.roots == tuple(tuple(s.N_o for s in c) for c in along)
-        assert sweep.stability == tuple(tuple(s.stable for s in c) for c in along)
+        assert_grid_is_per_point(sweep.states, [(d, p.A_l) for d in det], p)
         up, down = hysteresis_traces(p, det)
         assert (up.tolist(), down.tolist()) == _continuation_reference(p, det)
 
         d, a = det[-1], amp[-1]
-        single = states[-1][-1]
-        assert steady_state_grid(p, d, a).states == single
+        assert_grid_is_per_point(steady_state_grid(p, d, a), [(d, a)], p)
+        single = steady_states(point(d, a))
         assert tuple(steady_state(point(d, a), N_o=s.N_o) for s in single) == single
-        three = sum(len(c) == 3 for row in states for c in row)
+        three = int(np.sum(smap.counts == 3))
         return three, sum(a == 0.0 for a in amp) * len(det)
 
     @given(
@@ -562,8 +583,8 @@ class TestSteadyStateGrid:
     def test_grid_broadcasts_and_flattens(self):
         det, amp = np.linspace(-0.3, 0.1, 4), np.array([1.0, 5.0])
         grid = steady_state_grid(dataclasses.replace(FIG5, g0=0.005), det[:, None], amp)
-        assert len(grid.counts) == 8 and len(grid.states) == sum(grid.counts)
-        assert grid.per_point("N_o")[1 * 2 + 1] == tuple(
+        assert grid.counts.size == 8 and grid.N_o.size == grid.counts.sum()
+        assert tuple(grid.N_o[grid.point == 1 * 2 + 1].tolist()) == tuple(
             s.N_o for s in steady_states(dataclasses.replace(FIG5, g0=0.005, Delta0=det[1], A_l=5.0))
         )
 
@@ -587,9 +608,9 @@ class TestSteadyStateGrid:
                 grid = steady_state_grid(p, np.array(detunings)[:, None], amplitudes)
             except SimulationError:
                 return
-        assert len(grid.counts) == len(detunings) * len(amplitudes)
-        assert set(grid.counts) <= {1, 3} and len(grid.states) == sum(grid.counts)
-        assert all(math.isfinite(s.N_o) and s.N_o >= 0 for s in grid.states)
+        assert grid.counts.size == len(detunings) * len(amplitudes)
+        assert set(grid.counts.tolist()) <= {1, 3} and grid.N_o.size == grid.counts.sum()
+        assert all(math.isfinite(N) and N >= 0 for N in grid.N_o.tolist())
 
     def test_empty_batch_validates_params(self):
         bad = dataclasses.replace(FIG5, kappa=-1.0)
@@ -736,37 +757,39 @@ class TestLockstepRoots:
                 return
             # a batch that raises nowhere is solved without the per-point path
             with mock.patch.object(
-                classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+                classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
             ):
                 assert _roots_in_lockstep(p, points) == expected
+            # the grid's columns, from either root path by batch size, are the per-point states
+            D, A = np.array(points).T
+            assert_grid_is_per_point(steady_state_grid(p, D, A), points, p)
 
     def test_threshold_batch_equals_per_point_states(self):
         # _LOCKSTEP_BATCH points are the smallest batch solved in lockstep
         p = dataclasses.replace(FIG5, g0=0.005)
         det = np.linspace(-0.35, -0.05, _LOCKSTEP_BATCH)
         with mock.patch.object(
-            classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+            classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
         ):
             grid = steady_state_grid(p, det, p.A_l)
-        assert grid.states == tuple(
-            s for d in det for s in steady_states(dataclasses.replace(p, Delta0=float(d)))
-        )
-        assert set(grid.counts) == {1, 3}
+        assert_grid_is_per_point(grid, [(d, p.A_l) for d in det], p)
+        assert set(grid.counts.tolist()) == {1, 3}
         with mock.patch.object(
             classical, "_roots_in_lockstep", side_effect=AssertionError("solved in lockstep")
         ):
-            steady_state_grid(p, det[1:], p.A_l)
+            below = steady_state_grid(p, det[1:], p.A_l)
+        assert_grid_is_per_point(below, [(d, p.A_l) for d in det[1:]], p)
 
     @pytest.mark.parametrize("p", ZERO_T)
     def test_zero_t_gives_the_linear_cavity_root(self, p):
         N_o = 4.0 * p.A_l ** 2 / (4.0 * p.Delta0 ** 2 + p.kappa ** 2)
         assert [s.N_o for s in steady_states(p)] == [N_o]
         with mock.patch.object(
-            classical, "_roots_per_point", side_effect=AssertionError("solved per point")
+            classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
         ):
             grid = steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l)
-        assert grid.counts == (1,) * _LOCKSTEP_BATCH
-        assert {s.N_o for s in grid.states} == {N_o}
+        assert grid.counts.tolist() == [1] * _LOCKSTEP_BATCH
+        assert set(grid.N_o.tolist()) == {N_o}
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +801,7 @@ class TestBistabilitySweep:
 
     def test_window_structure(self):
         sweep = sweep_bistability(dataclasses.replace(FIG5, g0=0.005), self.GRID)
-        counts = np.array([len(r) for r in sweep.roots])
+        counts = sweep.states.counts
         assert set(counts) == {1, 3}
         assert len(sweep.window_edges) == 2
         lo, hi = sweep.window_edges
@@ -786,24 +809,16 @@ class TestBistabilitySweep:
         np.testing.assert_array_equal(counts == 3, inside)
 
     def test_middle_branch_unstable_outer_stable(self):
-        sweep = sweep_bistability(dataclasses.replace(FIG5, g0=0.005), self.GRID)
-        for roots, stable in zip(sweep.roots, sweep.stability):
-            if len(roots) == 3:
-                assert stable[1] is False
-                assert stable[0] is True and stable[2] is True
-
-    def test_labels(self):
-        sweep = sweep_bistability(dataclasses.replace(FIG5, g0=0.005), self.GRID)
-        for roots, labels in zip(sweep.roots, sweep.branch_labels):
-            if len(roots) == 3:
-                assert labels == ("lower", "middle", "upper")
-            else:
-                assert labels == ("only",)
+        states = sweep_bistability(dataclasses.replace(FIG5, g0=0.005), self.GRID).states
+        for k in np.flatnonzero(states.counts == 3):
+            stable = states.stable[states.point == k].tolist()
+            assert stable[1] is False
+            assert stable[0] is True and stable[2] is True
 
     def test_weak_coupling_has_no_window(self):
         sweep = sweep_bistability(dataclasses.replace(FIG5, g0=0.001), self.GRID)
         assert sweep.window_edges == ()
-        assert all(len(r) == 1 for r in sweep.roots)
+        assert np.all(sweep.states.counts == 1)
 
     def test_edges_are_discriminant_zeros(self):
         p = dataclasses.replace(FIG5, g0=0.005)
@@ -893,7 +908,7 @@ class TestWindowEdges:
             grid = np.linspace(lowest, float(rng.uniform(-0.1, 0.1)), int(rng.integers(11, 202)))
             for detunings in (grid, grid[::-1]):
                 sweep = sweep_bistability(p, detunings)
-                counts = [len(r) for r in sweep.roots]
+                counts = sweep.states.counts
                 expected = sorted(
                     _refine_edge_reference(p, *sorted(detunings[i:i + 2].tolist()))
                     for i in range(detunings.size - 1)
@@ -911,7 +926,7 @@ class TestHysteresis:
         p = dataclasses.replace(FIG5, g0=0.005)
         sweep = sweep_bistability(p, self.GRID)
         up, down = hysteresis_traces(p, self.GRID)
-        inside = np.array([len(r) == 3 for r in sweep.roots])
+        inside = sweep.states.counts == 3
         np.testing.assert_array_equal(up != down, inside)
         assert np.all(up[inside] < down[inside])  # lower branch vs upper branch
 
@@ -945,8 +960,10 @@ class TestStabilityMap:
         det = np.linspace(-0.3, 0.3, 7)
         amp = np.linspace(0.5, 8.0, 5)
         m = stability_map(p, det, amp)
-        assert len(m.roots) == det.size and len(m.roots[0]) == amp.size
-        flags = [f for row in m.stable for cell in row for f in cell]
+        assert m.counts.size == det.size * amp.size
+        np.testing.assert_array_equal(m.Delta0, det[m.point // amp.size])
+        np.testing.assert_array_equal(m.A_l, amp[m.point % amp.size])
+        flags = m.stable.tolist()
         assert any(flags) and not all(flags)
 
     def test_verdicts_match_branchwise_steady_states(self):
@@ -954,11 +971,9 @@ class TestStabilityMap:
         det = np.linspace(-0.3, 0.1, 5)
         amp = np.linspace(1.0, 6.0, 3)
         m = stability_map(p, det, amp)
-        for i, d in enumerate(det):
-            for j, a in enumerate(amp):
-                pp = dataclasses.replace(p, Delta0=float(d), A_l=float(a))
-                for N, flag in zip(m.roots[i][j], m.stable[i][j]):
-                    assert steady_state(pp, N_o=N).stable == flag
+        for d, a, N, flag in zip(*(c.tolist() for c in (m.Delta0, m.A_l, m.N_o, m.stable))):
+            pp = dataclasses.replace(p, Delta0=d, A_l=a)
+            assert steady_state(pp, N_o=N).stable == flag
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitudes"):

@@ -142,6 +142,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'damping'"):
             load_config(path)
 
+    @pytest.mark.parametrize("command", [["steady"], {"name": "steady"}], ids=["array", "object"])
+    def test_unhashable_command(self, tmp_path, command):
+        path = write_config(tmp_path, command=command)
+        with pytest.raises(ConfigError, match="unknown command"):
+            load_config(path)
+
     def test_missing_required_param(self, tmp_path):
         path = write_config(tmp_path, overrides={"params.kappa": ...})
         with pytest.raises(ConfigError, match="kappa"):
@@ -502,6 +508,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize("command", [["steady"], {"name": "steady"}], ids=["array", "object"])
+    def test_unhashable_command_is_1(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, command=command)
+        assert main([str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error: unknown command")
+
     def test_invalid_json_is_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -529,10 +541,10 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 2
 
     def test_linalg_error_is_2(self, tmp_path, capsys, monkeypatch):
-        def singular(params):
+        def singular(params, Delta0, A_l):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
-        monkeypatch.setattr(classical, "steady_states", singular)
+        monkeypatch.setattr(classical, "steady_state_grid", singular)
         config = write_config(
             tmp_path, command="steady", grids={}, output_dir=str(tmp_path / "out")
         )
@@ -740,15 +752,24 @@ class TestRunAllConfigsCompare:
         )
         (ours / "run" / "moved.csv").write_text("x,y\n1,2\n3,4.5\n")
         (theirs / "run" / "moved.csv").write_text("x,y\n1,2.25\n3,4\n")
+        (ours / "run" / "signed.csv").write_text("x,y\n-0,1\n")
+        (theirs / "run" / "signed.csv").write_text("x,y\n0,1\n")
         (ours / "run" / "only_ours.csv").write_text("x\n1\n")
-        assert self.load_script().compare_roots(ours, theirs) == 3
+        assert self.load_script().compare_roots(ours, theirs) == 4
         lines = capsys.readouterr().out.splitlines()
         assert "identical  run/same.csv" in lines
         assert "identical  run/same.meta.json" in lines
-        assert "DIFFERS    run/moved.csv: max abs difference 5.000e-01" in lines
+        assert (
+            "DIFFERS    run/moved.csv: max abs difference 5.000e-01, 2 of 4 cells differ as text"
+            in lines
+        )
+        assert (
+            "DIFFERS    run/signed.csv: max abs difference 0.000e+00, 1 of 2 cells differ as text"
+            in lines
+        )
         assert f"DIFFERS    run/only_ours.csv: missing under {theirs}" in lines
         assert "DIFFERS    run/nested.meta.json: sidecars differ at params.kappa, seed" in lines
-        assert lines[-1] == "2/5 files identical"
+        assert lines[-1] == "2/6 files identical"
 
     def test_golden_configs_compare_identical(self, tmp_path, capsys):
         script = self.load_script()
