@@ -103,19 +103,6 @@ class BistabilityBranch:
 
 
 @dataclass(frozen=True)
-class ResponseQuantities:
-    """Linear-response functions evaluated at one probe frequency."""
-
-    chi_o: complex        # optical susceptibility at the effective detuning
-    chi_m: complex        # bare mechanical susceptibility
-    chi_eff: complex      # mechanical susceptibility dressed by the cavity
-    Sigma: complex        # radiation-pressure self-energy
-    gamma_om: float       # optomechanical damping rate
-    delta_omega_m: float  # optical spring shift
-    g_s: float            # field-enhanced coupling g0 |alpha_s|
-
-
-@dataclass(frozen=True)
 class RegimeSummary:
     """Derived stability flags for a linearized operating point."""
 
@@ -463,8 +450,8 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     on, all roots iterate in lockstep on arrays, to the same bits), forms the
     amplitudes of every root and takes all Routh-Hurwitz verdicts from one
     stacked call; each field of a root becomes one entry of a column.
-    solve_intracavity_occupancy, steady_states and steady_state are this
-    kernel at batch size 1.
+    solve_intracavity_occupancy and steady_states are this kernel at batch
+    size 1.
     """
     points = _batch_points(params, Delta0, A_l)
     roots = _roots_at(params, points)
@@ -494,24 +481,6 @@ def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     return tuple(
         SteadyState(*f) for f in _fixed_points(params, [(params.Delta0, params.A_l)], [roots])
     )
-
-
-def steady_state(params: SystemParams, N_o: float | None = None) -> SteadyState:
-    """The classical fixed point, optionally at a caller-chosen occupancy.
-
-    With N_o omitted the cubic must be monostable; in a bistable window pass
-    one of the solve_intracavity_occupancy roots explicitly.
-    """
-    if N_o is None:
-        states = steady_states(params)
-        if len(states) != 1:
-            raise ValueError(
-                f"{len(states)} steady states exist; pass N_o to select a branch"
-            )
-        return states[0]
-    validate_params(params)
-    _y_inputs(params, params.Delta0, params.A_l)  # the cubic's inputs are finite
-    return SteadyState(*_fixed_points(params, [(params.Delta0, params.A_l)], [(float(N_o),)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +627,18 @@ def self_energy(omega, g_s, Delta, kappa, m, omega_m):
 
 
 def effective_susceptibility(omega, g_s, Delta, kappa, m, omega_m, gamma):
-    """Mechanical response dressed by the cavity: 1 / (1/chi_m - Sigma)."""
+    """Mechanical response dressed by the cavity: 1 / (1/chi_m - Sigma).
+
+    PoleError where |1/chi_m - Sigma| < 1e-14 m omega_m^2, a bound relative
+    to the stiffness m omega_m^2 so that it does not depend on the unit of m.
+    """
     chi_m = mechanical_susceptibility(omega, m, omega_m, gamma)
     Sigma = self_energy(omega, g_s, Delta, kappa, m, omega_m)
     if np.all(Sigma == 0):
         # 1/(1/chi_m) is not an exact float identity; the uncoupled limit is.
         return chi_m
     denom = 1.0 / chi_m - Sigma
-    if np.any(np.abs(denom) < 1e-14):
+    if np.any(np.abs(denom) < 1e-14 * m * omega_m ** 2):
         raise PoleError("effective susceptibility evaluated on a pole")
     return 1.0 / denom
 
@@ -727,29 +700,6 @@ def optical_spring_shift(g_s, Delta, kappa, omega_m):
     term_plus = (omega_m + Delta) / (kappa ** 2 / 4.0 + (omega_m + Delta) ** 2)
     term_minus = (omega_m - Delta) / (kappa ** 2 / 4.0 + (omega_m - Delta) ** 2)
     return g_s ** 2 * (term_plus - term_minus)
-
-
-def response_quantities(
-    omega: float, params: SystemParams, steady: SteadyState
-) -> ResponseQuantities:
-    """All linear-response quantities at one probe frequency for a steady state."""
-    g_s = params.g0 * abs(steady.alpha_s)
-    Delta = steady.Delta_eff
-    return ResponseQuantities(
-        chi_o=complex(optical_susceptibility(omega, Delta, params.kappa)),
-        chi_m=complex(
-            mechanical_susceptibility(omega, params.m, params.omega_m, params.gamma)
-        ),
-        chi_eff=complex(
-            effective_susceptibility(
-                omega, g_s, Delta, params.kappa, params.m, params.omega_m, params.gamma
-            )
-        ),
-        Sigma=complex(self_energy(omega, g_s, Delta, params.kappa, params.m, params.omega_m)),
-        gamma_om=float(optomechanical_damping(g_s, Delta, params.kappa, params.omega_m)),
-        delta_omega_m=float(optical_spring_shift(g_s, Delta, params.kappa, params.omega_m)),
-        g_s=g_s,
-    )
 
 
 def classify_regime(

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousRegimeError, SingularSystemError, UnstableSystemError
+from .errors import (
+    AmbiguousRegimeError,
+    DivergenceError,
+    SimulationError,
+    SingularSystemError,
+    UnstableSystemError,
+)
 from .model import SteadyState, SystemParams
 from .rk4 import step_times
 from .stability import routh_hurwitz_stable
@@ -103,8 +109,16 @@ def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
 
 
 def diffusion_matrix(params: SystemParams) -> np.ndarray:
-    """Diagonal diffusion matrix for vacuum optical and thermal mechanical baths."""
+    """Diagonal diffusion matrix for vacuum optical and thermal mechanical baths.
+
+    SimulationError if the thermal entry gamma (n_th + 1/2) overflows.
+    """
     mech = params.gamma * (params.n_th + 0.5)
+    if not np.isfinite(mech):
+        raise SimulationError(
+            f"thermal diffusion gamma (n_th + 1/2) overflows at gamma = {params.gamma!r}, "
+            f"n_th = {params.n_th!r}"
+        )
     return np.diag([params.kappa / 2.0, params.kappa / 2.0, mech, mech])
 
 
@@ -117,24 +131,26 @@ def thermal_covariance(n_th: float) -> np.ndarray:
 _TRIU = np.triu_indices(4)
 
 
+def _unpacked(w: np.ndarray) -> np.ndarray:
+    """Symmetric 4x4 matrices from their 10 upper-triangle entries (last axis of w)."""
+    V = np.empty(w.shape[:-1] + (4, 4))
+    V[..., _TRIU[0], _TRIU[1]] = w
+    V[..., _TRIU[1], _TRIU[0]] = w
+    return V
+
+
 def _lyapunov_coefficients() -> np.ndarray:
     """(16, 100) coefficients of the Lyapunov operator on the entries of A.
 
-    The 10x10 matrix of V -> A V + V A^T on upper-triangle coordinates is,
-    in closed form, L = S (A (x) I + I (x) A) Dup on the row-major vec: S
-    keeps the 10 upper-triangle rows and Dup expands the 10 coordinates of a
-    symmetric V into its 16 entries (Magnus & Neudecker, Matrix Differential
-    Calculus).  Row (p, q) of S (A (x) I + I (x) A) is
-    A[p, a] I[q, b] + I[p, a] A[q, b] over (a, b).  L is linear in A, so the
-    closed form is evaluated once, by broadcasting, at the 16 basis matrices.
+    Column c of the 10x10 matrix L of V -> A V + V A^T on upper-triangle
+    coordinates is A E_c + E_c A^T at those coordinates, E_c the symmetric
+    matrix of coordinate c.  L is linear in A, so it is evaluated once at
+    each of the 16 basis matrices.
     """
-    p, q = _TRIU
-    eye = np.eye(4)
-    basis = np.eye(16).reshape(16, 4, 4)
-    SK = basis[:, p, :, None] * eye[q][:, None, :] + eye[p][:, :, None] * basis[:, q, None, :]
-    dup = np.zeros((4, 4, 10))
-    dup[p, q, np.arange(10)] = dup[q, p, np.arange(10)] = 1.0
-    return (SK.reshape(16, 10, 16) @ dup.reshape(16, 10)).reshape(16, 100)
+    A = np.eye(16).reshape(16, 1, 4, 4)
+    E = _unpacked(np.eye(10))
+    image = A @ E + E @ np.swapaxes(A, -1, -2)  # (16, 10, 4, 4), basis A by column c
+    return np.swapaxes(image[..., _TRIU[0], _TRIU[1]], 1, 2).reshape(16, 100)
 
 
 _LYAPUNOV_COEFFICIENTS = _lyapunov_coefficients()
@@ -149,19 +165,8 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
 
 
-def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Steady-state covariance solving A V + V A^T + D = 0.
-
-    V is symmetric, so the Lyapunov equation is solved as the 10-unknown
-    system L w = -d on the upper-triangle entries w of V and d of D, with L
-    the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
-    with integrate_covariance); V is filled from w and is exactly symmetric.
-    D must be finite and symmetric (ValueError otherwise).  Requires a
-    strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
-    ones included, raises UnstableSystemError.  SingularSystemError means
-    the solve itself failed: a singular system, a non-finite V or a residual
-    above tolerance.
-    """
+def _checked_system(A, D) -> tuple[np.ndarray, np.ndarray]:
+    """A and D as float arrays; ValueError unless both are 4x4, D finite and symmetric."""
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     if A.shape != (4, 4) or D.shape != (4, 4):
@@ -170,6 +175,24 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise ValueError("D must have finite entries")
     if not np.max(np.abs(D - D.T)) <= 1e-12:
         raise ValueError("D must be symmetric")
+    return A, D
+
+
+def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Steady-state covariance solving A V + V A^T + D = 0.
+
+    V is symmetric, so the Lyapunov equation is solved as the 10-unknown
+    system L w = -d on the upper-triangle entries w of V and d of D, with L
+    the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
+    with integrate_covariance); V is filled from w and is exactly symmetric.
+    D must be 4x4, finite and symmetric to 1e-12 (_checked_system, shared
+    with integrate_covariance; ValueError otherwise).  Requires a
+    strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
+    ones included, raises UnstableSystemError.  SingularSystemError means
+    the solve itself failed: a singular system, a non-finite V or a residual
+    above tolerance.
+    """
+    A, D = _checked_system(A, D)
     if not routh_hurwitz_stable(A):
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
@@ -179,9 +202,7 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         w = np.linalg.solve(_lyapunov_operator(A), -D[_TRIU])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Lyapunov system is singular: {exc}") from exc
-    V = np.empty((4, 4))
-    V[_TRIU] = w
-    V[_TRIU[1], _TRIU[0]] = w
+    V = _unpacked(w)
     residual = A @ V + V @ A.T + D
     scale = max(1.0, float(np.max(np.abs(D))))
     if not np.all(np.isfinite(V)) or np.max(np.abs(residual)) > 1e-8 * scale:
@@ -237,36 +258,40 @@ def integrate_covariance(
 
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
-    read off A (kappa, gamma, omega_m, |Delta|).  V is carried as its 10
-    upper-triangle entries, so every sample is exactly symmetric.  The ODE is
-    linear with constant coefficients, so one RK4 step is a fixed affine map
-    on those entries: it is built once for dt (and once more when the final
-    step of the grid has another length) and iterated.
+    read off A (kappa, gamma, omega_m, |Delta|).  D has steady_covariance's
+    contract (_checked_system).  V is carried as its 10 upper-triangle
+    entries, so every sample is exactly symmetric.  The ODE is linear with
+    constant coefficients, so one RK4 step is a fixed affine map on those
+    entries: it is built once for dt (and once more when the final step of
+    the grid has another length) and iterated.  A is not required to be
+    stable; a trajectory with a non-finite sample raises DivergenceError
+    naming the first such time.
     """
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
+    A, D = _checked_system(A, D)
     V0 = np.asarray(V0, dtype=float)
-    if A.shape != (4, 4) or D.shape != (4, 4) or V0.shape != (4, 4):
-        raise ValueError("A, D and V0 must be 4x4")
-    if not np.allclose(V0, V0.T, rtol=0.0, atol=1e-12):
-        raise ValueError("V0 must be symmetric")
+    if V0.shape != (4, 4) or not np.allclose(V0, V0.T, rtol=0.0, atol=1e-12):
+        raise ValueError("V0 must be a symmetric 4x4 matrix")
     fastest = max(abs(rate) for rate in _drift_rates(A))
     times = step_times(t_end, dt, fastest)
     L = _lyapunov_operator(A)
-    d = (0.5 * (D + D.T))[_TRIU]
-    P, q = _rk4_affine_map(L, d, dt)
+    d = D[_TRIU]
     w = np.empty((times.size, 10))
-    w[0] = (0.5 * (V0 + V0.T))[_TRIU]
-    for i in range(1, times.size - 1):
-        w[i] = P @ w[i - 1] + q
-    h_last = float(times[-1] - times[-2])
-    if h_last != dt:
-        P, q = _rk4_affine_map(L, d, h_last)
-    w[-1] = P @ w[-2] + q
-    out = np.empty((times.size, 4, 4))
-    out[:, _TRIU[0], _TRIU[1]] = w
-    out[:, _TRIU[1], _TRIU[0]] = w
-    return CovarianceTrajectory(t=times, V=out)
+    w[0] = V0[_TRIU]
+    with np.errstate(all="ignore"):
+        P, q = _rk4_affine_map(L, d, dt)
+        for i in range(1, times.size - 1):
+            w[i] = P @ w[i - 1] + q
+        h_last = float(times[-1] - times[-2])
+        if h_last != dt:
+            P, q = _rk4_affine_map(L, d, h_last)
+        w[-1] = P @ w[-2] + q
+    bad = ~np.all(np.isfinite(w), axis=1)
+    if np.any(bad):
+        raise DivergenceError(
+            f"covariance trajectory diverged at t = {times[np.argmax(bad)]:g} "
+            "(a sample of V is not finite)"
+        )
+    return CovarianceTrajectory(t=times, V=_unpacked(w))
 
 
 def quadrature_variances(V: np.ndarray) -> QuadratureVariances:

@@ -32,7 +32,6 @@ from optomech import (
     solve_intracavity_occupancy,
     static_potential,
     steady_covariance,
-    steady_state,
     steady_states,
     sweep_bistability,
     stability_map,
@@ -55,9 +54,9 @@ def _report(num: int, description: str, problems: list[str], detail: str = "") -
 
 def test_criterion_01_linear_cavity_occupancy():
     problems = []
-    steady_state(BASE)  # warm-up so the timing excludes first-call overhead
+    steady_states(BASE)  # warm-up so the timing excludes first-call overhead
     t0 = time.perf_counter()
-    state = steady_state(BASE)
+    (state,) = steady_states(BASE)
     elapsed = time.perf_counter() - t0
     oracle = 4.0 * BASE.A_l**2 / BASE.kappa**2  # closed form for g0 = 0
     rel = abs(state.N_o / oracle - 1.0)

@@ -52,6 +52,8 @@ BASE = {
     "output_dir": "out",
 }
 
+COVARIANCE_PARAMS = {"kappa": 0.15, "g0": 0.003, "Delta0": -1.0, "A_l": 5.0}
+
 
 @st.composite
 def valid_runs(draw):
@@ -578,6 +580,12 @@ class TestExitCodes:
     @given(run=valid_runs())
     @settings(max_examples=300, deadline=None)
     @example(run=("steady", {**LINALG_ERROR_INPUT, "m": 1.0, "n_th": 0.0}, {}))
+    # D's thermal entries near the float maximum: V(t) stays finite
+    @example(run=("covariance", {**COVARIANCE_PARAMS, "gamma": 1e5, "n_th": 1e303},
+                  {"t": {"start": 0.0, "stop": 8e-6, "count": 21}}))
+    # gamma (n_th + 1/2) overflows: no finite D exists
+    @example(run=("covariance", {**COVARIANCE_PARAMS, "gamma": 1e150, "n_th": 1e160},
+                  {"t": {"start": 0.0, "stop": 1e-151, "count": 3}}))
     def test_every_command_keeps_the_error_contract(self, run):
         # exit 0 with finite CSVs, or exit 2 with one "numerical error:" line,
         # and no warning on the way

@@ -9,12 +9,14 @@ import scipy.linalg
 
 from optomech.errors import (
     AmbiguousRegimeError,
+    DivergenceError,
+    SimulationError,
     SingularSystemError,
     StepSizeError,
     UnstableSystemError,
 )
 from optomech.model import SystemParams
-from optomech.classical import steady_state
+from optomech.classical import steady_states
 from optomech.quantum import (
     BEAM_SPLITTER,
     OFF_RESONANT,
@@ -91,7 +93,7 @@ class TestDriftMatrix:
 
     def test_from_steady_state(self):
         p = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=-1.0, A_l=5.0)
-        s = steady_state(p)
+        (s,) = steady_states(p)
         A = drift_matrix(p, s)
         g = p.g0 * s.alpha_s
         np.testing.assert_array_equal(
@@ -113,6 +115,11 @@ class TestDiffusionMatrix:
         p = SystemParams(kappa=0.2, gamma=0.01, g0=0.0, Delta0=0.0, A_l=1.0, n_th=0.0)
         D = diffusion_matrix(p)
         assert D[2, 2] == D[3, 3] == 0.01 * 0.5
+
+    def test_overflowing_thermal_entry_is_simulation_error(self):
+        p = SystemParams(kappa=0.15, gamma=1e150, g0=0.003, Delta0=-1.0, A_l=5.0, n_th=1e160)
+        with pytest.raises(SimulationError, match=r"gamma = 1e\+150, n_th = 1e\+160"):
+            diffusion_matrix(p)
 
 
 class TestSteadyCovariance:
@@ -387,6 +394,23 @@ class TestIntegrateCovariance:
         traj = integrate_covariance(A, D, thermal_covariance(1.0), t_end=1.0, dt=0.01)
         assert traj.t[0] == 0.0 and traj.t[-1] == 1.0
         assert traj.t.size == 101
+
+    @pytest.mark.parametrize(
+        "entry, value, match", [((2, 2), np.inf, "finite"), ((0, 1), 1e-3, "symmetric")]
+    )
+    def test_diffusion_checked_as_in_steady_covariance(self, entry, value, match):
+        A, D = self.sample()
+        D[entry] = value
+        with pytest.raises(ValueError, match=match):
+            integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
+
+    def test_non_finite_trajectory_raises_divergence(self):
+        # blue-detuned and strongly coupled: A is unstable and V(t) overflows
+        A = drift_matrix_from_rates(0.15, 0.005, 1.0, 1.0, 0.3)
+        assert np.max(np.linalg.eigvals(A).real) > 0
+        D = np.diag([0.075, 0.075, 0.005, 0.005])
+        with pytest.raises(DivergenceError, match=r"diverged at t = \d"):
+            integrate_covariance(A, D, 0.5 * np.eye(4), t_end=5000.0, dt=0.04)
 
 
 class TestQuadratureVariances:
