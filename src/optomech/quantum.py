@@ -19,6 +19,7 @@ with g = g0 alpha_s the field-enhanced coupling (g_R = Re g, g_I = Im g):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def diffusion_matrix(params: SystemParams) -> np.ndarray:
     SimulationError if the thermal entry gamma (n_th + 1/2) overflows.
     """
     mech = params.gamma * (params.n_th + 0.5)
-    if not np.isfinite(mech):
+    if not math.isfinite(mech):
         raise SimulationError(
             f"thermal diffusion gamma (n_th + 1/2) overflows at gamma = {params.gamma!r}, "
             f"n_th = {params.n_th!r}"
