@@ -10,8 +10,9 @@ With --compare OTHER_ROOT, every CSV and .meta.json sidecar under the output
 root is then checked against the file at the same relative path under
 OTHER_ROOT (for instance the outputs of another checkout) and reported as
 identical, differing (with the largest absolute difference between numeric
-CSV cells and the number of cells whose text differs, so that a -0 against a
-0 or a change of formatting still shows) or missing on either side; the exit
+CSV cells, that difference relative to the largest magnitude in the columns
+that moved, and the number of cells whose text differs, so that a -0 against
+a 0 or a change of formatting still shows) or missing on either side; the exit
 code is 4 if any file is not identical.  Sidecars are compared without their
 "output_dir" entry, which names the root they were written to; a differing
 sidecar is reported with the dotted path of each key whose value differs or
@@ -32,25 +33,36 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def _cell_differences(ours: bytes, theirs: bytes) -> str:
     """Largest |a - b| over CSV cells and the count of cells whose text differs.
 
+    A nonzero largest difference is also given relative to the largest |cell|,
+    on either side, of the columns that hold a numerically differing cell.
     Or why the files cannot be compared cellwise.
     """
     rows_a, rows_b = ours.decode().splitlines(), theirs.decode().splitlines()
     if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
         return f"{len(rows_a)} vs {len(rows_b)} lines, or different headers"
-    worst, differing, cells = 0.0, 0, 0
-    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
-        cells_a, cells_b = row_a.split(","), row_b.split(",")
+    body_a = [row.split(",") for row in rows_a[1:]]
+    body_b = [row.split(",") for row in rows_b[1:]]
+    worst, differing, cells, moved = 0.0, 0, 0, set()
+    for cells_a, cells_b in zip(body_a, body_b):
         if len(cells_a) != len(cells_b):
             return "rows of different lengths"
         cells += len(cells_a)
-        for text_a, text_b in zip(cells_a, cells_b):
+        for column, (text_a, text_b) in enumerate(zip(cells_a, cells_b)):
             if text_a == text_b:
                 continue
             differing += 1
             a, b = float(text_a), float(text_b)
             if a != b and not (math.isnan(a) and math.isnan(b)):
                 worst = max(worst, abs(a - b))
-    return f"max abs difference {worst:.3e}, {differing} of {cells} cells differ as text"
+                moved.add(column)
+    relative = ""
+    if worst:
+        largest = max(abs(float(row[c])) for row in body_a + body_b for c in moved)
+        relative = f", relative {worst / largest:.3e}"
+    return (
+        f"max abs difference {worst:.3e}{relative}, "
+        f"{differing} of {cells} cells differ as text"
+    )
 
 
 def _without_output_dir(sidecar: Path) -> dict:

@@ -166,17 +166,24 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
 
 
+def _checked_symmetric(X, name: str) -> np.ndarray:
+    """X as a float array; ValueError unless it is 4x4, finite and symmetric to 1e-12."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (4, 4):
+        raise ValueError(f"{name} must be 4x4 (got shape {X.shape})")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{name} must have finite entries")
+    if not np.max(np.abs(X - X.T)) <= 1e-12:
+        raise ValueError(f"{name} must be symmetric")
+    return X
+
+
 def _checked_system(A, D) -> tuple[np.ndarray, np.ndarray]:
-    """A and D as float arrays; ValueError unless both are 4x4, D finite and symmetric."""
+    """A and D as float arrays; ValueError unless A is 4x4 and D passes _checked_symmetric."""
     A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if A.shape != (4, 4) or D.shape != (4, 4):
-        raise ValueError(f"A and D must be 4x4 (got {A.shape} and {D.shape})")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("D must have finite entries")
-    if not np.max(np.abs(D - D.T)) <= 1e-12:
-        raise ValueError("D must be symmetric")
-    return A, D
+    if A.shape != (4, 4):
+        raise ValueError(f"A must be 4x4 (got shape {A.shape})")
+    return A, _checked_symmetric(D, "D")
 
 
 def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -190,8 +197,8 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     with integrate_covariance; ValueError otherwise).  Requires a
     strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
     ones included, raises UnstableSystemError.  SingularSystemError means
-    the solve itself failed: a singular system, a non-finite V or a residual
-    above tolerance.
+    the solve itself failed: a singular system, a V that overflows or a
+    residual above tolerance.
     """
     A, D = _checked_system(A, D)
     if not routh_hurwitz_stable(A):
@@ -204,9 +211,11 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Lyapunov system is singular: {exc}") from exc
     V = _unpacked(w)
+    if not np.all(np.isfinite(V)):
+        raise SingularSystemError("steady covariance overflows (an entry of V is not finite)")
     residual = A @ V + V @ A.T + D
     scale = max(1.0, float(np.max(np.abs(D))))
-    if not np.all(np.isfinite(V)) or np.max(np.abs(residual)) > 1e-8 * scale:
+    if np.max(np.abs(residual)) > 1e-8 * scale:
         raise SingularSystemError(
             "Lyapunov solve did not meet the residual tolerance "
             f"(max residual {np.max(np.abs(residual)):.3e})"
@@ -252,6 +261,10 @@ def _rk4_affine_map(L: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray,
     return P, h * v
 
 
+# Steps of integrate_covariance advanced by one matrix product.
+_BLOCK = 64
+
+
 def integrate_covariance(
     A: np.ndarray, D: np.ndarray, V0: np.ndarray, t_end: float, dt: float
 ) -> CovarianceTrajectory:
@@ -260,32 +273,44 @@ def integrate_covariance(
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
     read off A (kappa, gamma, omega_m, |Delta|).  D has steady_covariance's
-    contract (_checked_system).  V is carried as its 10 upper-triangle
-    entries, so every sample is exactly symmetric.  The ODE is linear with
-    constant coefficients, so one RK4 step is a fixed affine map on those
-    entries: it is built once for dt (and once more when the final step of
-    the grid has another length) and iterated.  A is not required to be
-    stable; a trajectory with a non-finite sample raises DivergenceError
-    naming the first such time.
+    contract, and V0 the same one (_checked_symmetric: 4x4, finite and
+    symmetric).  V is carried as its 10 upper-triangle entries, so every
+    sample is exactly symmetric.  The ODE is linear with constant
+    coefficients, so one RK4 step is a fixed affine map w -> P w + q on
+    those entries: it is built once for dt (and once more when the final
+    step of the grid has another length).  Its powers P^j and offsets
+    S_j = sum_{k<j} P^k q, j = 1.._BLOCK, are built once too, so one
+    matrix product advances a block of up to _BLOCK steps:
+    w[i + j] = P^j w[i] + S_j.  A is not required to be stable; a
+    trajectory with a non-finite sample raises DivergenceError naming the
+    first such time.
     """
     A, D = _checked_system(A, D)
-    V0 = np.asarray(V0, dtype=float)
-    if V0.shape != (4, 4) or not np.allclose(V0, V0.T, rtol=0.0, atol=1e-12):
-        raise ValueError("V0 must be a symmetric 4x4 matrix")
+    V0 = _checked_symmetric(V0, "V0")
     fastest = max(abs(rate) for rate in _drift_rates(A))
     times = step_times(t_end, dt, fastest)
     L = _lyapunov_operator(A)
     d = D[_TRIU]
     w = np.empty((times.size, 10))
     w[0] = V0[_TRIU]
+    h_last = float(times[-1] - times[-2])
+    steps = times.size - 1 if h_last == dt else times.size - 2  # steps of length dt
+    block = max(1, min(_BLOCK, steps))
     with np.errstate(all="ignore"):
         P, q = _rk4_affine_map(L, d, dt)
-        for i in range(1, times.size - 1):
-            w[i] = P @ w[i - 1] + q
-        h_last = float(times[-1] - times[-2])
+        powers, S = [P], [q]  # P^j and S_j for j = 1..block
+        for _ in range(1, block):
+            powers.append(P @ powers[-1])
+            S.append(P @ S[-1] + q)
+        # columns 10 (j - 1) .. 10 j - 1 hold (P^j)^T, so w[i] @ stack is P^j w[i] for every j
+        stack = np.transpose(powers, (2, 0, 1)).reshape(10, 10 * block)
+        S = np.array(S)
+        for i in range(0, steps, block):
+            n = min(block, steps - i)
+            w[i + 1 : i + 1 + n] = (w[i] @ stack[:, : 10 * n]).reshape(n, 10) + S[:n]
         if h_last != dt:
             P, q = _rk4_affine_map(L, d, h_last)
-        w[-1] = P @ w[-2] + q
+            w[-1] = P @ w[-2] + q
     bad = ~np.all(np.isfinite(w), axis=1)
     if np.any(bad):
         raise DivergenceError(

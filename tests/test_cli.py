@@ -768,7 +768,8 @@ class TestRunAllConfigsCompare:
         assert "identical  run/same.csv" in lines
         assert "identical  run/same.meta.json" in lines
         assert (
-            "DIFFERS    run/moved.csv: max abs difference 5.000e-01, 2 of 4 cells differ as text"
+            "DIFFERS    run/moved.csv: max abs difference 5.000e-01, relative 1.111e-01, "
+            "2 of 4 cells differ as text"
             in lines
         )
         assert (

@@ -21,7 +21,10 @@ from optomech.quantum import (
     BEAM_SPLITTER,
     OFF_RESONANT,
     TWO_MODE_SQUEEZER,
+    _BLOCK,
+    _TRIU,
     _lyapunov_operator,
+    _rk4_affine_map,
     diffusion_matrix,
     drift_matrix,
     drift_matrix_from_rates,
@@ -193,6 +196,12 @@ class TestSteadyCovariance:
         with pytest.raises(SingularSystemError):
             steady_covariance(-1e-300 * np.eye(4), 1e300 * np.eye(4))
 
+    def test_overflow_is_named_as_such(self):
+        # a stable A whose V overflows is not reported as a missed residual
+        A = drift_matrix_from_rates(0.5, 0.5, 1.0, -1.0, 0.05)
+        with pytest.raises(SingularSystemError, match="steady covariance overflows"):
+            steady_covariance(A, np.diag([1e308, 1e308, 1e308, 1e308]))
+
     def test_asymmetric_diffusion_rejected(self):
         A, D = self.sample_system()
         D = D.copy()
@@ -350,7 +359,21 @@ class TestIntegrateCovariance:
         for V in traj.V[:: 100]:
             assert physicality_min_eig(V) >= -1e-8
 
-    @pytest.mark.parametrize("t_end, dt", [(3.0, 0.01), (3.005, 0.01), (7.77, 0.03)])
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [
+            (3.0, 0.01),
+            (3.005, 0.01),
+            (7.77, 0.03),
+            # the block edges of the stepper: 1/32 is exact, so t_end / dt is the step count
+            pytest.param(_BLOCK / 32, 1 / 32, id="BLOCK-steps"),
+            pytest.param((_BLOCK + 1) / 32, 1 / 32, id="BLOCK+1-steps"),
+            pytest.param((2 * _BLOCK + 1) / 32, 1 / 32, id="2BLOCK+1-steps"),
+            pytest.param((_BLOCK + 0.5) / 32, 1 / 32, id="BLOCK-steps-then-a-short-one"),
+            pytest.param(2 / 32, 1 / 32, id="2-steps"),
+            pytest.param(240.0, 0.04, id="6000-steps"),
+        ],
+    )
     def test_matches_reference_stepper(self, t_end, dt):
         A, D = self.sample()
         V0 = thermal_covariance(3.0)
@@ -382,6 +405,14 @@ class TestIntegrateCovariance:
         with pytest.raises(StepSizeError):
             integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.06)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_v0_rejected(self, value):
+        A, D = self.sample()
+        V0 = thermal_covariance(5.0)
+        V0[0, 0] = value
+        with pytest.raises(ValueError, match="V0 must have finite entries"):
+            integrate_covariance(A, D, V0, t_end=1.0, dt=0.01)
+
     def test_asymmetric_v0_rejected(self):
         A, D = self.sample()
         V0 = thermal_covariance(5.0)
@@ -404,13 +435,33 @@ class TestIntegrateCovariance:
         with pytest.raises(ValueError, match=match):
             integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
 
-    def test_non_finite_trajectory_raises_divergence(self):
+    def unstable_sample(self):
         # blue-detuned and strongly coupled: A is unstable and V(t) overflows
         A = drift_matrix_from_rates(0.15, 0.005, 1.0, 1.0, 0.3)
-        assert np.max(np.linalg.eigvals(A).real) > 0
         D = np.diag([0.075, 0.075, 0.005, 0.005])
+        return A, D
+
+    def test_non_finite_trajectory_raises_divergence(self):
+        A, D = self.unstable_sample()
+        assert np.max(np.linalg.eigvals(A).real) > 0
         with pytest.raises(DivergenceError, match=r"diverged at t = \d"):
             integrate_covariance(A, D, 0.5 * np.eye(4), t_end=5000.0, dt=0.04)
+
+    def test_divergence_time_is_first_non_finite_step(self):
+        # the same time as one P @ w + q per step gives
+        A, D = self.unstable_sample()
+        dt = 0.04
+        P, q = _rk4_affine_map(_lyapunov_operator(A), D[_TRIU], dt)
+        w = (0.5 * np.eye(4))[_TRIU]
+        step = 0
+        with np.errstate(all="ignore"):
+            while np.all(np.isfinite(w)):
+                w = P @ w + q
+                step += 1
+        assert dt * step < 5000.0
+        with pytest.raises(DivergenceError) as info:
+            integrate_covariance(A, D, 0.5 * np.eye(4), t_end=5000.0, dt=dt)
+        assert f"diverged at t = {dt * step:g} " in str(info.value)
 
 
 class TestQuadratureVariances:
