@@ -27,10 +27,11 @@ backward-error bound |g(y)| <= 1e-8 max(1, S_y), S_y = 4 y^3 + 8 |Delta0| y^2
 + c1 y + t, or RootSolveError is raised (also for a non-finite N).  The bound
 is evaluated on g / 4 and S_y / 4, an exact power-of-two scaling, so a
 representable root with t near the float maximum passes it; SimulationError
-if S_y / 4 overflows.  A large batch of points has every bracket of every
-point iterated at once on numpy arrays, with the same float operations, so
-the same roots (steady_state_grid); solve_intracavity_occupancy and
-steady_states are that kernel at one point.
+if S_y / 4 overflows.  A large batch has every bracket of every point
+iterated at once on numpy arrays, and its fixed points formed on float
+arrays, with the same float operations, so the same bits
+(steady_state_grid); solve_intracavity_occupancy and steady_states are the
+kernel at one point.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -55,12 +56,13 @@ from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, sum of |terms|)
 _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
-# From this many points a batch's roots are iterated in lockstep on arrays
-# (_roots_in_lockstep).  Lockstep costs about 0.35 ms per batch plus 1.5 us
-# per point, one point at a time about 5.5 us per point; on a 2-vCPU Xeon
-# (numpy 2.4, best of 301) 96 points took 0.57 ms either way, 128 took 1.16
-# ms per point and 1.02 ms in lockstep, and 256 took 1.38 and 0.74 ms.
+# From this many points a batch's roots (_roots_in_lockstep) and fixed points
+# (_fixed_point_columns) are computed on arrays.  On a 2-vCPU Xeon (numpy 2.4)
+# lockstep roots took 0.57 ms for 96 points, as one point at a time did, and
+# 1.02 against 1.16 ms for 128; array fixed points took 64 against 15 us for
+# 1 root, 155 against 162 us for 32 and 181 against 378 us for 128.
 _LOCKSTEP_BATCH = 128
+_STRAGGLERS = 8          # open brackets that _y_roots finishes one by one on _y_root
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 _PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
@@ -217,16 +219,17 @@ def cubic_discriminant(params: SystemParams) -> float:
     return _discriminant(c1, a * C, params.Delta0, params.kappa)
 
 
-def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> float:
+def _y_root(
+    D: float, k2: float, t: float, neg: float, pos: float, y: float, newton: int = _NEWTON_ROUNDS
+) -> float:
     """Root of g(y) = y (4 (y + D)^2 + k2) - t between neg and pos, from y.
 
     g(neg) <= 0 <= g(pos) is known, not evaluated.  Each round moves the end
     of g(y)'s sign to y, then takes the Newton iterate if it lies strictly
-    inside (at most _NEWTON_ROUNDS times), else the float that halves the
-    bracket's bit pattern: nonnegative floats span < 2^63 patterns, so g is
-    evaluated at most _NEWTON_ROUNDS + 64 times.
+    inside (at most newton times), else the float that halves the bracket's
+    bit pattern: nonnegative floats span < 2^63 patterns, so g is evaluated
+    at most newton + 64 times.
     """
-    newton = _NEWTON_ROUNDS
     while True:
         u = y + D
         f = y * (4.0 * u * u + k2) - t
@@ -260,13 +263,15 @@ def _y_roots(D, k2: float, t, neg, pos, y) -> np.ndarray:
     its own exit, so each root has _y_root's bits.  The ends and iterates are
     nonnegative, so min and max order them as _y_root does, and the
     bit-pattern midpoint a + (b - a) // 2 on int64 views is (a + b) // 2
-    without the overflow.  Call under np.errstate(all="ignore").
+    without the overflow.  The last _STRAGGLERS open brackets are finished
+    by _y_root, from their state and remaining Newton budget.  Call under
+    np.errstate(all="ignore").
     """
     out = np.empty_like(y)
     k = np.arange(y.size)
     # rows y, D, t, neg, pos and Newton budget of the open brackets, compacted together
     state = np.stack([y, D, t, neg, pos, np.full(y.size, float(_NEWTON_ROUNDS))])
-    while k.size:
+    while k.size > _STRAGGLERS:
         y, D, t, neg, pos, newton = state
         u = y + D
         u4 = 4.0 * u
@@ -292,6 +297,8 @@ def _y_roots(D, k2: float, t, neg, pos, y) -> np.ndarray:
         if done.size:
             keep = np.flatnonzero(going)
             state, k = state[:, keep], k[keep]
+    for i, (y, D, t, neg, pos, newton) in zip(k.tolist(), state.T.tolist()):
+        out[i] = _y_root(D, k2, t, neg, pos, y, int(newton))
     return out
 
 
@@ -340,13 +347,14 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
 
 
 def _fixed_points(params: SystemParams, points, roots) -> list[tuple]:
-    """The fixed points at given photon numbers, point by point.
+    """The fixed points at given photon numbers, point by point (the per-point path).
 
     points holds (Delta0, A_l) pairs and roots one tuple of photon numbers
     per point.  Each fixed point is a tuple of Python numbers in SteadyState
     field order.  The amplitudes use the scalar complex formulas root by
     root; the drift entries of all roots go into one flat list, made into one
-    (n, 4, 4) stack for a single Routh-Hurwitz call.
+    (n, 4, 4) stack for a single Routh-Hurwitz call.  This loop is the
+    reference that _fixed_point_columns reproduces bit for bit.
     """
     mech = params.gamma / 2.0 + 1j * params.omega_m
     fields = []
@@ -364,6 +372,67 @@ def _fixed_points(params: SystemParams, points, roots) -> list[tuple]:
     return [(*f, s) for f, s in zip(fields, stable)]
 
 
+def _product(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai)(br + i bi), as (real, imag) parts.
+
+    Floats and arrays alike; a float operand x enters as complex(x, 0.0).
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quotient(ar, ai, br, bi):
+    """CPython's complex quotient (ar + i ai) / (br + i bi), as (real, imag) arrays.
+
+    Smith's algorithm, as in CPython's _Py_c_quot (R. L. Smith, CACM 5(8),
+    435, 1962): each entry takes the branch its |br| >= |bi| picks, and a nan
+    in b gives nan parts.  br and bi are numpy floats or arrays.  Call under
+    np.errstate(all="ignore").
+    """
+    first = np.abs(br) >= np.abs(bi)
+    ratio = np.where(first, bi / br, br / bi)
+    denom = np.where(first, br + bi * ratio, br * ratio + bi)
+    real = np.where(first, ar + ai * ratio, ar * ratio + ai) / denom
+    imag = np.where(first, ai - ar * ratio, ai * ratio - ar) / denom
+    return real, imag
+
+
+def _complex(real, imag) -> np.ndarray:
+    """The complex array with these parts, signed zeros included."""
+    z = np.empty(real.shape, dtype=complex)
+    z.real, z.imag = real, imag
+    return z
+
+
+def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
+    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, on arrays (the lockstep path).
+
+    Delta0, A_l and N hold one entry per root.  _fixed_points' complex
+    formulas are written out in real arithmetic with the same operations in
+    the same order (_product, _quotient), so every column has its bits.  The
+    drift stack is filled column by column in quantum._drift_entries' layout
+    for one Routh-Hurwitz call.
+    """
+    kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
+    mech, ig0 = gamma / 2.0 + 1j * omega_m, 1j * g0  # Python complex, as in _fixed_points
+    with np.errstate(all="ignore"):
+        beta_s = _quotient(
+            *_product(ig0.real, ig0.imag, N, 0.0), np.float64(mech.real), np.float64(mech.imag)
+        )
+        Delta_eff = Delta0 + 2.0 * g0 * beta_s[0]
+        i_Delta = _product(0.0, 1.0, Delta_eff, 0.0)  # 1j * Delta_eff
+        alpha_s = _quotient(A_l, 0.0, kappa / 2.0 - i_Delta[0], 0.0 - i_Delta[1])
+        g_r, g_i = _product(g0, 0.0, *alpha_s)
+    A = np.zeros((N.size, 4, 4))
+    A[:, 0, 0] = A[:, 1, 1] = -kappa / 2.0
+    A[:, 0, 1], A[:, 1, 0] = -Delta_eff, Delta_eff
+    A[:, 0, 2] = -2.0 * g_i
+    A[:, 1, 2] = A[:, 3, 0] = 2.0 * g_r
+    A[:, 2, 2] = A[:, 3, 3] = -gamma / 2.0
+    A[:, 2, 3], A[:, 3, 2] = omega_m, -omega_m
+    A[:, 3, 1] = 2.0 * g_i
+    return _complex(*alpha_s), _complex(*beta_s), Delta_eff, routh_hurwitz_stable(A)
+
+
 def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]]:
     """(Delta0, A_l) pairs of a batch, validated with the rest of params."""
     Delta0, A_l = (np.ravel(v).astype(float) for v in np.broadcast_arrays(Delta0, A_l))
@@ -379,10 +448,11 @@ def _roots_pointwise(params: SystemParams, points) -> list[tuple[float, ...]]:
     return [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
 
 
-def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
+def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
     """_roots_pointwise, with every bracket of every point solved at once on arrays.
 
-    The brackets, starts, N recovery and gate are _occupancy_roots' and the
+    Returns (roots of all points in one column, roots per point).  The
+    brackets, starts, N recovery and gate are _occupancy_roots' and the
     iteration is _y_root's (_y_roots), each on arrays with the same float
     operations, so every root has the same bits.  A point that would raise
     (an input, S_y or N not finite, or the gate failing) sends the whole
@@ -391,7 +461,7 @@ def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
     try:
         D, C, a, c1, t = _batch_inputs(params, points)
     except SimulationError:
-        return _roots_pointwise(params, points)
+        return _flat_roots(_roots_pointwise(params, points))
     kappa = params.kappa
     k2 = kappa * kappa
     # Python's float power per point, as in _occupancy_roots: numpy's differs in bits
@@ -423,12 +493,15 @@ def _roots_in_lockstep(params: SystemParams, points) -> list[tuple[float, ...]]:
         tol = _ROOT_RTOL * np.where(scale > 0.25, scale, 0.25)
         ok = np.isfinite(scale) & (np.abs(residual) <= tol) & np.isfinite(N)
     if not ok.all():
-        return _roots_pointwise(params, points)
-    roots = np.full((3, three.size), np.nan)
-    roots[0] = N[:three.size]
-    roots[1:, j] = N[three.size:].reshape(2, -1)
-    rows = np.sort(roots, axis=0, kind="stable").T.tolist()  # as sorted(), nan last
-    return [tuple(row[:n]) for row, n in zip(rows, (1 + 2 * three).tolist())]
+        return _flat_roots(_roots_pointwise(params, points))
+    # by point, then ascending within a point; a stable sort from bracket order, as sorted()
+    return N[np.lexsort((N, point))], 1 + 2 * three
+
+
+def _flat_roots(roots) -> tuple[np.ndarray, np.ndarray]:
+    """One tuple of roots per point as _roots_in_lockstep returns them: (roots, counts)."""
+    flat = [N for point_roots in roots for N in point_roots]
+    return np.array(flat, dtype=float), np.array(list(map(len, roots)), dtype=int)
 
 
 def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
@@ -437,8 +510,11 @@ def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
     A batch of _LOCKSTEP_BATCH points or more is solved in lockstep, a
     smaller one point by point; both give the same roots and errors.
     """
-    solve = _roots_in_lockstep if len(points) >= _LOCKSTEP_BATCH else _roots_pointwise
-    return solve(params, points)
+    if len(points) < _LOCKSTEP_BATCH:
+        return _roots_pointwise(params, points)
+    N, counts = _roots_in_lockstep(params, points)
+    N, ends = N.tolist(), np.cumsum(counts).tolist()
+    return [tuple(N[i:j]) for i, j in zip([0, *ends], ends)]
 
 
 def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
@@ -446,22 +522,30 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
 
     Delta0 and A_l are broadcast against each other and flattened (C order);
     params supplies every other parameter.  One call solves the cubics of all
-    points (per root a bracketed Newton iteration; from _LOCKSTEP_BATCH points
-    on, all roots iterate in lockstep on arrays, to the same bits), forms the
-    amplitudes of every root and takes all Routh-Hurwitz verdicts from one
-    stacked call; each field of a root becomes one entry of a column.
+    points, forms the amplitudes of every root and takes all Routh-Hurwitz
+    verdicts from one stacked call.  The batch size picks the path: below
+    _LOCKSTEP_BATCH points, per-point roots and Python fixed points
+    (_fixed_points); from there on, lockstep roots and array fixed points
+    (_fixed_point_columns) straight into the columns, to the same bits.
     solve_intracavity_occupancy and steady_states are this kernel at batch
     size 1.
     """
     points = _batch_points(params, Delta0, A_l)
-    roots = _roots_at(params, points)
-    point = np.repeat(np.arange(len(points)), list(map(len, roots)))
     Delta0, A_l = np.array(points, dtype=float).reshape(-1, 2).T
-    columns = list(zip(*_fixed_points(params, points, roots))) or [()] * 5
-    alpha_s, beta_s, N_o, Delta_eff, stable = (
-        np.array(column, dtype=dtype)
-        for column, dtype in zip(columns, (complex, complex, float, float, bool))
-    )
+    if len(points) < _LOCKSTEP_BATCH:
+        roots = _roots_pointwise(params, points)
+        columns = list(zip(*_fixed_points(params, points, roots))) or [()] * 5
+        alpha_s, beta_s, N_o, Delta_eff, stable = (
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(columns, (complex, complex, float, float, bool))
+        )
+        point = np.repeat(np.arange(len(points)), list(map(len, roots)))
+    else:
+        N_o, counts = _roots_in_lockstep(params, points)
+        point = np.repeat(np.arange(len(points)), counts)
+        alpha_s, beta_s, Delta_eff, stable = _fixed_point_columns(
+            params, Delta0[point], A_l[point], N_o
+        )
     return SteadyStateGrid(
         Delta0=Delta0[point], A_l=A_l[point], point=point,
         branch=np.arange(point.size) - np.searchsorted(point, point),

@@ -16,7 +16,7 @@ def step_times(t_end: float, dt: float, fastest: float) -> np.ndarray:
     dt must satisfy dt <= STEP_BOUND_FACTOR / fastest, the fastest rate of
     the system (StepSizeError otherwise; no bound applies when fastest is
     not > 0).  If dt does not divide t_end, a shorter final step closes the
-    gap.
+    gap; if no full step fits, the grid is [0, t_end].
     """
     if fastest > 0 and dt > STEP_BOUND_FACTOR / fastest:
         raise StepSizeError(
@@ -29,8 +29,8 @@ def step_times(t_end: float, dt: float, fastest: float) -> np.ndarray:
         raise ValueError(f"t_end must be > 0 (got {t_end!r})")
     n = int(np.floor(t_end / dt + 1e-9))
     times = dt * np.arange(n + 1, dtype=float)
-    if t_end - times[-1] > 1e-12 * max(1.0, t_end):
-        times = np.append(times, t_end)
-    else:
+    if n and t_end - times[-1] <= 1e-12 * max(1.0, t_end):
         times[-1] = t_end
+    else:
+        times = np.append(times, t_end)
     return times

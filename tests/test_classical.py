@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -22,7 +23,12 @@ from optomech.model import SystemParams
 from optomech.classical import (
     _LOCKSTEP_BATCH,
     _bisect,
+    _complex,
+    _fixed_point_columns,
+    _fixed_points,
     _occupancy_roots,
+    _product,
+    _quotient,
     _roots_at,
     _roots_in_lockstep,
     _y_inputs,
@@ -751,7 +757,9 @@ class TestLockstepRoots:
             with mock.patch.object(
                 classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
             ):
-                assert _roots_in_lockstep(p, points) == expected
+                N, counts = _roots_in_lockstep(p, points)
+            assert N.tolist() == [N for roots in expected for N in roots]
+            assert counts.tolist() == [len(roots) for roots in expected]
             # the grid's columns, from either root path by batch size, are the per-point states
             D, A = np.array(points).T
             assert_grid_is_per_point(steady_state_grid(p, D, A), points, p)
@@ -782,6 +790,87 @@ class TestLockstepRoots:
             grid = steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l)
         assert grid.counts.tolist() == [1] * _LOCKSTEP_BATCH
         assert set(grid.N_o.tolist()) == {N_o}
+
+
+# crafted components of the complex-arithmetic tests: signed zeros, subnormals,
+# the smallest normal, magnitudes whose products overflow, and pairs with
+# |real| == |imag| (the tie of Smith's quotient)
+CRAFTED = (
+    0.0, -0.0, 1.0, -1.0, 2.5, -0.3, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e150, -1e150, 1.7976931348623157e308,
+)
+
+
+class TestArrayFixedPoints:
+    """The lockstep path's fixed points against CPython's complex arithmetic, bit for bit."""
+
+    def test_helpers_are_cpython_complex_arithmetic(self):
+        # every product and quotient of two complex numbers with CRAFTED parts
+        v = np.array(CRAFTED)
+        ar, ai, br, bi = (x.ravel() for x in np.meshgrid(v, v, v, v, indexing="ij"))
+        a = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+        b = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+        with np.errstate(all="ignore"):
+            got = _complex(*_product(ar, ai, br, bi))
+        assert _bits(got).tolist() == _bits(np.array([x * y for x, y in zip(a, b)])).tolist()
+        nonzero = (br != 0.0) | (bi != 0.0)  # Python raises ZeroDivisionError at 0
+        with np.errstate(all="ignore"):
+            got = _complex(*_quotient(ar, ai, br, bi))[nonzero]
+        want = np.array([x / y for x, y, keep in zip(a, b, nonzero) if keep])
+        assert _bits(got).tolist() == _bits(want).tolist()
+
+    def test_float_operands_promote_as_in_cpython(self):
+        # x * z with a float x, and alpha_s = x / (kappa / 2 - 1j Delta_eff) with
+        # Delta_eff running over CRAFTED (so +-0.0 among them)
+        v = np.array(CRAFTED)
+        x, zr, zi = (c.ravel() for c in np.meshgrid(v, v, v, indexing="ij"))
+        z = [complex(r, i) for r, i in zip(zr.tolist(), zi.tolist())]
+        with np.errstate(all="ignore"):
+            got = _complex(*_product(x, 0.0, zr, zi))
+            i_De = _product(0.0, 1.0, zr, 0.0)  # 1j * Delta_eff, Delta_eff = zr
+            alpha = _complex(*_quotient(x, 0.0, 0.075 - i_De[0], 0.0 - i_De[1]))
+        want = np.array([a * b for a, b in zip(x.tolist(), z)])
+        assert _bits(got).tolist() == _bits(want).tolist()
+        want = np.array([A / (0.075 - 1j * De) for A, De in zip(x.tolist(), zr.tolist())])
+        assert _bits(alpha).tolist() == _bits(want).tolist()
+
+    @pytest.mark.parametrize("g0", [0.0, 0.005, 1e150, 5e-324])
+    @pytest.mark.parametrize("omega_m", [1.0, 1e-3])  # |Re mech| below and above |Im mech|
+    def test_columns_equal_python_loop(self, g0, omega_m):
+        # crafted (Delta0, A_l, N) triples, roots or not: Delta0 = +-0.0, A_l = 0, subnormals
+        p = dataclasses.replace(FIG5, g0=g0, omega_m=omega_m)
+        values = itertools.product(
+            (0.0, -0.0, -0.3, 5e-324, -1e-310, 2.5),
+            (0.0, 5.0, 5e-324, 1e-300),
+            (0.0, 1.0, 5e-324, 1e-300, 123.4),
+        )
+        D, A, N = (np.array(column) for column in zip(*values))
+        points = list(zip(D.tolist(), A.tolist()))
+        fields = list(zip(*_fixed_points(p, points, [(n,) for n in N.tolist()])))
+        dtypes = ((0, complex), (1, complex), (3, float), (4, bool))
+        want = [np.array(fields[k], dtype=dtype) for k, dtype in dtypes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _fixed_point_columns(p, D, A, N)
+        for name, column, expected in zip(("alpha_s", "beta_s", "Delta_eff", "stable"), got, want):
+            assert column.dtype == expected.dtype, name
+            np.testing.assert_array_equal(_bits(column), _bits(expected), err_msg=name)
+
+    def test_large_map_stays_on_arrays(self):
+        # a map of _LOCKSTEP_BATCH points or more takes the lockstep path whole:
+        # no per-point roots, no Python fixed points, one stacked verdict
+        p = dataclasses.replace(FIG5, g0=0.005)
+        det, amp = np.linspace(-0.35, -0.05, 16), np.linspace(1.0, 8.0, _LOCKSTEP_BATCH // 16)
+        verdicts = mock.Mock(wraps=classical.routh_hurwitz_stable)
+        with mock.patch.object(
+            classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
+        ), mock.patch.object(
+            classical, "_fixed_points", side_effect=AssertionError("fixed points in Python")
+        ), mock.patch.object(classical, "routh_hurwitz_stable", verdicts):
+            grid = stability_map(p, det, amp)
+        assert verdicts.call_count == 1
+        assert grid.counts.size == _LOCKSTEP_BATCH and set(grid.counts.tolist()) == {1, 3}
+        assert_grid_is_per_point(grid, [(d, a) for d in det for a in amp], p)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,6 +1333,14 @@ class TestIntegrateMeanField:
     def test_step_bound(self):
         with pytest.raises(StepSizeError):
             integrate_mean_field(FIG5, 0.0, 0.0, t_end=1.0, dt=0.06)
+
+    def test_end_below_one_step_starts_at_zero(self):
+        # no full step fits: the one sample after the initial value is at t_end
+        traj = integrate_mean_field(FIG5, 1 + 2j, 3 - 4j, t_end=1e-13, dt=0.01)
+        assert traj.t.tolist() == [0.0, 1e-13]
+        assert traj.alpha[0] == 1 + 2j and traj.beta[0] == 3 - 4j
+        alpha, beta = reference_mean_field(FIG5, 1 + 2j, 3 - 4j, traj.t)
+        assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.beta, beta)
 
     def test_divergence_guard(self):
         p = dataclasses.replace(FIG5, A_l=0.0)

@@ -15,6 +15,7 @@ from optomech.model import (
     photon_momentum_kick,
     validate_params,
 )
+from optomech.rk4 import step_times
 
 VALID = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=-1.0, A_l=5.0)
 
@@ -194,3 +195,13 @@ class TestRadiationPressure:
     def test_force_linear_in_power(self, p1, p2):
         total = beam_radiation_force(p1) + beam_radiation_force(p2)
         assert beam_radiation_force(p1 + p2) == pytest.approx(total, rel=1e-12, abs=1e-300)
+
+
+class TestStepTimes:
+    def test_steps_of_dt_then_a_short_one(self):
+        assert step_times(1.0, 0.25, 0.1).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert step_times(1.1, 0.5, 0.1).tolist() == [0.0, 0.5, 1.0, 1.1]
+
+    @pytest.mark.parametrize("t_end", [1e-13, 1e-300, 0.004])
+    def test_end_below_one_step_is_one_short_step(self, t_end):
+        assert step_times(t_end, 0.01, 1.0).tolist() == [0.0, t_end]

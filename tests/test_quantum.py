@@ -420,6 +420,16 @@ class TestIntegrateCovariance:
         with pytest.raises(ValueError, match="symmetric"):
             integrate_covariance(A, D, V0, t_end=1.0, dt=0.01)
 
+    def test_end_below_one_step_starts_at_zero(self):
+        # no full step fits: one short step from V0 at t = 0 to t_end
+        A, D = self.sample()
+        V0 = thermal_covariance(5.0)
+        traj = integrate_covariance(A, D, V0, t_end=1e-13, dt=0.01)
+        assert traj.t.tolist() == [0.0, 1e-13]
+        assert np.array_equal(traj.V[0], V0)
+        V_ref = reference_covariance(A, D, V0, traj.t)
+        assert np.max(np.abs(traj.V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+
     def test_grid_includes_endpoints(self):
         A, D = self.sample()
         traj = integrate_covariance(A, D, thermal_covariance(1.0), t_end=1.0, dt=0.01)
