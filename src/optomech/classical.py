@@ -16,8 +16,8 @@ Every solve works in y = C N instead, which needs no C^2:
     g(y) = y (4 (y + Delta0)^2 + kappa^2) - t = 4 y^3 + 8 Delta0 y^2 + c1 y - t,
     c1 = 4 Delta0^2 + kappa^2,  t = 4 A_l^2 C,
 
-negative for y <= 0.  If C, 4 A_l^2, c1 or t overflows, SimulationError names
-Delta0, A_l and g0.  Three roots (cubic_discriminant > 0, which needs
+negative for y <= 0.  SimulationError names Delta0, A_l and g0 if C, 4 A_l^2,
+c1 or t has no finite value.  Three roots (cubic_discriminant > 0, which needs
 Delta0 < 0 and Delta0^2 > 3 kappa^2 / 4) lie in [0, y-], [y-, y+], [y+, top]
 around the critical points y-+ = (-2 Delta0 -+ sqrt(Delta0^2 - 3 kappa^2/4)) / 3;
 one lies in [0, top] (and below t / kappa^2), top = max(t^(1/3), -2 Delta0).
@@ -27,11 +27,12 @@ backward-error bound |g(y)| <= 1e-8 max(1, S_y), S_y = 4 y^3 + 8 |Delta0| y^2
 + c1 y + t, or RootSolveError is raised (also for a non-finite N).  The bound
 is evaluated on g / 4 and S_y / 4, an exact power-of-two scaling, so a
 representable root with t near the float maximum passes it; SimulationError
-if S_y / 4 overflows.  A large batch has every bracket of every point
-iterated at once on numpy arrays, and its fixed points formed on float
-arrays, with the same float operations, so the same bits
-(steady_state_grid); solve_intracavity_occupancy and steady_states are the
-kernel at one point.
+if S_y / 4 overflows.  A batch's roots are one column with a count per
+point, and its fixed points one column per field, on both paths: a large
+batch has every bracket of every point iterated at once on numpy arrays,
+and its fixed points formed on float arrays, with the same float
+operations, so the same bits (steady_state_grid); solve_intracavity_occupancy
+and steady_states are the kernel at one point.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -156,13 +157,21 @@ class StaticPotentialResult:
 # steady-state cubic
 
 
+def _pull_coefficient(params: SystemParams) -> float:
+    """C = 2 g0^2 omega_m / (gamma^2/4 + omega_m^2); inf if g0^2 overflows or the sum is 0."""
+    try:
+        return 2.0 * params.g0 ** 2 * params.omega_m / (params.gamma ** 2 / 4.0 + params.omega_m ** 2)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _y_inputs(params: SystemParams, Delta0: float, A_l: float) -> tuple[float, float, float]:
     """(C, a, c1) of the cubic in y = C N at one (Delta0, A_l); the rest from params.
 
-    a = 4 A_l^2 = -c0, c1 = 4 Delta0^2 + kappa^2; SimulationError if C, a, c1 or a C overflows.
+    a = 4 A_l^2 = -c0, c1 = 4 Delta0^2 + kappa^2; SimulationError if C, a, c1 or a C is not finite.
     """
+    C = _pull_coefficient(params)
     try:
-        C = 2.0 * params.g0 ** 2 * params.omega_m / (params.gamma ** 2 / 4.0 + params.omega_m ** 2)
         inputs = (C, 4.0 * A_l ** 2, 4.0 * Delta0 ** 2 + params.kappa ** 2)
     except OverflowError:
         inputs = None
@@ -176,25 +185,20 @@ def _batch_inputs(params: SystemParams, points):
 
     C is a float, the rest arrays over the points.  C is formed once; a and
     c1 keep _y_inputs' Python float powers per point, so every value has its
-    bits.  If an input overflows, _y_inputs' SimulationError is raised at the
-    first point whose inputs overflow.
+    bits.  None if an input is not finite: _y_inputs raises at such a point.
     """
-    D = np.array([Delta0 for Delta0, _ in points])
+    C = _pull_coefficient(params)
     try:
-        C = 2.0 * params.g0 ** 2 * params.omega_m / (params.gamma ** 2 / 4.0 + params.omega_m ** 2)
         k2 = params.kappa ** 2
         a = np.array([4.0 * A_l ** 2 for _, A_l in points])
         c1 = np.array([4.0 * Delta0 ** 2 + k2 for Delta0, _ in points])
-        with np.errstate(all="ignore"):
-            t = a * C
-        finite = math.isfinite(C) and all(np.isfinite(v).all() for v in (a, c1, t))
     except OverflowError:
-        finite = False
-    if not finite:  # the checks of _y_inputs, so one of its calls raises
-        for Delta0, A_l in points:
-            _y_inputs(params, Delta0, A_l)
-        return D, math.nan, D, D, D  # an empty batch
-    return D, C, a, c1, t
+        return None
+    with np.errstate(all="ignore"):
+        t = a * C
+    if not (math.isfinite(C) and all(np.isfinite(v).all() for v in (a, c1, t))):
+        return None
+    return np.array([Delta0 for Delta0, _ in points]), C, a, c1, t
 
 
 def _discriminant(c1: float, t: float, Delta0: float, kappa: float) -> float:
@@ -346,30 +350,29 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
     return tuple(sorted(roots))
 
 
-def _fixed_points(params: SystemParams, points, roots) -> list[tuple]:
-    """The fixed points at given photon numbers, point by point (the per-point path).
+def _fixed_points(params: SystemParams, Delta0, A_l, N):
+    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, root by root (the per-point path).
 
-    points holds (Delta0, A_l) pairs and roots one tuple of photon numbers
-    per point.  Each fixed point is a tuple of Python numbers in SteadyState
-    field order.  The amplitudes use the scalar complex formulas root by
-    root; the drift entries of all roots go into one flat list, made into one
-    (n, 4, 4) stack for a single Routh-Hurwitz call.  This loop is the
-    reference that _fixed_point_columns reproduces bit for bit.
+    Delta0, A_l and N hold one Python float per root, and each returned
+    column is a list of Python numbers.  The amplitudes use the scalar
+    complex formulas; the drift entries of all roots go into one flat list,
+    made into one (n, 4, 4) stack for a single Routh-Hurwitz call.  This loop
+    is the reference that _fixed_point_columns reproduces bit for bit.
     """
-    mech = params.gamma / 2.0 + 1j * params.omega_m
-    fields = []
-    drift = []
-    for (Delta0, A_l), point_roots in zip(points, roots):
-        for N in point_roots:
-            beta_s = 1j * params.g0 * N / mech
-            Delta_eff = Delta0 + 2.0 * params.g0 * beta_s.real
-            alpha_s = A_l / (params.kappa / 2.0 - 1j * Delta_eff)
-            fields.append((alpha_s, beta_s, N, Delta_eff))
-            drift += quantum._drift_entries(
-                params.kappa, params.gamma, params.omega_m, Delta_eff, params.g0 * alpha_s
-            )
+    kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
+    mech = gamma / 2.0 + 1j * omega_m
+    alpha, beta, detuning, drift = [], [], [], []
+    for d, a, n in zip(Delta0, A_l, N):
+        beta_s = 1j * g0 * n / mech
+        Delta_eff = d + 2.0 * g0 * beta_s.real
+        alpha_s = a / (kappa / 2.0 - 1j * Delta_eff)
+        g = g0 * alpha_s
+        alpha.append(alpha_s)
+        beta.append(beta_s)
+        detuning.append(Delta_eff)
+        drift += quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, g.real, g.imag)
     stable = routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
-    return [(*f, s) for f, s in zip(fields, stable)]
+    return alpha, beta, detuning, stable
 
 
 def _product(ar, ai, br, bi):
@@ -409,8 +412,8 @@ def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
     Delta0, A_l and N hold one entry per root.  _fixed_points' complex
     formulas are written out in real arithmetic with the same operations in
     the same order (_product, _quotient), so every column has its bits.  The
-    drift stack is filled column by column in quantum._drift_entries' layout
-    for one Routh-Hurwitz call.
+    drift stack comes from quantum._drift_entries on the columns, for one
+    Routh-Hurwitz call.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
     mech, ig0 = gamma / 2.0 + 1j * omega_m, 1j * g0  # Python complex, as in _fixed_points
@@ -421,15 +424,9 @@ def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
         Delta_eff = Delta0 + 2.0 * g0 * beta_s[0]
         i_Delta = _product(0.0, 1.0, Delta_eff, 0.0)  # 1j * Delta_eff
         alpha_s = _quotient(A_l, 0.0, kappa / 2.0 - i_Delta[0], 0.0 - i_Delta[1])
-        g_r, g_i = _product(g0, 0.0, *alpha_s)
-    A = np.zeros((N.size, 4, 4))
-    A[:, 0, 0] = A[:, 1, 1] = -kappa / 2.0
-    A[:, 0, 1], A[:, 1, 0] = -Delta_eff, Delta_eff
-    A[:, 0, 2] = -2.0 * g_i
-    A[:, 1, 2] = A[:, 3, 0] = 2.0 * g_r
-    A[:, 2, 2] = A[:, 3, 3] = -gamma / 2.0
-    A[:, 2, 3], A[:, 3, 2] = omega_m, -omega_m
-    A[:, 3, 1] = 2.0 * g_i
+        g = _product(g0, 0.0, *alpha_s)
+        entries = quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, *g)
+    A = np.stack(np.broadcast_arrays(*entries), -1).reshape(-1, 4, 4)
     return _complex(*alpha_s), _complex(*beta_s), Delta_eff, routh_hurwitz_stable(A)
 
 
@@ -443,25 +440,26 @@ def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]
     return points
 
 
-def _roots_pointwise(params: SystemParams, points) -> list[tuple[float, ...]]:
-    """Roots of the cubic at each (Delta0, A_l) point, one _occupancy_roots call each."""
-    return [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
+def _roots_pointwise(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """_roots_at's (roots, counts), from one _occupancy_roots call per point."""
+    roots = [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
+    flat = [N for point_roots in roots for N in point_roots]
+    return np.array(flat, dtype=float), np.array(list(map(len, roots)), dtype=int)
 
 
 def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
     """_roots_pointwise, with every bracket of every point solved at once on arrays.
 
-    Returns (roots of all points in one column, roots per point).  The
-    brackets, starts, N recovery and gate are _occupancy_roots' and the
+    The brackets, starts, N recovery and gate are _occupancy_roots' and the
     iteration is _y_root's (_y_roots), each on arrays with the same float
     operations, so every root has the same bits.  A point that would raise
     (an input, S_y or N not finite, or the gate failing) sends the whole
     batch through _roots_pointwise, which raises its error at its point.
     """
-    try:
-        D, C, a, c1, t = _batch_inputs(params, points)
-    except SimulationError:
-        return _flat_roots(_roots_pointwise(params, points))
+    inputs = _batch_inputs(params, points)
+    if inputs is None:
+        return _roots_pointwise(params, points)
+    D, C, a, c1, t = inputs
     kappa = params.kappa
     k2 = kappa * kappa
     # Python's float power per point, as in _occupancy_roots: numpy's differs in bits
@@ -493,28 +491,21 @@ def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.nda
         tol = _ROOT_RTOL * np.where(scale > 0.25, scale, 0.25)
         ok = np.isfinite(scale) & (np.abs(residual) <= tol) & np.isfinite(N)
     if not ok.all():
-        return _flat_roots(_roots_pointwise(params, points))
+        return _roots_pointwise(params, points)
     # by point, then ascending within a point; a stable sort from bracket order, as sorted()
     return N[np.lexsort((N, point))], 1 + 2 * three
 
 
-def _flat_roots(roots) -> tuple[np.ndarray, np.ndarray]:
-    """One tuple of roots per point as _roots_in_lockstep returns them: (roots, counts)."""
-    flat = [N for point_roots in roots for N in point_roots]
-    return np.array(flat, dtype=float), np.array(list(map(len, roots)), dtype=int)
+def _roots_at(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the cubic at each (Delta0, A_l) point: (all roots in one column, roots per point).
 
-
-def _roots_at(params: SystemParams, points) -> list[tuple[float, ...]]:
-    """Roots of the cubic at each (Delta0, A_l) point, one tuple per point.
-
-    A batch of _LOCKSTEP_BATCH points or more is solved in lockstep, a
-    smaller one point by point; both give the same roots and errors.
+    The roots are listed point by point, ascending within a point.  A batch
+    of _LOCKSTEP_BATCH points or more is solved in lockstep, a smaller one
+    point by point; both give the same roots and errors.
     """
     if len(points) < _LOCKSTEP_BATCH:
         return _roots_pointwise(params, points)
-    N, counts = _roots_in_lockstep(params, points)
-    N, ends = N.tolist(), np.cumsum(counts).tolist()
-    return [tuple(N[i:j]) for i, j in zip([0, *ends], ends)]
+    return _roots_in_lockstep(params, points)
 
 
 def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
@@ -532,22 +523,19 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     """
     points = _batch_points(params, Delta0, A_l)
     Delta0, A_l = np.array(points, dtype=float).reshape(-1, 2).T
-    if len(points) < _LOCKSTEP_BATCH:
-        roots = _roots_pointwise(params, points)
-        columns = list(zip(*_fixed_points(params, points, roots))) or [()] * 5
-        alpha_s, beta_s, N_o, Delta_eff, stable = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(columns, (complex, complex, float, float, bool))
-        )
-        point = np.repeat(np.arange(len(points)), list(map(len, roots)))
+    N_o, counts = _roots_at(params, points)
+    point = np.repeat(np.arange(len(points)), counts)
+    Delta0, A_l = Delta0[point], A_l[point]
+    if len(points) < _LOCKSTEP_BATCH:  # Python floats, for CPython's complex arithmetic
+        columns = _fixed_points(params, Delta0.tolist(), A_l.tolist(), N_o.tolist())
     else:
-        N_o, counts = _roots_in_lockstep(params, points)
-        point = np.repeat(np.arange(len(points)), counts)
-        alpha_s, beta_s, Delta_eff, stable = _fixed_point_columns(
-            params, Delta0[point], A_l[point], N_o
-        )
+        columns = _fixed_point_columns(params, Delta0, A_l, N_o)
+    alpha_s, beta_s, Delta_eff, stable = (
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(columns, (complex, complex, float, bool))
+    )
     return SteadyStateGrid(
-        Delta0=Delta0[point], A_l=A_l[point], point=point,
+        Delta0=Delta0, A_l=A_l, point=point,
         branch=np.arange(point.size) - np.searchsorted(point, point),
         N_o=N_o, alpha_s=alpha_s, beta_s=beta_s, Delta_eff=Delta_eff, stable=stable,
     )
@@ -556,15 +544,19 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
 def solve_intracavity_occupancy(params: SystemParams) -> tuple[float, ...]:
     """All real roots N of the steady-state cubic, ascending (see the module docstring)."""
     validate_params(params)
-    return _roots_at(params, [(params.Delta0, params.A_l)])[0]
+    return _occupancy_roots(
+        *_y_inputs(params, params.Delta0, params.A_l), params.Delta0, params.kappa
+    )
 
 
 def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     """All classical fixed points, in ascending photon number."""
-    roots = solve_intracavity_occupancy(params)
-    return tuple(
-        SteadyState(*f) for f in _fixed_points(params, [(params.Delta0, params.A_l)], [roots])
+    N = solve_intracavity_occupancy(params)
+    n = len(N)
+    alpha_s, beta_s, Delta_eff, stable = _fixed_points(
+        params, [params.Delta0] * n, [params.A_l] * n, N
     )
+    return tuple(map(SteadyState, alpha_s, beta_s, N, Delta_eff, stable))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +653,9 @@ def hysteresis_traces(
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 1:
         raise ValueError("detunings must be a non-empty 1-D grid")
-    roots = _roots_at(params, _batch_points(params, detunings, params.A_l))
+    N, counts = _roots_at(params, _batch_points(params, detunings, params.A_l))
+    N, ends = N.tolist(), np.cumsum(counts).tolist()
+    roots = [N[i:j] for i, j in zip([0, *ends], ends)]
     up = _continue_from(roots[0][0], roots[1:])
     down = _continue_from(roots[-1][-1], roots[-2::-1])
     return np.array(up), np.array(down[::-1])

@@ -80,12 +80,13 @@ def symplectic_form() -> np.ndarray:
     return np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
 
 
-def _drift_entries(
-    kappa: float, gamma: float, omega_m: float, Delta: float, g: complex
-) -> tuple[float, ...]:
-    """The 16 drift-matrix entries, row by row, as Python numbers."""
-    g = complex(g)
-    g_r, g_i = g.real, g.imag
+def _drift_entries(kappa, gamma, omega_m, Delta, g_r, g_i) -> tuple:
+    """The 16 entries of the drift matrix A of the module docstring, row by row.
+
+    g_r and g_i are Re g and Im g.  The one owner of A's layout: Python
+    numbers give Python numbers, and arrays of roots (Delta, g_r, g_i) give
+    entries that broadcast to their shape, one matrix per root.
+    """
     return (
         -kappa / 2.0, -Delta, -2.0 * g_i, 0.0,
         Delta, -kappa / 2.0, 2.0 * g_r, 0.0,
@@ -98,7 +99,7 @@ def drift_matrix_from_rates(
     kappa: float, gamma: float, omega_m: float, Delta: float, g: complex
 ) -> np.ndarray:
     """Drift matrix A for explicit rates and field-enhanced coupling g."""
-    return np.array(_drift_entries(kappa, gamma, omega_m, Delta, g)).reshape(4, 4)
+    return np.array(_drift_entries(kappa, gamma, omega_m, Delta, g.real, g.imag)).reshape(4, 4)
 
 
 def drift_matrix(params: SystemParams, steady: SteadyState) -> np.ndarray:
@@ -272,7 +273,10 @@ def integrate_covariance(
 
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
-    read off A (kappa, gamma, omega_m, |Delta|).  D has steady_covariance's
+    read off A (kappa, gamma, omega_m, |Delta|).  The coupling g is not one
+    of them: an unstable A with |g| far above those rates can take steps
+    outside RK4's stability region, and the time its DivergenceError names
+    then depends on rounding.  D has steady_covariance's
     contract, and V0 the same one (_checked_symmetric: 4x4, finite and
     symmetric).  V is carried as its 10 upper-triangle entries, so every
     sample is exactly symmetric.  The ODE is linear with constant

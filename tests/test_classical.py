@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -157,6 +158,8 @@ FAR_DETUNED = (
         A_l=1.9470261933618974e+39, omega_m=0.20057192093890172,
     ),
 )
+# gamma^2/4 + omega_m^2 underflows to 0, so C has no float value
+TINY_RATES = SystemParams(kappa=0.15, gamma=1e-200, g0=0.005, Delta0=0.0, A_l=1.0, omega_m=1e-200)
 # t = 4 A_l^2 C = 1.6e308 is finite, but the terms of g / 4 at its root overflow
 TERMS_OVERFLOW = dataclasses.replace(FIG5, g0=4.5e153, A_l=1.0, omega_m=1.0, Delta0=-3e102)
 # t within 2x of the float maximum: S_y = 4 y^3 + ... + t overflows at the root,
@@ -364,6 +367,21 @@ class TestCubic:
             steady_states(TERMS_OVERFLOW)
         assert "tolerance inf" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            steady_states,
+            cubic_discriminant,
+            lambda p: steady_state_grid(p, p.Delta0, p.A_l),
+            lambda p: steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l),
+            lambda p: hysteresis_traces(p, np.linspace(-0.3, 0.3, 3)),
+        ],
+        ids=["steady_states", "cubic_discriminant", "grid-1", "grid-lockstep", "hysteresis"],
+    )
+    def test_underflowing_pull_denominator_is_simulation_error(self, solve):
+        with pytest.raises(SimulationError, match="steady-state cubic overflows"):
+            solve(TINY_RATES)
+
     def test_roots_match_np_roots_oracle(self):
         # seeded physical draws, monostable and bistable, against np.roots
         rng = np.random.default_rng(20261018)
@@ -389,7 +407,10 @@ class TestCubic:
         checked = three = 0
         for g0 in (0.0, 0.005, 0.01):
             p = dataclasses.replace(FIG5, g0=g0)
-            for (d, a), roots in zip(points, _roots_at(p, points)):
+            N, counts = _roots_at(p, points)
+            N, ends = N.tolist(), np.cumsum(counts).tolist()
+            for (d, a), i, j in zip(points, [0, *ends], ends):
+                roots = tuple(N[i:j])
                 checked += _check_against_oracle(dataclasses.replace(p, Delta0=d, A_l=a), roots)
                 three += len(roots) == 3
         assert checked >= 850 and three >= 20
@@ -845,10 +866,8 @@ class TestArrayFixedPoints:
             (0.0, 1.0, 5e-324, 1e-300, 123.4),
         )
         D, A, N = (np.array(column) for column in zip(*values))
-        points = list(zip(D.tolist(), A.tolist()))
-        fields = list(zip(*_fixed_points(p, points, [(n,) for n in N.tolist()])))
-        dtypes = ((0, complex), (1, complex), (3, float), (4, bool))
-        want = [np.array(fields[k], dtype=dtype) for k, dtype in dtypes]
+        columns = _fixed_points(p, D.tolist(), A.tolist(), N.tolist())
+        want = [np.array(c, dtype=t) for c, t in zip(columns, (complex, complex, float, bool))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _fixed_point_columns(p, D, A, N)
@@ -1024,9 +1043,14 @@ class TestHysteresis:
         assert np.max(jumps) > 10 * np.median(jumps[jumps > 0])
 
     def test_traces_equal_both_sweeps(self):
+        # the 301-point grids are solved in lockstep, the short ones point by point
         p = dataclasses.replace(FIG5, g0=0.005)
         for grid in (self.GRID, self.GRID[::-1], self.GRID[:1], self.GRID[:2]):
-            up, down = hysteresis_traces(p, grid)
+            lockstep = mock.patch.object(
+                classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
+            )
+            with lockstep if grid.size >= _LOCKSTEP_BATCH else contextlib.nullcontext():
+                up, down = hysteresis_traces(p, grid)
             assert (up.tolist(), down.tolist()) == _continuation_reference(p, grid)
             assert up.shape == down.shape == grid.shape
 

@@ -621,6 +621,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and "Delta0 = 1e+155" in err
 
+    def test_underflowing_rates_are_2(self, tmp_path, capsys):
+        # gamma^2/4 + omega_m^2 underflows to 0: C has no value
+        config = write_config(
+            tmp_path, command="steady", grids={}, output_dir=str(tmp_path / "out"),
+            overrides={"params.gamma": 1e-200, "params.omega_m": 1e-200},
+        )
+        assert main([str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("numerical error: steady-state cubic overflows")
+
     @pytest.mark.parametrize("command", ["damping", "spring"])
     def test_closed_form_overflow_is_2_without_warning(self, tmp_path, capsys, command):
         config = write_config(
