@@ -131,14 +131,15 @@ def thermal_covariance(n_th: float) -> np.ndarray:
 
 # Upper-triangle index pairs (i <= j, row-major): a symmetric V as 10 numbers.
 _TRIU = np.triu_indices(4)
+# Row-major positions of those entries in a 4x4 matrix, and of their mirror images.
+_UPPER, _LOWER = (4 * _TRIU[0] + _TRIU[1]).tolist(), (4 * _TRIU[1] + _TRIU[0]).tolist()
+# The upper-triangle coordinate of each of the 16 entries, row by row.
+_SYMMETRIC = np.array([0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9])
 
 
 def _unpacked(w: np.ndarray) -> np.ndarray:
-    """Symmetric 4x4 matrices from their 10 upper-triangle entries (last axis of w)."""
-    V = np.empty(w.shape[:-1] + (4, 4))
-    V[..., _TRIU[0], _TRIU[1]] = w
-    V[..., _TRIU[1], _TRIU[0]] = w
-    return V
+    """Symmetric 4x4 matrices gathered from their 10 upper-triangle entries (last axis of w)."""
+    return w[..., _SYMMETRIC].reshape(w.shape[:-1] + (4, 4))
 
 
 def _lyapunov_coefficients() -> np.ndarray:
@@ -167,24 +168,29 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
 
 
-def _checked_symmetric(X, name: str) -> np.ndarray:
-    """X as a float array; ValueError unless it is 4x4, finite and symmetric to 1e-12."""
+def _checked_symmetric(X, name: str) -> tuple[np.ndarray, list[float]]:
+    """X as a float array and its 16 entries row by row (one X.tolist()).
+
+    ValueError unless X is 4x4, finite and symmetric to 1e-12 on each mirrored
+    pair, which for finite entries is max|X - X^T| <= 1e-12.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4 (got shape {X.shape})")
-    if not np.all(np.isfinite(X)):
+    x = X.ravel().tolist()
+    if not all(map(math.isfinite, x)):
         raise ValueError(f"{name} must have finite entries")
-    if not np.max(np.abs(X - X.T)) <= 1e-12:
+    if not all(abs(x[i] - x[j]) <= 1e-12 for i, j in zip(_UPPER, _LOWER)):
         raise ValueError(f"{name} must be symmetric")
-    return X
+    return X, x
 
 
-def _checked_system(A, D) -> tuple[np.ndarray, np.ndarray]:
-    """A and D as float arrays; ValueError unless A is 4x4 and D passes _checked_symmetric."""
+def _checked_system(A, D) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """A and D as float arrays and D's entries (_checked_symmetric); ValueError unless A is 4x4."""
     A = np.asarray(A, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"A must be 4x4 (got shape {A.shape})")
-    return A, _checked_symmetric(D, "D")
+    return (A, *_checked_symmetric(D, "D"))
 
 
 def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -201,25 +207,23 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     the solve itself failed: a singular system, a V that overflows or a
     residual above tolerance.
     """
-    A, D = _checked_system(A, D)
+    A, D, d = _checked_system(A, D)
     if not routh_hurwitz_stable(A):
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"
         )
     try:
-        w = np.linalg.solve(_lyapunov_operator(A), -D[_TRIU])
+        w = np.linalg.solve(_lyapunov_operator(A), [-d[k] for k in _UPPER])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Lyapunov system is singular: {exc}") from exc
-    V = _unpacked(w)
-    if not np.all(np.isfinite(V)):
+    if not all(map(math.isfinite, w.tolist())):  # V's entries are w's
         raise SingularSystemError("steady covariance overflows (an entry of V is not finite)")
-    residual = A @ V + V @ A.T + D
-    scale = max(1.0, float(np.max(np.abs(D))))
-    if np.max(np.abs(residual)) > 1e-8 * scale:
+    V = _unpacked(w)
+    worst = np.max(np.abs(A @ V + V @ A.T + D))
+    if worst > 1e-8 * max(1.0, max(map(abs, d))):
         raise SingularSystemError(
-            "Lyapunov solve did not meet the residual tolerance "
-            f"(max residual {np.max(np.abs(residual)):.3e})"
+            f"Lyapunov solve did not meet the residual tolerance (max residual {worst:.3e})"
         )
     return V
 
@@ -289,8 +293,8 @@ def integrate_covariance(
     trajectory with a non-finite sample raises DivergenceError naming the
     first such time.
     """
-    A, D = _checked_system(A, D)
-    V0 = _checked_symmetric(V0, "V0")
+    A, D, _ = _checked_system(A, D)
+    V0, _ = _checked_symmetric(V0, "V0")
     fastest = max(abs(rate) for rate in _drift_rates(A))
     times = step_times(t_end, dt, fastest)
     L = _lyapunov_operator(A)
@@ -329,17 +333,11 @@ def quadrature_variances(V: np.ndarray) -> QuadratureVariances:
     V = np.asarray(V, dtype=float)
     if V.shape != (4, 4):
         raise ValueError(f"V must be 4x4 (got shape {V.shape})")
-    diag = np.diag(V)
+    diag = V.diagonal().tolist()
     squeezed = tuple(
         name for name, v in zip(QUADRATURE_NAMES, diag) if v < 0.5 - _SQUEEZE_GUARD
     )
-    return QuadratureVariances(
-        var_x=float(diag[0]),
-        var_y=float(diag[1]),
-        var_q=float(diag[2]),
-        var_p=float(diag[3]),
-        squeezed=squeezed,
-    )
+    return QuadratureVariances(*diag, squeezed=squeezed)
 
 
 _HALF_I_OMEGA = 0.5j * symplectic_form()
@@ -348,8 +346,7 @@ _HALF_I_OMEGA = 0.5j * symplectic_form()
 def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state."""
     V = np.asarray(V, dtype=float)
-    H = V.astype(complex) + _HALF_I_OMEGA
-    return float(np.min(np.linalg.eigvalsh(H)))
+    return float(np.min(np.linalg.eigvalsh(V + _HALF_I_OMEGA)))
 
 
 def rwa_interaction(

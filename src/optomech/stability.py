@@ -60,26 +60,29 @@ def _polynomial(a):
     return a1, a2, a3, a4, a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4
 
 
+def _scaled_matrix(m):
+    """(_polynomial of m 2^-e, e) of one matrix m given as 16 Python floats."""
+    if not all(map(math.isfinite, m)):
+        raise ValueError("A must have finite entries")
+    e = math.frexp(max(map(abs, m)))[1]
+    s = [math.ldexp(x, -e) for x in m]
+    return _polynomial((s[0:4], s[4:8], s[8:12], s[12:16])), e
+
+
 def _scaled(A):
     """_polynomial of every A 2^-e, the exponents e, and the stack shape.
 
-    Small stacks (and one matrix) are scaled per matrix on Python floats and
-    give a list of per-matrix tuples and a list of exponents; large stacks
-    give an array whose last axis holds the five values, and an array of
-    exponents.  Both give the same bits.
+    Small stacks (and one matrix) are scaled per matrix on Python floats
+    (_scaled_matrix) and give a list of per-matrix tuples and a list of
+    exponents; large stacks give an array whose last axis holds the five
+    values, and an array of exponents.  Both give the same bits.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
     if A.size <= 16 * _PER_MATRIX_STACK:
-        values, e = [], []
-        for m in A.reshape(-1, 16).tolist():
-            if not all(map(math.isfinite, m)):
-                raise ValueError("A must have finite entries")
-            e.append(math.frexp(max(map(abs, m)))[1])
-            s = [math.ldexp(x, -e[-1]) for x in m]
-            values.append(_polynomial((s[0:4], s[4:8], s[8:12], s[12:16])))
-        return values, e, A.shape[:-2]
+        scaled = [_scaled_matrix(m) for m in A.reshape(-1, 16).tolist()]
+        return [v for v, _ in scaled], [e for _, e in scaled], A.shape[:-2]
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1)))[1]
@@ -128,18 +131,22 @@ def routh_hurwitz_stable(A):
     stable.  A stack of matrices gives a boolean array.  The verdict reads
     the signs of the scaled quantities, exact even where the unscaled ones
     overflow, or of exact rational ones where a scaled one is below 2^-1022.
+    A small stack (and one matrix) reads each verdict straight from the
+    matrix's entries in one tolist() (_scaled_matrix, shared with _scaled).
     """
-    values, _, shape = _scaled(A)
-    if isinstance(values, list):
-        q = [(a1, a3, a4, h) for a1, _, a3, a4, h in values]
+    A = np.asarray(A, dtype=float)
+    if A.shape[-2:] == (4, 4) and A.size <= 16 * _PER_MATRIX_STACK:
+        matrices = A.reshape(-1, 16).tolist()
+        q = [(a1, a3, a4, h) for (a1, _, a3, a4, h), _ in map(_scaled_matrix, matrices)]
         verdicts = [min(v) > 0 for v in q]
         tiny = [k for k, v in enumerate(q) if min(map(abs, v)) < _NORMAL]
-    else:
-        q = values[..., [0, 2, 3, 4]].reshape(-1, 4)
+    else:  # a large stack, or a shape that _scaled rejects
+        q = _scaled(A)[0][..., [0, 2, 3, 4]].reshape(-1, 4)
+        matrices = A.reshape(-1, 16)
         verdicts = np.all(q > 0, axis=-1)
         tiny = np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1))
     for k in tiny:  # a quantity below the normal range may have lost its sign
-        rows = np.reshape(A, (-1, 4, 4))[k].tolist()
-        a1, _, a3, a4, h = _polynomial([[Fraction(x) for x in row] for row in rows])
+        f = [Fraction(x) for x in matrices[k]]
+        a1, _, a3, a4, h = _polynomial((f[0:4], f[4:8], f[8:12], f[12:16]))
         verdicts[k] = a1 > 0 and a3 > 0 and a4 > 0 and h > 0
-    return verdicts[0] if shape == () else np.array(verdicts, dtype=bool).reshape(shape)
+    return verdicts[0] if A.ndim == 2 else np.array(verdicts, dtype=bool).reshape(A.shape[:-2])
