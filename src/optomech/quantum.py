@@ -228,27 +228,30 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return V
 
 
-def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float]:
-    """(kappa, gamma, omega_m, Delta) read off a matrix with the drift layout.
+def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(kappa, gamma, omega_m, Delta, 2|g|) read off a matrix with the drift layout.
 
     The layout is the one in the module docstring: zeros at (0, 3), (1, 3),
     (2, 0) and (2, 1), equal diagonal pairs A[0, 0] = A[1, 1] and
-    A[2, 2] = A[3, 3], and the antisymmetric pairs A[1, 0] = -A[0, 1]
-    (Delta) and A[2, 3] = -A[3, 2] (omega_m), each to 1e-12 max|A|.  Any
-    other matrix raises ValueError, because its rates cannot be read off.
+    A[2, 2] = A[3, 3], the antisymmetric pairs A[1, 0] = -A[0, 1]
+    (Delta) and A[2, 3] = -A[3, 2] (omega_m), and the coupling pairs
+    A[3, 0] = A[1, 2] (2 g_R) and A[3, 1] = -A[0, 2] (2 g_I), each to
+    1e-12 max|A|.  Any other matrix raises ValueError, because its rates
+    cannot be read off.
     """
     tol = 1e-12 * float(np.max(np.abs(A)))
     gaps = (
         A[0, 3], A[1, 3], A[2, 0], A[2, 1],
         A[0, 0] - A[1, 1], A[2, 2] - A[3, 3],
         A[1, 0] + A[0, 1], A[2, 3] + A[3, 2],
+        A[3, 0] - A[1, 2], A[3, 1] + A[0, 2],
     )
     if not all(abs(gap) <= tol for gap in gaps):
         raise ValueError(
             "A must have the drift-matrix layout (see optomech.quantum) so that "
-            "kappa, gamma, omega_m and Delta can be read off for the step bound"
+            "kappa, gamma, omega_m, Delta and g can be read off for the step bound"
         )
-    return -2.0 * A[0, 0], -2.0 * A[2, 2], A[2, 3], A[1, 0]
+    return -2.0 * A[0, 0], -2.0 * A[2, 2], A[2, 3], A[1, 0], math.hypot(A[3, 0], A[3, 1])
 
 
 def _rk4_affine_map(L: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +280,8 @@ def integrate_covariance(
 
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
-    read off A (kappa, gamma, omega_m, |Delta|).  The coupling g is not one
-    of them: an unstable A with |g| far above those rates can take steps
-    outside RK4's stability region, and the time its DivergenceError names
-    then depends on rounding.  D has steady_covariance's
-    contract, and V0 the same one (_checked_symmetric: 4x4, finite and
+    read off A (kappa, gamma, omega_m, |Delta| and 2|g|).  D has
+    steady_covariance's contract, and V0 the same one (_checked_symmetric: 4x4, finite and
     symmetric).  V is carried as its 10 upper-triangle entries, so every
     sample is exactly symmetric.  The ODE is linear with constant
     coefficients, so one RK4 step is a fixed affine map w -> P w + q on

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -1531,6 +1532,31 @@ class TestStaticPotential:
             with pytest.raises(ValueError, match="share"):
                 static_equilibria([base, other], self.X)
         assert static_equilibria([], self.X) == []
+
+    def test_far_from_zero_bisection_ends_at_float_resolution(self):
+        # at x ~ 1e12 wavelengths one float step (1.2e-4) is wider than 1e-10
+        # wavelengths, the width the bisection otherwise ends at
+        x = 1e12 + np.array([-0.25, 0.0, 0.25])
+        models = [lorentzian_comb_model(1e-18, F0, 1.0, 10.0, x[0], x[-1]) for F0 in (1e-5, 2e-5)]
+        for model, (eq, k) in zip(models, static_equilibria(models, x)):
+            assert eq.size == 1 and x[0] < eq[0] < x[-1] and k[0] > 0
+            step = 2.0 * np.spacing(eq[0])
+            below, above = (model.k_HO * p - radiation_force(model, p)[0] for p in eq[0] + [-step, step])
+            assert below < 0 < above
+
+    def test_comb_size_is_capped(self):
+        # 2 W + 21 resonances for a window of W wavelengths starting on a resonance
+        cap = classical._MAX_COMB_RESONANCES
+        widest = (cap - 21) / 2
+        assert len(lorentzian_comb_model(1.0, 1.0, 1.0, 10.0, 0.0, widest).x_res) == cap
+        for x_max, wavelengths in ((widest + 0.5, f"{widest + 0.5:g}"), (5e4, "50000"),
+                                   (1.7e308, "1.7e+308")):
+            with pytest.raises(ValueError, match=re.escape(
+                f"x window of {wavelengths} wavelengths needs more than the {cap} comb resonances"
+            )):
+                lorentzian_comb_model(1.0, 1.0, 1.0, 10.0, 0.0, x_max)
+        with pytest.raises(ValueError, match="inf wavelengths"):  # both ends beyond the index range
+            lorentzian_comb_model(1.0, 1.0, 1.0, 10.0, -1.7e308, 1.7e308)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from optomech.cli import (
     main,
     run_command,
     spec_to_config,
+    write_tables,
 )
 from optomech.errors import ConfigError
 from optomech import classical
@@ -70,11 +71,18 @@ def valid_runs(draw):
         elif name == "t":
             start, stop = 0.0, draw(log_uniform(1e-6, 1e3))
         elif name == "x":
-            start, stop = -2.2, 2.2  # the command requires a comb resonance inside
+            # a window of 0.1 wavelengths up to the comb's cap around a resonance
+            # (one per half wavelength) up to 1e12 wavelengths from x = 0
+            resonance = round(2.0 * draw(or_zero(signed_log_uniform(0.5, 1e12)))) / 2.0
+            span = draw(log_uniform(0.1, (classical._MAX_COMB_RESONANCES - 23) / 2.0))
+            start = resonance - span * draw(st.floats(0.0, 1.0))
+            stop = start + span
         else:
             start, stop = 0.0, draw(log_uniform(1e-6, 1e6))
         grids[name] = {"start": start, "stop": stop, "count": draw(st.integers(2, 5))}
-    return command, draw(VALID_PARAMS), grids
+    params = draw(VALID_PARAMS)
+    params["n_th"] = draw(or_zero(log_uniform(1e-3, 1e300)))
+    return command, params, grids
 
 
 def write_config(tmp_path, overrides=None, **replace):
@@ -669,6 +677,14 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_comb_beyond_the_cap_is_1(self, tmp_path, capsys):
+        # 2 x 10^5 comb resonances: a config error before any comb is built
+        config = self.static_potential_config(tmp_path, (-5e4, 5e4), (0.0, 1.0))
+        assert main([str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "100000 wavelengths" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_negative_force_grid_is_1(self, tmp_path, capsys):
         config = self.static_potential_config(tmp_path, (-2.2, 2.2), (-1.0, 1.0))
         assert main([str(config), "--quiet"]) == 1
@@ -893,3 +909,71 @@ class TestBenchSnapshot:
         assert script.main([str(path), "--revision", "aaaa", "--output", str(out)]) == 2
         assert not out.exists()
         assert "2 different environments" in capsys.readouterr().err
+
+
+class TestBenchOracles:
+    """The CLI's tables and the scalar cooling chain against bench/oracles.py.
+
+    The oracles rebuild every checked quantity with numpy and scipy
+    references and never import optomech.
+    """
+
+    # golden configs whose commands bench/oracles.check_commands covers
+    COVERED = ("stability_map", "bistability", "hysteresis", "static_potential",
+               "mean_field", "covariance")
+
+    @staticmethod
+    def load_bench(monkeypatch):
+        import importlib.util
+
+        modules = {}
+        for name in ("oracles", "inputs"):  # inputs imports oracles by name
+            path = CONFIG_DIR.parent / "bench" / f"{name}.py"
+            spec = importlib.util.spec_from_file_location(name, path)
+            modules[name] = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, modules[name])
+            spec.loader.exec_module(modules[name])
+        return modules["oracles"], modules["inputs"]
+
+    @staticmethod
+    def cooling_point(params, Delta0, A_l):
+        """One cooling-scan point through the scalar library API, as the bench runs it."""
+        from optomech import quantum
+
+        params = dataclasses.replace(params, Delta0=Delta0, A_l=A_l)
+        state = next(s for s in classical.steady_states(params) if s.stable)
+        V = quantum.steady_covariance(
+            quantum.drift_matrix(params, state), quantum.diffusion_matrix(params))
+        variances = quantum.quadrature_variances(V)
+        upper = [V[i, j] for i in range(4) for j in range(i, 4)]
+        return [Delta0, A_l, state.N_o] + upper + [variances.var_q, quantum.physicality_min_eig(V)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cooling_scan_matches_the_oracle(self, tmp_path, monkeypatch, seed):
+        oracles, inputs = self.load_bench(monkeypatch)
+        generated = inputs.generate("cooling-scan", seed)
+        config, grid = generated["configs"]["cooling"], generated["cooling_grid"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        params = load_config(path).params
+        rows = [
+            self.cooling_point(params, d, a)
+            for d in np.linspace(*grid["Delta0"][:2], grid["Delta0"][2]).tolist()
+            for a in np.linspace(*grid["A_l"][:2], grid["A_l"][2]).tolist()
+        ]
+        data = np.array(rows)
+        columns = {name: data[:, k] for k, name in enumerate(oracles.COOLING_COLUMNS)}
+        emit_csv(ResultTable("cooling", columns), tmp_path / "cooling.csv")
+        problems, failed = oracles.check_cooling(config, grid, tmp_path / "cooling.csv")
+        assert problems == [] and failed == set()
+        assert len(rows) == grid["Delta0"][2] * grid["A_l"][2]
+
+    def test_golden_commands_match_the_oracles(self, tmp_path, monkeypatch):
+        oracles, _ = self.load_bench(monkeypatch)
+        configs = {}
+        for name in self.COVERED:
+            path = CONFIG_DIR / f"{name}.json"
+            configs[name] = json.loads(path.read_text())
+            write_tables(run_command(load_config(path)), tmp_path / name, quiet=True)
+        assert oracles.check_commands(configs, tmp_path) == {name: [] for name in self.COVERED}
+

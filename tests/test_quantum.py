@@ -405,6 +405,21 @@ class TestIntegrateCovariance:
         with pytest.raises(StepSizeError):
             integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.06)
 
+    def test_step_bound_reads_the_coupling(self):
+        # 2|g| = 10 is the fastest rate: dt = 0.05 / omega_m is 10 times past the bound
+        A = drift_matrix_from_rates(0.15, 0.005, 1.0, -1.0, complex(3.0, 4.0))
+        D = np.diag([0.075, 0.075, 0.005, 0.005])
+        with pytest.raises(StepSizeError, match="fastest rate 10"):
+            integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.05)
+        assert integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.005).t.size == 201
+
+    @pytest.mark.parametrize("entry", [(3, 0), (1, 2), (3, 1), (0, 2)])
+    def test_rejects_unpaired_coupling(self, entry):
+        A, D = self.sample()
+        A[entry] += 1e-3
+        with pytest.raises(ValueError, match="drift-matrix layout"):
+            integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_v0_rejected(self, value):
         A, D = self.sample()
