@@ -220,7 +220,7 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     if not all(map(math.isfinite, w.tolist())):  # V's entries are w's
         raise SingularSystemError("steady covariance overflows (an entry of V is not finite)")
     V = _unpacked(w)
-    worst = np.max(np.abs(A @ V + V @ A.T + D))
+    worst = np.abs(A @ V + V @ A.T + D).max()
     if worst > 1e-8 * max(1.0, max(map(abs, d))):
         raise SingularSystemError(
             f"Lyapunov solve did not meet the residual tolerance (max residual {worst:.3e})"
@@ -346,7 +346,7 @@ _HALF_I_OMEGA = 0.5j * symplectic_form()
 def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state."""
     V = np.asarray(V, dtype=float)
-    return float(np.min(np.linalg.eigvalsh(V + _HALF_I_OMEGA)))
+    return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA).min())
 
 
 def rwa_interaction(
