@@ -281,8 +281,9 @@ def integrate_covariance(
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
     read off A (kappa, gamma, omega_m, |Delta| and 2|g|).  D has
-    steady_covariance's contract, and V0 the same one (_checked_symmetric: 4x4, finite and
-    symmetric).  V is carried as its 10 upper-triangle entries, so every
+    steady_covariance's contract, and V0 the same one (_checked_symmetric:
+    4x4, finite and symmetric).  V is carried as its 10 upper-triangle
+    entries, so every
     sample is exactly symmetric.  The ODE is linear with constant
     coefficients, so one RK4 step is a fixed affine map w -> P w + q on
     those entries: it is built once for dt (and once more when the final
