@@ -179,7 +179,7 @@ def random_system(rng):
     g = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-4, 0.5)
     A = drift_matrix_from_rates(kappa, gamma, omega_m, Delta, g)
     if rng.random() < 0.5:
-        n_th = 10.0 ** rng.uniform(-3, 3)
+        n_th = 10.0 ** rng.uniform(-3, 12)
         D = np.diag([kappa / 2, kappa / 2, gamma * (n_th + 0.5), gamma * (n_th + 0.5)])
     else:
         B = rng.standard_normal((4, 4))
