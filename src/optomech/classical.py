@@ -814,7 +814,8 @@ def integrate_mean_field(
 
     dt must satisfy dt <= 0.05 / max(kappa, gamma, omega_m, |Delta0|); a
     trajectory whose field amplitude exceeds 1e12 aborts with
-    DivergenceError.
+    DivergenceError.  The bound leaves out the coupling rate g0 |alpha|,
+    because |alpha| is not known before the run.
     """
     validate_params(params)
 
