@@ -682,7 +682,8 @@ class TestExitCodes:
         config = self.static_potential_config(tmp_path, (-5e4, 5e4), (0.0, 1.0))
         assert main([str(config), "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:") and "100000 wavelengths" in err[0]
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "100000 wavelengths" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_negative_force_grid_is_1(self, tmp_path, capsys):

@@ -172,6 +172,11 @@ def assert_same(got, want):
     assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
 
+def assert_matches(f, ref, *args):
+    """f(*args) and the reference ref(*args) have the same outcome."""
+    assert_same(outcome(f, *args), reference(ref, *args))
+
+
 def random_system(rng):
     """A drift-layout A (stable or not, some far detuned) and a diffusion D."""
     kappa, gamma, omega_m = 10.0 ** rng.uniform(-3, 1, 3)
@@ -199,11 +204,11 @@ def test_random_drift_systems_give_the_same_bits():
         kinds.add(got[0])
         if got[0] == "ok":
             V = got[1]
-            assert_same(outcome(quadrature_variances, V), reference(reference_quadrature_variances, V))
-            assert_same(outcome(physicality_min_eig, V), reference(reference_physicality_min_eig, V))
+            assert_matches(quadrature_variances, reference_quadrature_variances, V)
+            assert_matches(physicality_min_eig, reference_physicality_min_eig, V)
             w = V[_TRIU]
             assert_same(("ok", _unpacked(w)), ("ok", reference_unpacked(w)))
-        assert_same(outcome(routh_hurwitz_stable, A), reference(reference_routh_hurwitz_stable, A))
+        assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
     assert {"ok", UnstableSystemError} <= kinds  # some far-detuned solves miss the residual too
     assert 0.5 < np.mean([routh_hurwitz_stable(A) for A in matrices]) < 0.9
     # far-detuned matrices whose scaled quantities underflow take the exact verdict
@@ -218,7 +223,7 @@ def test_random_drift_systems_give_the_same_bits():
         stack = stacks[start : start + count]
         start += count
         for A in (stack, stack.reshape((1,) + stack.shape)):
-            assert_same(outcome(routh_hurwitz_stable, A), reference(reference_routh_hurwitz_stable, A))
+            assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
 
 
 def test_unpacked_stacks_give_the_same_bits():
@@ -280,11 +285,11 @@ def test_singular_system_keeps_type_and_message(monkeypatch):
 def test_rejected_or_odd_covariances_match(V):
     for f, ref in ((quadrature_variances, reference_quadrature_variances),
                    (physicality_min_eig, reference_physicality_min_eig)):
-        assert_same(outcome(f, V), reference(ref, V))
+        assert_matches(f, ref, V)
 
 
 @pytest.mark.parametrize("A", [np.ones((4, 3)), np.ones(4), np.ones((2, 4)), np.ones((0, 4, 4)),
                                np.full((9, 4, 4), np.inf), with_entry(SAMPLE_A, (1, 1), np.nan)])
-def test_routh_hurwitz_rejections_match(A):
-    assert_same(outcome(routh_hurwitz_stable, A), reference(reference_routh_hurwitz_stable, A))
+def test_routh_hurwitz_odd_shapes_and_entries_match(A):
+    assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
 
