@@ -977,4 +977,3 @@ class TestBenchOracles:
             configs[name] = json.loads(path.read_text())
             write_tables(run_command(load_config(path)), tmp_path / name, quiet=True)
         assert oracles.check_commands(configs, tmp_path) == {name: [] for name in self.COVERED}
-
