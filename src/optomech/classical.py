@@ -52,7 +52,7 @@ import numpy as np
 from .errors import DivergenceError, PoleError, RootSolveError, SimulationError
 from .model import SteadyState, SystemParams, validate_params
 from .rk4 import step_times
-from .stability import routh_hurwitz_stable
+from .stability import _hurwitz_verdicts, routh_hurwitz_stable
 from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, sum of |terms|)
@@ -359,9 +359,10 @@ def _fixed_points(params: SystemParams, Delta0, A_l, N):
 
     Delta0, A_l and N hold one Python float per root, and each returned
     column is a list of Python numbers.  The amplitudes use the scalar
-    complex formulas; the drift entries of all roots go into one flat list,
-    made into one (n, 4, 4) stack for a single Routh-Hurwitz call.  This loop
-    is the reference that _fixed_point_columns reproduces bit for bit.
+    complex formulas; the drift entries of all roots go into one flat list of
+    floats, which takes all Routh-Hurwitz verdicts in one _hurwitz_verdicts
+    call.  This loop is the reference that _fixed_point_columns reproduces
+    bit for bit.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
     mech = gamma / 2.0 + 1j * omega_m
@@ -375,8 +376,7 @@ def _fixed_points(params: SystemParams, Delta0, A_l, N):
         beta.append(beta_s)
         detuning.append(Delta_eff)
         drift += quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, g.real, g.imag)
-    stable = routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
-    return alpha, beta, detuning, stable
+    return alpha, beta, detuning, _hurwitz_verdicts(drift)
 
 
 def _product(ar, ai, br, bi):

@@ -19,7 +19,8 @@ configuration as their metadata.  Every table is written as a CSV (17
 significant digits, LF line endings) plus a .meta.json sidecar that echoes
 that configuration, so any output directory can be re-run byte-identically
 from its own sidecar.  Every command is deterministic.  Exit codes:
-0 success, 1 configuration error, 2 numerical error, 3 I/O error.
+0 success, 1 configuration error (grids too large for memory included),
+2 numerical error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -437,6 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         "--quiet", action="store_true", help="suppress per-file log lines"
     )
     args = parser.parse_args(argv)
+    spec = None
     try:
         spec = load_config(args.config)
         if args.output_dir:
@@ -452,6 +454,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # grid counts have no upper bound, so a grid can exhaust memory
+        grids = spec.grids if spec is not None else {}
+        sizes = ", ".join(f"{name} with {grid.count} points" for name, grid in grids.items())
+        print(f"config error: out of memory (grids: {sizes or 'none'})", file=sys.stderr)
         return 1
     except SimulationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .model import SteadyState, SystemParams
 from .rk4 import step_times
-from .stability import routh_hurwitz_stable
+from .stability import _hurwitz_verdicts
 
 QUADRATURE_NAMES = ("X", "Y", "Q", "P")
 
@@ -121,7 +121,10 @@ def diffusion_matrix(params: SystemParams) -> np.ndarray:
             f"thermal diffusion gamma (n_th + 1/2) overflows at gamma = {params.gamma!r}, "
             f"n_th = {params.n_th!r}"
         )
-    return np.diag([params.kappa / 2.0, params.kappa / 2.0, mech, mech])
+    D = np.zeros((4, 4))
+    D[0, 0] = D[1, 1] = params.kappa / 2.0
+    D[2, 2] = D[3, 3] = mech
+    return D
 
 
 def thermal_covariance(n_th: float) -> np.ndarray:
@@ -208,7 +211,7 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     residual above tolerance.
     """
     A, D, d = _checked_system(A, D)
-    if not routh_hurwitz_stable(A):
+    if not _hurwitz_verdicts(A.ravel().tolist())[0]:
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"
@@ -345,9 +348,17 @@ _HALF_I_OMEGA = 0.5j * symplectic_form()
 
 
 def physicality_min_eig(V: np.ndarray) -> float:
-    """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state."""
+    """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state.
+
+    ValueError unless V is 4x4 with finite entries.  eigvalsh returns the
+    eigenvalues in ascending order, so the smallest is the first.
+    """
     V = np.asarray(V, dtype=float)
-    return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA).min())
+    if V.shape != (4, 4):
+        raise ValueError(f"V must be 4x4 (got shape {V.shape})")
+    if not all(map(math.isfinite, V.ravel().tolist())):
+        raise ValueError("V must have finite entries")
+    return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA)[0])
 
 
 def rwa_interaction(
@@ -363,14 +374,16 @@ def rwa_interaction(
     Delta = +omega_m the counter-rotating two-mode-squeezer terms dominate;
     otherwise neither resonance condition is met.  A linewidth wide enough
     to satisfy both conditions at once (kappa >= 2 omega_m) is rejected as
-    ambiguous.
+    ambiguous.  A non-finite Delta or g_s raises ValueError.
     """
+    if not math.isfinite(Delta):
+        raise ValueError(f"Delta must be finite (got {Delta!r})")
     if not omega_m > 0:
         raise ValueError(f"omega_m must be > 0 (got {omega_m!r})")
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0 (got {kappa!r})")
-    if g_s < 0:
-        raise ValueError(f"g_s must be >= 0 (got {g_s!r})")
+    if not (math.isfinite(g_s) and g_s >= 0):
+        raise ValueError(f"g_s must be finite and >= 0 (got {g_s!r})")
     half_linewidth = kappa / 2.0
     near_red = abs(Delta + omega_m) <= half_linewidth
     near_blue = abs(Delta - omega_m) <= half_linewidth

@@ -14,6 +14,11 @@ still underflow, and the verdict then comes from exact rationals).  Sums of
 minors, unlike the power-sum traces of Newton's identities, do not cancel
 when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
 mechanical frequency of 1 leaves no correct digit in a trace-based det A.
+
+Callers that already hold matrices as Python floats take their verdicts from
+_hurwitz_verdicts, which reads a flat list of 16 floats per matrix and gives
+a list of bools, with no numpy round trip for up to _PER_MATRIX_STACK
+matrices; routh_hurwitz_stable is the same entry for arrays.
 """
 
 from __future__ import annotations
@@ -124,6 +129,34 @@ def hurwitz_quantities(A):
     return _unscaled(A, [0, 2, 3, 4], [1, 3, 4, 6])
 
 
+def _exact_verdict(m):
+    """The verdict of one matrix of 16 Python floats, from exact rational quantities."""
+    f = [Fraction(x) for x in m]
+    a1, _, a3, a4, h = _polynomial((f[0:4], f[4:8], f[8:12], f[12:16]))
+    return a1 > 0 and a3 > 0 and a4 > 0 and h > 0
+
+
+def _hurwitz_verdicts(m):
+    """Routh-Hurwitz verdicts of n matrices given as one flat list m of 16 n Python floats.
+
+    The matrices follow one another in m, each row by row, and the verdicts
+    come back as a list of n bools.  Up to _PER_MATRIX_STACK matrices each is
+    scaled on Python floats (_scaled_matrix); a longer list takes the numpy
+    path of routh_hurwitz_stable.  Either way the verdicts are those of
+    routh_hurwitz_stable, and a non-finite entry raises its ValueError.
+    """
+    if len(m) > 16 * _PER_MATRIX_STACK:
+        return routh_hurwitz_stable(np.reshape(m, (-1, 4, 4))).tolist()
+    verdicts = []
+    for k in range(0, len(m), 16):
+        (a1, _, a3, a4, h), _ = _scaled_matrix(m[k : k + 16])
+        if min(abs(a1), abs(a3), abs(a4), abs(h)) < _NORMAL:  # may have lost its sign
+            verdicts.append(_exact_verdict(m[k : k + 16]))
+        else:
+            verdicts.append(a1 > 0 and a3 > 0 and a4 > 0 and h > 0)
+    return verdicts
+
+
 def routh_hurwitz_stable(A):
     """True iff every eigenvalue of the 4x4 matrix A has negative real part.
 
@@ -131,22 +164,15 @@ def routh_hurwitz_stable(A):
     stable.  A stack of matrices gives a boolean array.  The verdict reads
     the signs of the scaled quantities, exact even where the unscaled ones
     overflow, or of exact rational ones where a scaled one is below 2^-1022.
-    A small stack (and one matrix) reads each verdict straight from the
-    matrix's entries in one tolist() (_scaled_matrix, shared with _scaled).
+    A small stack (and one matrix) goes to _hurwitz_verdicts on its entries,
+    taken in one tolist().
     """
     A = np.asarray(A, dtype=float)
     if A.shape[-2:] == (4, 4) and A.size <= 16 * _PER_MATRIX_STACK:
-        matrices = A.reshape(-1, 16).tolist()
-        q = [(a1, a3, a4, h) for (a1, _, a3, a4, h), _ in map(_scaled_matrix, matrices)]
-        verdicts = [min(v) > 0 for v in q]
-        tiny = [k for k, v in enumerate(q) if min(map(abs, v)) < _NORMAL]
+        verdicts = _hurwitz_verdicts(A.ravel().tolist())
     else:  # a large stack, or a shape that _scaled rejects
         q = _scaled(A)[0][..., [0, 2, 3, 4]].reshape(-1, 4)
-        matrices = A.reshape(-1, 16)
         verdicts = np.all(q > 0, axis=-1)
-        tiny = np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1))
-    for k in tiny:  # a quantity below the normal range may have lost its sign
-        f = [Fraction(x) for x in matrices[k]]
-        a1, _, a3, a4, h = _polynomial((f[0:4], f[4:8], f[8:12], f[12:16]))
-        verdicts[k] = a1 > 0 and a3 > 0 and a4 > 0 and h > 0
+        for k in np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1)):  # as in _hurwitz_verdicts
+            verdicts[k] = _exact_verdict(A.reshape(-1, 16)[k].tolist())
     return verdicts[0] if A.ndim == 2 else np.array(verdicts, dtype=bool).reshape(A.shape[:-2])

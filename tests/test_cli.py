@@ -691,6 +691,19 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_grid_too_large_for_memory_is_1(self, tmp_path, capsys, monkeypatch):
+        # the handler stands in for numpy failing on a huge grid; nothing large is allocated
+        def out_of_memory(spec):
+            raise MemoryError
+
+        grids, _ = COMMANDS["static-potential"]
+        monkeypatch.setitem(COMMANDS, "static-potential", (grids, out_of_memory))
+        config = self.static_potential_config(tmp_path, (-2.2, 2.2), (0.0, 1.0))
+        assert main([str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: out of memory (grids: x with 50 points, F0 with 3 points)"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainOptions:
     def test_python_m_runs_without_warnings(self, tmp_path):

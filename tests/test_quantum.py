@@ -524,6 +524,19 @@ class TestPhysicality:
             ref = np.min(np.linalg.eigvalsh(V.astype(complex) + 0.5j * symplectic_form()))
             assert physicality_min_eig(V) == float(ref)
 
+    @pytest.mark.parametrize(
+        "V, message",
+        [
+            (np.full((4, 4), np.nan), "V must have finite entries"),  # was LinAlgError
+            (np.diag([np.inf, 1.0, 1.0, 1.0]), "V must have finite entries"),  # was nan
+            (np.eye(3), r"V must be 4x4 \(got shape \(3, 3\)\)"),  # was a broadcasting error
+            (np.eye(4)[None], r"V must be 4x4 \(got shape \(1, 4, 4\)\)"),
+        ],
+    )
+    def test_bad_covariance_rejected(self, V, message):
+        with pytest.raises(ValueError, match=message):
+            physicality_min_eig(V)
+
     def test_symplectic_form_is_antisymmetric(self):
         O = symplectic_form()
         np.testing.assert_array_equal(O, -O.T)
@@ -566,3 +579,11 @@ class TestRwaInteraction:
             rwa_interaction(-1.0, 1.0, 0.15, -0.05)
         with pytest.raises(ValueError):
             rwa_interaction(-1.0, 1.0, 0.0, 0.05)  # kappa = 0 leaves no tolerance
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_detuning_or_coupling_rejected(self, bad):
+        # a nan Delta used to read off_resonant, and a nan g_s came back in the report
+        with pytest.raises(ValueError, match="Delta must be finite"):
+            rwa_interaction(bad, 1.0, 0.15, 0.05)
+        with pytest.raises(ValueError, match="g_s must be finite and >= 0"):
+            rwa_interaction(-1.0, 1.0, 0.15, bad)

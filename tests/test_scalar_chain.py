@@ -1,12 +1,13 @@
 """The scalar covariance chain against copies of its earlier array form.
 
-steady_covariance, quadrature_variances, physicality_min_eig, _unpacked and
-routh_hurwitz_stable take their checks and conversions on Python floats.
-The reference_* functions below are the numpy forms they replaced, kept here
-verbatim: every output must have the same bits, and every rejected input the
-same exception type and message.
+steady_covariance, quadrature_variances, physicality_min_eig, _unpacked,
+routh_hurwitz_stable and its float entry _hurwitz_verdicts take their checks
+and conversions on Python floats.  The reference_* functions below are the
+numpy forms they replaced, kept here verbatim: every output must have the
+same bits, and every rejected input the same exception type and message.
 """
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -14,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from optomech.classical import _fixed_points, steady_state_grid
+from optomech.model import SystemParams
 from optomech.quantum import (
     _HALF_I_OMEGA,
     _SQUEEZE_GUARD,
@@ -21,14 +24,22 @@ from optomech.quantum import (
     QUADRATURE_NAMES,
     QuadratureVariances,
     _lyapunov_operator,
+    _drift_entries,
     _unpacked,
+    diffusion_matrix,
     drift_matrix_from_rates,
     physicality_min_eig,
     quadrature_variances,
     steady_covariance,
 )
-from optomech.errors import SingularSystemError, UnstableSystemError
-from optomech.stability import _NORMAL, _PER_MATRIX_STACK, _polynomial, routh_hurwitz_stable
+from optomech.errors import SimulationError, SingularSystemError, UnstableSystemError
+from optomech.stability import (
+    _NORMAL,
+    _PER_MATRIX_STACK,
+    _hurwitz_verdicts,
+    _polynomial,
+    routh_hurwitz_stable,
+)
 
 
 def reference_unpacked(w):
@@ -283,9 +294,10 @@ def test_singular_system_keeps_type_and_message(monkeypatch):
 
 @pytest.mark.parametrize("V", [np.eye(3), np.ones(16), np.full((4, 4), np.nan)])
 def test_rejected_or_odd_covariances_match(V):
-    for f, ref in ((quadrature_variances, reference_quadrature_variances),
-                   (physicality_min_eig, reference_physicality_min_eig)):
-        assert_matches(f, ref, V)
+    assert_matches(quadrature_variances, reference_quadrature_variances, V)
+    # the reference let numpy's broadcasting error or a LinAlgError escape here
+    message = "V must have finite entries" if V.shape == (4, 4) else f"V must be 4x4 (got shape {V.shape})"
+    assert outcome(physicality_min_eig, V) == (ValueError, message)
 
 
 @pytest.mark.parametrize("A", [np.ones((4, 3)), np.ones(4), np.ones((2, 4)), np.ones((0, 4, 4)),
@@ -293,3 +305,114 @@ def test_rejected_or_odd_covariances_match(V):
 def test_routh_hurwitz_odd_shapes_and_entries_match(A):
     assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
 
+
+
+STACK_SIZES = [1, 3, _PER_MATRIX_STACK, _PER_MATRIX_STACK + 1]
+
+
+def random_matrices(rng, count):
+    """Drift-layout matrices (random_system's) and dense ones over 200 decades."""
+    if rng.random() < 0.5:
+        return np.array([random_system(rng)[0] for _ in range(count)])
+    return rng.standard_normal((count, 4, 4)) * 10.0 ** rng.uniform(-100, 100, (count, 1, 1))
+
+
+def underflowing_matrices(rng, count):
+    """Far-detuned drift matrices whose scaled Hurwitz quantities underflow."""
+    matrices = []
+    for _ in range(count):
+        kappa, gamma, omega_m = 10.0 ** rng.uniform(-3, 1, 3)
+        Delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(250, 300)
+        A = drift_matrix_from_rates(kappa, gamma, omega_m, Delta, complex(*rng.standard_normal(2)))
+        matrices.append(A if rng.random() < 0.5 else -A)
+    return np.array(matrices)
+
+
+def split_matrices(rng, count):
+    """Matrices Q diag(lambda) Q^-1 whose eigenvalues span up to 20 decades."""
+    lam = rng.choice((-1.0, 1.0), (count, 4), p=(0.8, 0.2)) * 10.0 ** rng.uniform(-10, 10, (count, 4))
+    Q = rng.standard_normal((count, 4, 4)) + 4.0 * np.eye(4)
+    return Q * lam[:, None, :] @ np.linalg.inv(Q)
+
+
+@pytest.mark.parametrize("count", STACK_SIZES)
+@pytest.mark.parametrize("kind", [random_matrices, underflowing_matrices, split_matrices])
+def test_float_entry_matches_stacked_reference(kind, count):
+    # the float entry takes per-matrix scaling up to _PER_MATRIX_STACK
+    # matrices and the numpy path above; either way the reference's verdicts
+    rng = np.random.default_rng([count, len(kind.__name__)])
+    verdicts, exact = [], 0
+    for _ in range(60):
+        stack = kind(rng, count)
+        want = reference_routh_hurwitz_stable(stack).tolist()
+        got = _hurwitz_verdicts(stack.ravel().tolist())
+        assert got == want and all(type(v) is bool for v in got)
+        verdicts += got
+        exact += sum(min(abs(v[k]) for k in (0, 2, 3, 4)) < _NORMAL
+                     for v in reference_scaled(stack.reshape(-1, 4, 4)[:1])[0])
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+    if kind is underflowing_matrices:
+        assert exact == 60  # every first matrix took the exact Fraction verdict
+
+
+@pytest.mark.parametrize("count", STACK_SIZES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_entry_rejects_non_finite_entries(count, bad):
+    stack = np.array([SAMPLE_A] * count)
+    stack[-1, 2, 1] = bad
+    got = outcome(_hurwitz_verdicts, stack.ravel().tolist())
+    assert got == (ValueError, "A must have finite entries")
+    assert got == reference(reference_routh_hurwitz_stable, stack)
+
+
+def test_fixed_point_verdicts_equal_the_stacked_verdict():
+    # _fixed_points hands its flat drift list to the float entry; the verdicts
+    # are those of one stacked call on the same matrices, at 1 to 30 roots
+    rng = np.random.default_rng(20261019)
+    base = SystemParams(kappa=0.15, gamma=0.005, g0=0.005, Delta0=-0.2, A_l=5.0)
+    seen = set()
+    for _ in range(200):
+        p = dataclasses.replace(base, g0=10.0 ** rng.uniform(-3, -2))
+        grid = steady_state_grid(p, rng.uniform(-0.4, 0.1, int(rng.integers(1, 11))),
+                                 rng.uniform(0.5, 9.0))
+        Delta0, A_l, N = grid.Delta0.tolist(), grid.A_l.tolist(), grid.N_o.tolist()
+        alpha, _, detuning, stable = _fixed_points(p, Delta0, A_l, N)
+        drift = [_drift_entries(p.kappa, p.gamma, p.omega_m, d, (p.g0 * a).real, (p.g0 * a).imag)
+                 for d, a in zip(detuning, alpha)]
+        want = reference_routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
+        assert stable == want and all(type(v) is bool for v in stable)
+        seen.add((len(N) > _PER_MATRIX_STACK, all(stable)))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def reference_diffusion_matrix(params):
+    mech = params.gamma * (params.n_th + 0.5)
+    if not math.isfinite(mech):
+        raise SimulationError(
+            f"thermal diffusion gamma (n_th + 1/2) overflows at gamma = {params.gamma!r}, "
+            f"n_th = {params.n_th!r}"
+        )
+    return np.diag([params.kappa / 2.0, params.kappa / 2.0, mech, mech])
+
+
+def test_diffusion_matrix_equals_diagonal_form():
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(300):
+        kappa, gamma, n_th = (float(10.0 ** x) for x in rng.uniform(-320, 200, 3))
+        p = SystemParams(kappa=kappa, gamma=gamma if rng.random() < 0.9 else 0.0, g0=0.003,
+                         Delta0=-1.0, A_l=5.0, n_th=n_th if rng.random() < 0.9 else 0.0)
+        got = outcome(diffusion_matrix, p)
+        assert_same(got, reference(reference_diffusion_matrix, p))
+        kinds.add(got[0])
+    assert kinds == {"ok", SimulationError}
+
+
+def test_physicality_reads_the_smallest_eigenvalue():
+    # eigvalsh returns ascending eigenvalues, so the first is the minimum
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        S = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-5, 5)
+        V = S @ S.T + rng.uniform(-1.0, 1.0) * np.eye(4)
+        want = float(np.linalg.eigvalsh(V + _HALF_I_OMEGA).min())
+        assert_same(("ok", physicality_min_eig(V)), ("ok", want))
