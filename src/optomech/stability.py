@@ -173,6 +173,6 @@ def routh_hurwitz_stable(A):
     else:  # a large stack, or a shape that _scaled rejects
         q = _scaled(A)[0][..., [0, 2, 3, 4]].reshape(-1, 4)
         verdicts = np.all(q > 0, axis=-1)
-        for k in np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1)):  # as in _hurwitz_verdicts
+        for k in np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1)):  # may have lost its sign
             verdicts[k] = _exact_verdict(A.reshape(-1, 16)[k].tolist())
     return verdicts[0] if A.ndim == 2 else np.array(verdicts, dtype=bool).reshape(A.shape[:-2])
