@@ -23,8 +23,8 @@ from optomech.quantum import (
     _TRIU,
     QUADRATURE_NAMES,
     QuadratureVariances,
-    _lyapunov_operator,
     _drift_entries,
+    _lyapunov_operator,
     _unpacked,
     diffusion_matrix,
     drift_matrix_from_rates,
@@ -296,7 +296,10 @@ def test_singular_system_keeps_type_and_message(monkeypatch):
 def test_rejected_or_odd_covariances_match(V):
     assert_matches(quadrature_variances, reference_quadrature_variances, V)
     # the reference let numpy's broadcasting error or a LinAlgError escape here
-    message = "V must have finite entries" if V.shape == (4, 4) else f"V must be 4x4 (got shape {V.shape})"
+    if V.shape == (4, 4):
+        message = "V must have finite entries"
+    else:
+        message = f"V must be 4x4 (got shape {V.shape})"
     assert outcome(physicality_min_eig, V) == (ValueError, message)
 
 
@@ -304,7 +307,6 @@ def test_rejected_or_odd_covariances_match(V):
                                np.full((9, 4, 4), np.inf), with_entry(SAMPLE_A, (1, 1), np.nan)])
 def test_routh_hurwitz_odd_shapes_and_entries_match(A):
     assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
-
 
 
 STACK_SIZES = [1, 3, _PER_MATRIX_STACK, _PER_MATRIX_STACK + 1]
@@ -330,7 +332,8 @@ def underflowing_matrices(rng, count):
 
 def split_matrices(rng, count):
     """Matrices Q diag(lambda) Q^-1 whose eigenvalues span up to 20 decades."""
-    lam = rng.choice((-1.0, 1.0), (count, 4), p=(0.8, 0.2)) * 10.0 ** rng.uniform(-10, 10, (count, 4))
+    signs = rng.choice((-1.0, 1.0), (count, 4), p=(0.8, 0.2))
+    lam = signs * 10.0 ** rng.uniform(-10, 10, (count, 4))
     Q = rng.standard_normal((count, 4, 4)) + 4.0 * np.eye(4)
     return Q * lam[:, None, :] @ np.linalg.inv(Q)
 
