@@ -820,11 +820,12 @@ def integrate_mean_field(
     validate_params(params)
 
     # Python complex arithmetic with the four RK4 stages inlined, operation
-    # for operation the numpy-array RK4 step, so the two trajectories are
-    # bit-identical.  The squares stay powers because pow(x, 2) and x * x can
-    # round differently.  A float power that overflows raises OverflowError
-    # where numpy gives inf; an inf always leaves the step non-finite, so
-    # both end in the same DivergenceError.
+    # for operation the numpy-array RK4 step of reference_mean_field in
+    # tests/test_classical.py, so the two trajectories are bit-identical.
+    # The squares stay powers because pow(x, 2) and x * x can round
+    # differently.  A float power that overflows raises OverflowError where
+    # numpy gives inf; an inf always leaves the step non-finite, so both end
+    # in the same DivergenceError.
     kh, Delta0, A_l = params.kappa / 2.0, params.Delta0, params.A_l
     g2 = 2.0 * params.g0
     cb = -(params.gamma / 2.0 + 1j * params.omega_m)

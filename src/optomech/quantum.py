@@ -350,14 +350,20 @@ _HALF_I_OMEGA = 0.5j * symplectic_form()
 def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state.
 
-    ValueError unless V is 4x4 with finite entries.  eigvalsh returns the
-    eigenvalues in ascending order, so the smallest is the first.
+    ValueError unless V is 4x4 with finite entries and symmetric to
+    1e-12 max(1, max|V|) on each mirrored pair: eigvalsh reads only the lower
+    triangle.  It returns the eigenvalues in ascending order, so the smallest
+    is the first.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != (4, 4):
         raise ValueError(f"V must be 4x4 (got shape {V.shape})")
-    if not all(map(math.isfinite, V.ravel().tolist())):
+    v = V.ravel().tolist()
+    if not all(map(math.isfinite, v)):
         raise ValueError("V must have finite entries")
+    tol = 1e-12 * max(1.0, max(map(abs, v)))
+    if not all(abs(v[i] - v[j]) <= tol for i, j in zip(_UPPER, _LOWER)):
+        raise ValueError("V must be symmetric")
     return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA)[0])
 
 
@@ -374,14 +380,14 @@ def rwa_interaction(
     Delta = +omega_m the counter-rotating two-mode-squeezer terms dominate;
     otherwise neither resonance condition is met.  A linewidth wide enough
     to satisfy both conditions at once (kappa >= 2 omega_m) is rejected as
-    ambiguous.  A non-finite Delta or g_s raises ValueError.
+    ambiguous.  A non-finite input raises ValueError naming it.
     """
     if not math.isfinite(Delta):
         raise ValueError(f"Delta must be finite (got {Delta!r})")
-    if not omega_m > 0:
-        raise ValueError(f"omega_m must be > 0 (got {omega_m!r})")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0 (got {kappa!r})")
+    if not (math.isfinite(omega_m) and omega_m > 0):
+        raise ValueError(f"omega_m must be finite and > 0 (got {omega_m!r})")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0 (got {kappa!r})")
     if not (math.isfinite(g_s) and g_s >= 0):
         raise ValueError(f"g_s must be finite and >= 0 (got {g_s!r})")
     half_linewidth = kappa / 2.0

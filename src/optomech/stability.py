@@ -15,10 +15,12 @@ minors, unlike the power-sum traces of Newton's identities, do not cancel
 when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
 mechanical frequency of 1 leaves no correct digit in a trace-based det A.
 
-Callers that already hold matrices as Python floats take their verdicts from
-_hurwitz_verdicts, which reads a flat list of 16 floats per matrix and gives
-a list of bools, with no numpy round trip for up to _PER_MATRIX_STACK
-matrices; routh_hurwitz_stable is the same entry for arrays.
+The minors have one form per representation.  _hurwitz_verdicts forms them
+on Python floats, read from a flat list of 16 floats per matrix, and gives a
+list of bools with no numpy round trip; routh_hurwitz_stable is the same
+entry for arrays.  _scaled forms them entry-wise across a numpy stack, for
+characteristic_coefficients and for verdicts on more than _PER_MATRIX_STACK
+matrices.  Both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# Up to this many matrices each is scaled and its minors formed on Python floats,
-# where numpy's cost per call would dominate; above it, entry-wise on numpy
-# arrays across the stack.  The arithmetic is the same either way, and so are
-# the bits.
+# Up to this many matrices a verdict is taken on Python floats, where numpy's
+# cost per call would dominate; above it, on numpy arrays across the stack.
 _PER_MATRIX_STACK = 8
 _NORMAL = 2.0 ** -1022  # the smallest normal float
 
@@ -65,68 +65,30 @@ def _polynomial(a):
     return a1, a2, a3, a4, a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4
 
 
-def _scaled_matrix(m):
-    """(_polynomial of m 2^-e, e) of one matrix m given as 16 Python floats."""
-    if not all(map(math.isfinite, m)):
-        raise ValueError("A must have finite entries")
-    e = math.frexp(max(map(abs, m)))[1]
-    s = [math.ldexp(x, -e) for x in m]
-    return _polynomial((s[0:4], s[4:8], s[8:12], s[12:16])), e
-
-
 def _scaled(A):
-    """_polynomial of every A 2^-e, the exponents e, and the stack shape.
-
-    Small stacks (and one matrix) are scaled per matrix on Python floats
-    (_scaled_matrix) and give a list of per-matrix tuples and a list of
-    exponents; large stacks give an array whose last axis holds the five
-    values, and an array of exponents.  Both give the same bits.
-    """
+    """_polynomial of every A 2^-e along a last axis of five values, and the exponents e."""
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
-    if A.size <= 16 * _PER_MATRIX_STACK:
-        scaled = [_scaled_matrix(m) for m in A.reshape(-1, 16).tolist()]
-        return [v for v, _ in scaled], [e for _, e in scaled], A.shape[:-2]
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1)))[1]
     S = np.ldexp(A, -e[..., None, None])
-    values = np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1)
-    return values, e, A.shape[:-2]
-
-
-def _unscaled(A, positions, degrees):
-    """The values at positions of _scaled(A), times 2^(degree e).
-
-    A value beyond the float range comes back as an inf of its sign.  One
-    matrix gives a tuple of floats, a stack a tuple of arrays.
-    """
-    values, e, shape = _scaled(A)
-    values = np.reshape(values, shape + (5,))[..., positions]
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.ldexp(values, np.multiply.outer(np.reshape(e, shape), degrees))
-    return tuple(out.tolist()) if out.ndim == 1 else tuple(np.moveaxis(out, -1, 0))
+    return np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1), e
 
 
 def characteristic_coefficients(A):
     """Coefficients (a1, a2, a3, a4) of det(s I - A) = s^4 + a1 s^3 + ... + a4.
 
-    a_k is (-1)^k times the sum of the k x k principal minors of A.  A
-    coefficient beyond the float range comes back as an inf of its sign.
+    a_k is (-1)^k times the sum of the k x k principal minors of A, formed on
+    the scaled matrix and times 2^(k e).  A coefficient beyond the float range
+    comes back as an inf of its sign.  One matrix gives a tuple of floats, a
+    stack a tuple of arrays.
     """
-    return _unscaled(A, [0, 1, 2, 3], [1, 2, 3, 4])
-
-
-def hurwitz_quantities(A):
-    """The four quantities whose joint positivity is equivalent to stability.
-
-    For s^4 + a1 s^3 + a2 s^2 + a3 s + a4 these are
-    (a1, a3, a4, a1 a2 a3 - a3^2 - a1^2 a4).  They are formed from the scaled
-    matrix, so a quantity beyond the float range comes back as an inf of the
-    right sign.
-    """
-    return _unscaled(A, [0, 2, 3, 4], [1, 3, 4, 6])
+    values, e = _scaled(A)
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.ldexp(values[..., :4], np.multiply.outer(e, [1, 2, 3, 4]))
+    return tuple(a.tolist()) if a.ndim == 1 else tuple(np.moveaxis(a, -1, 0))
 
 
 def _exact_verdict(m):
@@ -141,17 +103,22 @@ def _hurwitz_verdicts(m):
 
     The matrices follow one another in m, each row by row, and the verdicts
     come back as a list of n bools.  Up to _PER_MATRIX_STACK matrices each is
-    scaled on Python floats (_scaled_matrix); a longer list takes the numpy
-    path of routh_hurwitz_stable.  Either way the verdicts are those of
+    scaled on Python floats as _scaled scales arrays; a longer list takes the
+    numpy path of routh_hurwitz_stable.  Either way the verdicts are those of
     routh_hurwitz_stable, and a non-finite entry raises its ValueError.
     """
     if len(m) > 16 * _PER_MATRIX_STACK:
         return routh_hurwitz_stable(np.reshape(m, (-1, 4, 4))).tolist()
     verdicts = []
     for k in range(0, len(m), 16):
-        (a1, _, a3, a4, h), _ = _scaled_matrix(m[k : k + 16])
+        x = m[k : k + 16]
+        if not all(map(math.isfinite, x)):
+            raise ValueError("A must have finite entries")
+        e = math.frexp(max(map(abs, x)))[1]
+        s = [math.ldexp(v, -e) for v in x]
+        a1, _, a3, a4, h = _polynomial((s[0:4], s[4:8], s[8:12], s[12:16]))
         if min(abs(a1), abs(a3), abs(a4), abs(h)) < _NORMAL:  # may have lost its sign
-            verdicts.append(_exact_verdict(m[k : k + 16]))
+            verdicts.append(_exact_verdict(x))
         else:
             verdicts.append(a1 > 0 and a3 > 0 and a4 > 0 and h > 0)
     return verdicts
@@ -164,8 +131,7 @@ def routh_hurwitz_stable(A):
     stable.  A stack of matrices gives a boolean array.  The verdict reads
     the signs of the scaled quantities, exact even where the unscaled ones
     overflow, or of exact rational ones where a scaled one is below 2^-1022.
-    A small stack (and one matrix) goes to _hurwitz_verdicts on its entries,
-    taken in one tolist().
+    A small stack (and one matrix) goes to _hurwitz_verdicts in one tolist().
     """
     A = np.asarray(A, dtype=float)
     if A.shape[-2:] == (4, 4) and A.size <= 16 * _PER_MATRIX_STACK:

@@ -537,6 +537,22 @@ class TestPhysicality:
         with pytest.raises(ValueError, match=message):
             physicality_min_eig(V)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_asymmetric_covariance_rejected(self, transpose):
+        # eigvalsh reads one triangle: this V gave 0.0 and its transpose -4.55
+        V = 0.5 * np.eye(4)
+        V[0, 3] = -5.0
+        with pytest.raises(ValueError, match="V must be symmetric"):
+            physicality_min_eig(V.T if transpose else V)
+
+    def test_large_covariance_symmetric_to_rounding_accepted(self):
+        # the tolerance scales with max|V|: a mirrored pair one ulp apart at 3e9
+        V = np.diag([1e10, 2e10, 3e10, 4e10])
+        V[0, 1], V[1, 0] = 3e9, np.nextafter(3e9, np.inf)
+        assert abs(V[0, 1] - V[1, 0]) > 1e-12
+        want = float(np.linalg.eigvalsh(V + 0.5j * symplectic_form())[0])
+        assert physicality_min_eig(V) == want
+
     def test_symplectic_form_is_antisymmetric(self):
         O = symplectic_form()
         np.testing.assert_array_equal(O, -O.T)
@@ -579,6 +595,20 @@ class TestRwaInteraction:
             rwa_interaction(-1.0, 1.0, 0.15, -0.05)
         with pytest.raises(ValueError):
             rwa_interaction(-1.0, 1.0, 0.0, 0.05)  # kappa = 0 leaves no tolerance
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("omega_m", (-1.0, np.inf, 0.15, 0.05)),  # read off_resonant
+            ("omega_m", (-1.0, np.nan, 0.15, 0.05)),
+            ("kappa", (-1.0, 1.0, np.inf, 0.05)),  # raised AmbiguousRegimeError
+            ("kappa", (-1.0, 1.0, np.nan, 0.05)),
+        ],
+    )
+    def test_non_finite_rate_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0") as info:
+            rwa_interaction(*args)
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_detuning_or_coupling_rejected(self, bad):

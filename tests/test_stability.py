@@ -8,9 +8,14 @@ from optomech.stability import (
     _PER_MATRIX_STACK,
     _scaled,
     characteristic_coefficients,
-    hurwitz_quantities,
     routh_hurwitz_stable,
 )
+
+
+def quantities_from_coefficients(A):
+    """(a1, a3, a4, a1 a2 a3 - a3^2 - a1^2 a4) from the characteristic coefficients."""
+    a1, a2, a3, a4 = characteristic_coefficients(A)
+    return a1, a3, a4, a1 * a2 * a3 - a3 * a3 - a1 * a1 * a4
 
 
 def test_coefficients_of_minus_identity():
@@ -63,7 +68,7 @@ def test_marginal_rotation_block_is_not_stable():
     assert routh_hurwitz_stable(A) is False
 
 
-def test_hurwitz_quantities_positive_iff_stable():
+def test_quantities_from_coefficients_positive_iff_stable():
     A = np.array(
         [
             [-0.075, 1.0, 0.0, 0.0],
@@ -72,8 +77,12 @@ def test_hurwitz_quantities_positive_iff_stable():
             [0.1, 0.0, -1.0, -0.0025],
         ]
     )
-    q = hurwitz_quantities(A)
-    assert routh_hurwitz_stable(A) == all(v > 0 for v in q)
+    assert routh_hurwitz_stable(A) is True and routh_hurwitz_stable(-A) is False
+    rng = np.random.default_rng(7)
+    # the coefficients are the scaled ones times powers of two, so their
+    # quantities have the signs the verdict reads, for entries of order one
+    for B in [A, -A] + list(rng.uniform(-2, 2, (200, 4, 4))):
+        assert routh_hurwitz_stable(B) == all(v > 0 for v in quantities_from_coefficients(B))
 
 
 def test_input_validation():
@@ -88,10 +97,11 @@ def test_stack_equals_matrix_by_matrix(count):
     # small stacks are evaluated per matrix, large ones across the stack
     rng = np.random.default_rng(count)
     stack = rng.uniform(-3, 3, (count, 4, 4))
-    for f in (characteristic_coefficients, hurwitz_quantities):
-        columns = f(stack)
-        for k, A in enumerate(stack):
-            assert tuple(float(c[k]) for c in columns) == f(A)
+    columns = characteristic_coefficients(stack)
+    for k, A in enumerate(stack):
+        one = characteristic_coefficients(A)
+        assert all(type(c) is float for c in one)
+        assert np.array([c[k] for c in columns]).tobytes() == np.array(one).tobytes()
     verdicts = routh_hurwitz_stable(stack)
     assert verdicts.tolist() == [routh_hurwitz_stable(A) for A in stack]
     assert routh_hurwitz_stable(stack.reshape(count, 1, 4, 4)).shape == (count, 1)
@@ -117,12 +127,16 @@ def test_widely_split_eigenvalues(detuning):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stable = routh_hurwitz_stable(A)
-        quantities = hurwitz_quantities(A)
+        coefficients = characteristic_coefficients(A)
         flipped = routh_hurwitz_stable(-A)
+        flipped_coefficients = characteristic_coefficients(-A)
     assert stable is True and flipped is False
     if detuning < 1e300:
         assert stable == (np.linalg.eigvals(A).real.max() < 0)
-        assert all(q > 0 for q in quantities)
+        assert all(a > 0 for a in coefficients)
+    else:  # a2, a3 ~ detuning^2 lie past the float range: an inf of their sign
+        assert coefficients[:3] == (0.155, np.inf, np.inf)
+        assert flipped_coefficients[:3] == (-0.155, np.inf, -np.inf)
 
 
 @pytest.mark.parametrize("count", [1, 5, 40])
@@ -136,9 +150,9 @@ def test_underflow_takes_the_exact_verdict_in_every_stack(count):
 
 
 def test_small_stacks_scale_like_the_stacked_path():
-    # up to _PER_MATRIX_STACK matrices are scaled with math.frexp and
-    # math.ldexp on Python floats; the same matrices repeated into a larger
-    # stack go through numpy's frexp and ldexp, and give the same bits
+    # verdicts on up to _PER_MATRIX_STACK matrices are scaled with math.frexp
+    # and math.ldexp on Python floats; the same matrices repeated into a larger
+    # stack go through numpy's frexp and ldexp, and give the same verdicts
     rng = np.random.default_rng(20261018)
     exact = 0
     for _ in range(150):
@@ -146,14 +160,10 @@ def test_small_stacks_scale_like_the_stacked_path():
         stack = rng.choice((-1.0, 1.0), (count, 4, 4)) * 10.0 ** rng.uniform(-100, 100, (count, 4, 4))
         stack[rng.random((count, 4, 4)) < 0.1] = 0.0
         large = np.concatenate([stack] * (_PER_MATRIX_STACK // count + 1))
-        values, e, shape = _scaled(stack)
-        stacked_values, stacked_e, _ = _scaled(large)
-        assert isinstance(values, list) and not isinstance(stacked_values, list)
-        assert values == [tuple(v) for v in stacked_values[:count].tolist()]
-        assert e == stacked_e[:count].tolist() and shape == (count,)
         assert routh_hurwitz_stable(stack).tolist() == routh_hurwitz_stable(large)[:count].tolist()
-        for f in (characteristic_coefficients, hurwitz_quantities):
-            assert np.array_equal(np.array(f(stack)), np.array(f(large))[:, :count])
+        coefficients = np.array(characteristic_coefficients(stack))
+        assert np.array_equal(coefficients, np.array(characteristic_coefficients(large))[:, :count])
         assert routh_hurwitz_stable(stack[0]) == routh_hurwitz_stable(large)[0]
-        exact += sum(min(abs(v[k]) for k in (0, 2, 3, 4)) < _NORMAL for v in values)
+        q = _scaled(stack)[0][:, [0, 2, 3, 4]]
+        exact += int(np.sum(np.min(np.abs(q), axis=-1) < _NORMAL))
     assert exact >= 40  # verdicts that the exact Fraction fallback takes
