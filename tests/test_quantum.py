@@ -606,9 +606,8 @@ class TestRwaInteraction:
         ],
     )
     def test_non_finite_rate_rejected(self, name, args):
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0") as info:
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
             rwa_interaction(*args)
-        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_detuning_or_coupling_rejected(self, bad):

@@ -94,7 +94,7 @@ def test_input_validation():
 
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_stack_equals_matrix_by_matrix(count):
-    # small stacks are evaluated per matrix, large ones across the stack
+    # verdicts on small stacks are taken per matrix, on large ones across the stack
     rng = np.random.default_rng(count)
     stack = rng.uniform(-3, 3, (count, 4, 4))
     columns = characteristic_coefficients(stack)
@@ -161,8 +161,8 @@ def test_small_stacks_scale_like_the_stacked_path():
         stack[rng.random((count, 4, 4)) < 0.1] = 0.0
         large = np.concatenate([stack] * (_PER_MATRIX_STACK // count + 1))
         assert routh_hurwitz_stable(stack).tolist() == routh_hurwitz_stable(large)[:count].tolist()
-        coefficients = np.array(characteristic_coefficients(stack))
-        assert np.array_equal(coefficients, np.array(characteristic_coefficients(large))[:, :count])
+        assert np.array_equal(np.array(characteristic_coefficients(stack)),
+                              np.array(characteristic_coefficients(large))[:, :count])
         assert routh_hurwitz_stable(stack[0]) == routh_hurwitz_stable(large)[0]
         q = _scaled(stack)[0][:, [0, 2, 3, 4]]
         exact += int(np.sum(np.min(np.abs(q), axis=-1) < _NORMAL))
