@@ -137,7 +137,8 @@ _TRIU = np.triu_indices(4)
 # Row-major positions of those entries in a 4x4 matrix, and of their mirror images.
 _UPPER, _LOWER = (4 * _TRIU[0] + _TRIU[1]).tolist(), (4 * _TRIU[1] + _TRIU[0]).tolist()
 # The upper-triangle coordinate of each of the 16 entries, row by row.
-_SYMMETRIC = np.array([0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9])
+_SYMMETRIC = np.empty(16, dtype=int)
+_SYMMETRIC[_UPPER] = _SYMMETRIC[_LOWER] = np.arange(10)
 
 
 def _unpacked(w: np.ndarray) -> np.ndarray:
@@ -171,11 +172,11 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
 
 
-def _checked_symmetric(X, name: str) -> tuple[np.ndarray, list[float]]:
+def _checked_symmetric(X, name: str, relative: bool = False) -> tuple[np.ndarray, list[float]]:
     """X as a float array and its 16 entries row by row (one X.tolist()).
 
-    ValueError unless X is 4x4, finite and symmetric to 1e-12 on each mirrored
-    pair, which for finite entries is max|X - X^T| <= 1e-12.
+    ValueError unless X is 4x4, finite and symmetric on each mirrored pair to
+    1e-12, or to 1e-12 max(1, max|X|) if relative.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (4, 4):
@@ -183,7 +184,8 @@ def _checked_symmetric(X, name: str) -> tuple[np.ndarray, list[float]]:
     x = X.ravel().tolist()
     if not all(map(math.isfinite, x)):
         raise ValueError(f"{name} must have finite entries")
-    if not all(abs(x[i] - x[j]) <= 1e-12 for i, j in zip(_UPPER, _LOWER)):
+    tol = 1e-12 * max(1.0, max(map(abs, x))) if relative else 1e-12
+    if not all(abs(x[i] - x[j]) <= tol for i, j in zip(_UPPER, _LOWER)):
         raise ValueError(f"{name} must be symmetric")
     return X, x
 
@@ -234,27 +236,21 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 def _drift_rates(A: np.ndarray) -> tuple[float, float, float, float, float]:
     """(kappa, gamma, omega_m, Delta, 2|g|) read off a matrix with the drift layout.
 
-    The layout is the one in the module docstring: zeros at (0, 3), (1, 3),
-    (2, 0) and (2, 1), equal diagonal pairs A[0, 0] = A[1, 1] and
-    A[2, 2] = A[3, 3], the antisymmetric pairs A[1, 0] = -A[0, 1]
-    (Delta) and A[2, 3] = -A[3, 2] (omega_m), and the coupling pairs
-    A[3, 0] = A[1, 2] (2 g_R) and A[3, 1] = -A[0, 2] (2 g_I), each to
-    1e-12 max|A|.  Any other matrix raises ValueError, because its rates
-    cannot be read off.
+    The rates are read from A[0, 0], A[2, 2], A[2, 3], A[1, 0] and
+    g = (A[3, 0] + i A[3, 1]) / 2, and _drift_entries rebuilds A from them:
+    each of A's 16 entries must lie within 1e-12 max|A| of the rebuilt one.
+    Any other matrix raises ValueError, because its rates cannot be read off.
     """
-    tol = 1e-12 * float(np.max(np.abs(A)))
-    gaps = (
-        A[0, 3], A[1, 3], A[2, 0], A[2, 1],
-        A[0, 0] - A[1, 1], A[2, 2] - A[3, 3],
-        A[1, 0] + A[0, 1], A[2, 3] + A[3, 2],
-        A[3, 0] - A[1, 2], A[3, 1] + A[0, 2],
-    )
-    if not all(abs(gap) <= tol for gap in gaps):
+    a = A.ravel().tolist()
+    kappa, gamma, omega_m, Delta = -2.0 * a[0], -2.0 * a[10], a[11], a[4]
+    tol = 1e-12 * max(map(abs, a))
+    rebuilt = _drift_entries(kappa, gamma, omega_m, Delta, a[12] / 2.0, a[13] / 2.0)
+    if not all(abs(r - x) <= tol for r, x in zip(rebuilt, a)):
         raise ValueError(
             "A must have the drift-matrix layout (see optomech.quantum) so that "
             "kappa, gamma, omega_m, Delta and g can be read off for the step bound"
         )
-    return -2.0 * A[0, 0], -2.0 * A[2, 2], A[2, 3], A[1, 0], math.hypot(A[3, 0], A[3, 1])
+    return kappa, gamma, omega_m, Delta, math.hypot(a[12], a[13])
 
 
 def _rk4_affine_map(L: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -286,8 +282,7 @@ def integrate_covariance(
     read off A (kappa, gamma, omega_m, |Delta| and 2|g|).  D has
     steady_covariance's contract, and V0 the same one (_checked_symmetric:
     4x4, finite and symmetric).  V is carried as its 10 upper-triangle
-    entries, so every
-    sample is exactly symmetric.  The ODE is linear with constant
+    entries, so every sample is exactly symmetric.  The ODE is linear with constant
     coefficients, so one RK4 step is a fixed affine map w -> P w + q on
     those entries: it is built once for dt (and once more when the final
     step of the grid has another length).  Its powers P^j and offsets
@@ -351,19 +346,11 @@ def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state.
 
     ValueError unless V is 4x4 with finite entries and symmetric to
-    1e-12 max(1, max|V|) on each mirrored pair: eigvalsh reads only the lower
-    triangle.  It returns the eigenvalues in ascending order, so the smallest
-    is the first.
+    1e-12 max(1, max|V|) on each mirrored pair (_checked_symmetric): eigvalsh
+    reads only the lower triangle.  It returns the eigenvalues in ascending
+    order, so the smallest is the first.
     """
-    V = np.asarray(V, dtype=float)
-    if V.shape != (4, 4):
-        raise ValueError(f"V must be 4x4 (got shape {V.shape})")
-    v = V.ravel().tolist()
-    if not all(map(math.isfinite, v)):
-        raise ValueError("V must have finite entries")
-    tol = 1e-12 * max(1.0, max(map(abs, v)))
-    if not all(abs(v[i] - v[j]) <= tol for i, j in zip(_UPPER, _LOWER)):
-        raise ValueError("V must be symmetric")
+    V, _ = _checked_symmetric(V, "V", relative=True)
     return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA)[0])
 
 

@@ -10,7 +10,7 @@ Before the minors are formed, each matrix is scaled by the power of two that
 brings its largest entry into [1/2, 1).  The scaling is exact, so the signs of
 the Hurwitz quantities do not depend on it, and it keeps their products finite
 for any finite matrix (entries more than about 1e150 below the largest can
-still underflow, and the verdict then comes from exact rationals).  Sums of
+still underflow, and the answer then comes from exact rationals).  Sums of
 minors, unlike the power-sum traces of Newton's identities, do not cancel
 when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
 mechanical frequency of 1 leaves no correct digit in a trace-based det A.
@@ -34,6 +34,7 @@ import numpy as np
 # cost per call would dominate; above it, on numpy arrays across the stack.
 _PER_MATRIX_STACK = 8
 _NORMAL = 2.0 ** -1022  # the smallest normal float
+_OVERFLOW = Fraction(2**1024 - 2**970)  # the smallest rational that rounds to inf
 
 
 def _polynomial(a):
@@ -77,24 +78,37 @@ def _scaled(A):
     return np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1), e
 
 
+def _exact(m):
+    """_polynomial of one matrix of 16 Python floats, on exact rationals."""
+    f = [Fraction(x) for x in m]
+    return _polynomial((f[0:4], f[4:8], f[8:12], f[12:16]))
+
+
+def _nearest_float(q):
+    """The float nearest the rational q, or an inf of its sign past the float range."""
+    return float(q) if abs(q) < _OVERFLOW else (math.inf if q > 0 else -math.inf)
+
+
 def characteristic_coefficients(A):
     """Coefficients (a1, a2, a3, a4) of det(s I - A) = s^4 + a1 s^3 + ... + a4.
 
     a_k is (-1)^k times the sum of the k x k principal minors of A, formed on
-    the scaled matrix and times 2^(k e).  A coefficient beyond the float range
-    comes back as an inf of its sign.  One matrix gives a tuple of floats, a
-    stack a tuple of arrays.
+    the scaled matrix and times 2^(k e), or exactly and rounded where a scaled
+    a_k is below 2^-1022.  A coefficient past the float range is an inf of its
+    sign.  One matrix gives a tuple of floats, a stack a tuple of arrays.
     """
     values, e = _scaled(A)
     with np.errstate(over="ignore", under="ignore"):
         a = np.ldexp(values[..., :4], np.multiply.outer(e, [1, 2, 3, 4]))
+    rows, m = a.reshape(-1, 4), np.asarray(A, dtype=float).reshape(-1, 16)  # rows is a view of a
+    for k in np.flatnonzero(np.any(np.abs(values[..., :4]) < _NORMAL, axis=-1)):  # may have lost bits
+        rows[k] = [_nearest_float(c) for c in _exact(m[k].tolist())[:4]]
     return tuple(a.tolist()) if a.ndim == 1 else tuple(np.moveaxis(a, -1, 0))
 
 
 def _exact_verdict(m):
     """The verdict of one matrix of 16 Python floats, from exact rational quantities."""
-    f = [Fraction(x) for x in m]
-    a1, _, a3, a4, h = _polynomial((f[0:4], f[4:8], f[8:12], f[12:16]))
+    a1, _, a3, a4, h = _exact(m)
     return a1 > 0 and a3 > 0 and a4 > 0 and h > 0
 
 

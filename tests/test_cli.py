@@ -247,6 +247,16 @@ class TestRoundTrip:
         respec = load_config(sidecar)
         assert spec_to_config(respec) == spec_to_config(load_config(config))
 
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_every_sidecar_reloads_to_its_config(self, config, tmp_path):
+        out = tmp_path / "out"
+        assert main([str(config), "--output-dir", str(out), "--quiet"]) == 0
+        sidecars = sorted(out.glob("*.meta.json"))
+        assert sidecars
+        spec = dataclasses.replace(load_config(config), output_dir=str(out))
+        for sidecar in sidecars:
+            assert load_config(sidecar) == spec, sidecar.name
+
     def test_sidecar_fills_in_defaults(self, tmp_path):
         config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert main([str(config), "--quiet"]) == 0

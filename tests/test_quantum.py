@@ -23,6 +23,7 @@ from optomech.quantum import (
     TWO_MODE_SQUEEZER,
     _BLOCK,
     _TRIU,
+    _drift_rates,
     _lyapunov_operator,
     _rk4_affine_map,
     diffusion_matrix,
@@ -413,12 +414,27 @@ class TestIntegrateCovariance:
             integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.05)
         assert integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.005).t.size == 201
 
-    @pytest.mark.parametrize("entry", [(3, 0), (1, 2), (3, 1), (0, 2)])
+    # the coupling pairs first, then every other entry: each is tied to the rates
+    @pytest.mark.parametrize(
+        "entry",
+        [(3, 0), (1, 2), (3, 1), (0, 2), (0, 0), (0, 1), (0, 3), (1, 0),
+         (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)],
+    )
     def test_rejects_unpaired_coupling(self, entry):
         A, D = self.sample()
         A[entry] += 1e-3
         with pytest.raises(ValueError, match="drift-matrix layout"):
             integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
+
+    def test_drift_rates_read_back_the_rates(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            kappa, gamma, omega_m = 10.0 ** rng.uniform(-6, 3, 3)
+            Delta = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 3))
+            g = complex(*(rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-6, 3, 2)))
+            rates = _drift_rates(drift_matrix_from_rates(kappa, gamma, omega_m, Delta, g))
+            assert rates[:4] == (kappa, gamma, omega_m, Delta)
+            assert rates[4] == pytest.approx(2.0 * abs(g), rel=1e-15)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_v0_rejected(self, value):
@@ -552,6 +568,17 @@ class TestPhysicality:
         assert abs(V[0, 1] - V[1, 0]) > 1e-12
         want = float(np.linalg.eigvalsh(V + 0.5j * symplectic_form())[0])
         assert physicality_min_eig(V) == want
+
+    def test_diffusion_keeps_the_absolute_tolerance(self):
+        # the same mirrored pair one ulp apart at 3e9 passes as V, not as D
+        X = np.diag([1e10, 2e10, 3e10, 4e10])
+        X[0, 1], X[1, 0] = 3e9, np.nextafter(3e9, np.inf)
+        physicality_min_eig(X)
+        A = drift_matrix_from_rates(0.5, 0.5, 1.0, -1.0, 0.05)
+        with pytest.raises(ValueError, match="D must be symmetric"):
+            steady_covariance(A, X)
+        with pytest.raises(ValueError, match="V0 must be symmetric"):
+            integrate_covariance(A, 0.5 * np.eye(4), X, t_end=1.0, dt=0.01)
 
     def test_symplectic_form_is_antisymmetric(self):
         O = symplectic_form()

@@ -1,11 +1,15 @@
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from optomech.stability import (
     _NORMAL,
+    _OVERFLOW,
     _PER_MATRIX_STACK,
+    _nearest_float,
     _scaled,
     characteristic_coefficients,
     routh_hurwitz_stable,
@@ -119,10 +123,11 @@ def _split_pairs(detuning):
     )
 
 
-@pytest.mark.parametrize("detuning", [1e10, 1e100, 1e300])
+@pytest.mark.parametrize("detuning", [1e10, 1e100, 1e170, 1e300])
 def test_widely_split_eigenvalues(detuning):
-    # the traces of A^k overflow or cancel, the scaled minors stay exact; at
-    # 1e300 some scaled minors underflow and the verdict is taken exactly
+    # the traces of A^k overflow or cancel, the scaled minors stay exact; from
+    # 1e170 some scaled minors underflow, and the verdict and the coefficients
+    # are taken from exact rationals
     A = _split_pairs(detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -130,13 +135,26 @@ def test_widely_split_eigenvalues(detuning):
         coefficients = characteristic_coefficients(A)
         flipped = routh_hurwitz_stable(-A)
         flipped_coefficients = characteristic_coefficients(-A)
+        columns = characteristic_coefficients(np.stack([A, -A]))
     assert stable is True and flipped is False
+    assert np.array(columns).tobytes() == np.array([coefficients, flipped_coefficients]).T.tobytes()
     if detuning < 1e300:
         assert stable == (np.linalg.eigvals(A).real.max() < 0)
+    if detuning < 1e170:
         assert all(a > 0 for a in coefficients)
-    else:  # a2, a3 ~ detuning^2 lie past the float range: an inf of their sign
-        assert coefficients[:3] == (0.155, np.inf, np.inf)
-        assert flipped_coefficients[:3] == (-0.155, np.inf, -np.inf)
+    else:  # a2, a3, a4 ~ detuning^2 lie past the float range: an inf of their sign
+        assert coefficients == (0.155, np.inf, np.inf, np.inf)
+        assert flipped_coefficients == (-0.155, np.inf, -np.inf, np.inf)
+
+
+def test_exact_coefficients_round_to_the_nearest_float():
+    # a4 = 1 is in range, but the scaled entry 2^-1201 underflows to 0 and took a4 with it
+    A = np.diag([-(2.0**600), -(2.0**-600), -1.0, -1.0])
+    assert characteristic_coefficients(A) == (2.0**600, 2.0**601, 2.0**600, 1.0)
+    # 2^1024 - 2^970 is halfway between the largest float and 2^1024
+    assert _nearest_float(_OVERFLOW - Fraction(1, 3)) == sys.float_info.max
+    assert _nearest_float(_OVERFLOW) == np.inf and _nearest_float(-_OVERFLOW) == -np.inf
+    assert _nearest_float(Fraction(1, 3)) == 1 / 3 and _nearest_float(Fraction(1, 2**1080)) == 0.0
 
 
 @pytest.mark.parametrize("count", [1, 5, 40])
