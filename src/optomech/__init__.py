@@ -1,5 +1,7 @@
 """Classical and linearized-quantum dynamics of a driven optomechanical cavity."""
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     CavityGeometry,
     GeometryCoupling,
@@ -58,4 +60,5 @@ from .quantum import (
     thermal_covariance,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules, which are not part of the API
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, PoleError, RootSolveError, SimulationError
-from .model import SteadyState, SystemParams, validate_params
+from .model import SteadyState, SystemParams, _checked_number, validate_params
 from .rk4 import step_times
 from .stability import _hurwitz_verdicts, routh_hurwitz_stable
 from . import quantum
@@ -677,8 +677,6 @@ def stability_map(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if detunings.ndim != 1 or amplitudes.ndim != 1:
         raise ValueError("detunings and amplitudes must be 1-D grids")
-    if np.any(amplitudes < 0):
-        raise ValueError("amplitudes must be >= 0")
     return steady_state_grid(params, detunings[:, None], amplitudes[None, :])
 
 
@@ -688,15 +686,14 @@ def stability_map(
 
 def optical_susceptibility(omega, Delta, kappa):
     """Cavity field response 1 / (kappa/2 - i (Delta + omega))."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0 (got {kappa!r})")
+    _checked_number("kappa", kappa, "> 0")
     return 1.0 / (kappa / 2.0 - 1j * (np.asarray(Delta) + np.asarray(omega)))
 
 
 def mechanical_susceptibility(omega, m, omega_m, gamma):
     """Bare mechanical response 1 / (m (omega_m^2 - omega^2) - i m gamma omega)."""
-    if not (m > 0 and omega_m > 0 and gamma > 0):
-        raise ValueError("m, omega_m and gamma must all be > 0")
+    for name, value in (("m", m), ("omega_m", omega_m), ("gamma", gamma)):
+        _checked_number(name, value, "> 0")
     omega = np.asarray(omega)
     return 1.0 / (m * (omega_m ** 2 - omega ** 2) - 1j * m * gamma * omega)
 
@@ -728,16 +725,16 @@ def effective_susceptibility(omega, g_s, Delta, kappa, m, omega_m, gamma):
 def _finite_closed_form(name: str):
     """Decorate a closed form f(g_s, Delta, kappa, omega_m) of the linear cavity.
 
-    The wrapper checks kappa, omega_m > 0 and evaluates f at Delta as a
-    float array under np.errstate, so an overflow warns nowhere.  A
-    non-finite value, or a float power that overflows, raises SimulationError
-    naming the inputs at the first such point.
+    The wrapper checks that kappa and omega_m are finite and > 0 and
+    evaluates f at Delta as a float array under np.errstate, so an overflow
+    warns nowhere.  A non-finite value, or a float power that overflows,
+    raises SimulationError naming the inputs at the first such point.
     """
     def decorate(f):
         @functools.wraps(f)
         def checked(g_s, Delta, kappa, omega_m):
-            if not (kappa > 0 and omega_m > 0):
-                raise ValueError("kappa and omega_m must be > 0")
+            _checked_number("kappa", kappa, "> 0")
+            _checked_number("omega_m", omega_m, "> 0")
             Delta = np.asarray(Delta, dtype=float)
             try:
                 with np.errstate(all="ignore"):
@@ -884,10 +881,9 @@ def lorentzian_comb_model(
     O(grid points x resonances) in time and memory, so a comb of more than
     _MAX_COMB_RESONANCES resonances raises ValueError before it is built.
     """
-    if not (k_HO > 0 and wavelength > 0 and finesse > 0):
-        raise ValueError("k_HO, wavelength and finesse must be > 0")
-    if F0 < 0:
-        raise ValueError(f"F0 must be >= 0 (got {F0!r})")
+    for name, value in (("k_HO", k_HO), ("wavelength", wavelength), ("finesse", finesse)):
+        _checked_number(name, value, "> 0")
+    _checked_number("F0", F0, ">= 0")
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     spacing = wavelength / 2.0
@@ -1015,6 +1011,4 @@ def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:
 
 def mean_output_field(alpha_s: complex, kappa: float) -> complex:
     """Mean reflected field -sqrt(kappa) alpha_s for a zero-mean input."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0 (got {kappa!r})")
-    return -math.sqrt(kappa) * complex(alpha_s)
+    return -math.sqrt(_checked_number("kappa", kappa, "> 0")) * complex(alpha_s)

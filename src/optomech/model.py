@@ -66,30 +66,32 @@ class SteadyState:
     stable: bool       # Routh-Hurwitz verdict for the linearization
 
 
-_POSITIVE_FIELDS = ("kappa", "gamma", "omega_m", "m")
-_NONNEGATIVE_FIELDS = ("g0", "A_l", "n_th")
+def _checked_number(name: str, value, bound: str = ""):
+    """value, if it is finite and meets bound: "> 0", ">= 0" or "" for none.
+
+    Otherwise ValueError "<name> must be finite and <bound> (got <value>)".
+    """
+    if not math.isfinite(value) or (bound and not (value > 0 or (value == 0 and bound == ">= 0"))):
+        raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''} (got {value!r})")
+    return value
+
+
+# The bound of each SystemParams field (_checked_number).
+_FIELD_BOUNDS = dict(kappa="> 0", gamma="> 0", omega_m="> 0", m="> 0",
+                     g0=">= 0", A_l=">= 0", n_th=">= 0", Delta0="")
 
 
 def validate_params(params: SystemParams) -> SystemParams:
     """Check physical-admissibility of a SystemParams instance.
 
     Returns the validated instance unchanged; raises ValueError naming the
-    offending field otherwise.  Non-finite values are rejected everywhere.
+    first offending field otherwise.  Non-finite values are rejected everywhere.
     """
-    for name in _POSITIVE_FIELDS + _NONNEGATIVE_FIELDS + ("Delta0",):
+    for name, bound in _FIELD_BOUNDS.items():
         value = getattr(params, name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number (got {value!r})")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite (got {value!r})")
-    for name in _POSITIVE_FIELDS:
-        value = getattr(params, name)
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0 (got {value!r})")
-    for name in _NONNEGATIVE_FIELDS:
-        value = getattr(params, name)
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0 (got {value!r})")
+        _checked_number(name, value, bound)
     return params
 
 
@@ -100,10 +102,8 @@ def mean_thermal_occupancy(omega_m: float, T: float) -> float:
     T = 0 returns exactly 0.  An occupancy beyond the float range (k_B T
     above ~1e308 hbar omega_m) raises ValueError.
     """
-    if not (math.isfinite(omega_m) and omega_m > 0):
-        raise ValueError(f"omega_m must be > 0 and finite (got {omega_m!r})")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"T must be >= 0 and finite (got {T!r})")
+    _checked_number("omega_m", omega_m, "> 0")
+    _checked_number("T", T, ">= 0")
     if T == 0:
         return 0.0
     denom = _k_B * T
@@ -121,9 +121,7 @@ def mean_thermal_occupancy(omega_m: float, T: float) -> float:
 def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
     """Map cavity geometry to frequency pull, zero-point motion and g0."""
     for name in ("L", "lambda_l", "m_eff", "omega_m_si"):
-        value = getattr(geometry, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be > 0 and finite (got {value!r})")
+        _checked_number(name, getattr(geometry, name), "> 0")
     omega_o = 2.0 * math.pi * _c / geometry.lambda_l
     G = omega_o / geometry.L
     x_zp = math.sqrt(_hbar / (2.0 * geometry.m_eff * geometry.omega_m_si))
@@ -132,13 +130,9 @@ def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
 
 def photon_momentum_kick(E_photon: float) -> float:
     """Momentum transferred to a perfect mirror by one reflected photon, 2E/c."""
-    if not (math.isfinite(E_photon) and E_photon >= 0):
-        raise ValueError(f"E_photon must be >= 0 and finite (got {E_photon!r})")
-    return 2.0 * E_photon / _c
+    return 2.0 * _checked_number("E_photon", E_photon, ">= 0") / _c
 
 
 def beam_radiation_force(P: float) -> float:
     """Time-averaged radiation force of a beam of power P on a perfect mirror, 2P/c."""
-    if not (math.isfinite(P) and P >= 0):
-        raise ValueError(f"P must be >= 0 and finite (got {P!r})")
-    return 2.0 * P / _c
+    return 2.0 * _checked_number("P", P, ">= 0") / _c

@@ -31,7 +31,7 @@ from .errors import (
     SingularSystemError,
     UnstableSystemError,
 )
-from .model import SteadyState, SystemParams
+from .model import SteadyState, SystemParams, _checked_number
 from .rk4 import step_times
 from .stability import _hurwitz_verdicts
 
@@ -172,30 +172,31 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(16) @ _LYAPUNOV_COEFFICIENTS).reshape(10, 10)
 
 
-def _checked_symmetric(X, name: str, relative: bool = False) -> tuple[np.ndarray, list[float]]:
-    """X as a float array and its 16 entries row by row (one X.tolist()).
-
-    ValueError unless X is 4x4, finite and symmetric on each mirrored pair to
-    1e-12, or to 1e-12 max(1, max|X|) if relative.
-    """
+def _checked_entries(X, name: str) -> tuple[np.ndarray, list[float]]:
+    """X as a float array and its entries row by row; ValueError unless X is 4x4 and finite."""
     X = np.asarray(X, dtype=float)
     if X.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4 (got shape {X.shape})")
     x = X.ravel().tolist()
     if not all(map(math.isfinite, x)):
         raise ValueError(f"{name} must have finite entries")
+    return X, x
+
+
+def _checked_symmetric(X, name: str, relative: bool = False) -> tuple[np.ndarray, list[float]]:
+    """_checked_entries of X; ValueError also unless X is symmetric on each mirrored
+    pair to 1e-12, or to 1e-12 max(1, max|X|) if relative.
+    """
+    X, x = _checked_entries(X, name)
     tol = 1e-12 * max(1.0, max(map(abs, x))) if relative else 1e-12
     if not all(abs(x[i] - x[j]) <= tol for i, j in zip(_UPPER, _LOWER)):
         raise ValueError(f"{name} must be symmetric")
     return X, x
 
 
-def _checked_system(A, D) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """A and D as float arrays and D's entries (_checked_symmetric); ValueError unless A is 4x4."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"A must be 4x4 (got shape {A.shape})")
-    return (A, *_checked_symmetric(D, "D"))
+def _checked_system(A, D) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
+    """A and its entries (_checked_entries), then D and its entries (_checked_symmetric)."""
+    return (*_checked_entries(A, "A"), *_checked_symmetric(D, "D"))
 
 
 def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -205,15 +206,15 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     system L w = -d on the upper-triangle entries w of V and d of D, with L
     the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
     with integrate_covariance); V is filled from w and is exactly symmetric.
-    D must be 4x4, finite and symmetric to 1e-12 (_checked_system, shared
-    with integrate_covariance; ValueError otherwise).  Requires a
+    A and D must be 4x4 and finite, D also symmetric to 1e-12 (_checked_system,
+    shared with integrate_covariance; ValueError otherwise).  Requires a
     strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
     ones included, raises UnstableSystemError.  SingularSystemError means
     the solve itself failed: a singular system, a V that overflows or a
     residual above tolerance.
     """
-    A, D, d = _checked_system(A, D)
-    if not _hurwitz_verdicts(A.ravel().tolist())[0]:
+    A, a, D, d = _checked_system(A, D)
+    if not _hurwitz_verdicts(a)[0]:
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"
@@ -279,8 +280,8 @@ def integrate_covariance(
 
     A must have the drift-matrix layout of the module docstring (ValueError
     otherwise), because dt must satisfy dt <= 0.05 / max rate with the rates
-    read off A (kappa, gamma, omega_m, |Delta| and 2|g|).  D has
-    steady_covariance's contract, and V0 the same one (_checked_symmetric:
+    read off A (kappa, gamma, omega_m, |Delta| and 2|g|).  A and D have
+    steady_covariance's contract, and V0 that of D (_checked_symmetric:
     4x4, finite and symmetric).  V is carried as its 10 upper-triangle
     entries, so every sample is exactly symmetric.  The ODE is linear with constant
     coefficients, so one RK4 step is a fixed affine map w -> P w + q on
@@ -292,7 +293,7 @@ def integrate_covariance(
     trajectory with a non-finite sample raises DivergenceError naming the
     first such time.
     """
-    A, D, _ = _checked_system(A, D)
+    A, _, D, _ = _checked_system(A, D)
     V0, _ = _checked_symmetric(V0, "V0")
     fastest = max(abs(rate) for rate in _drift_rates(A))
     times = step_times(t_end, dt, fastest)
@@ -369,14 +370,10 @@ def rwa_interaction(
     to satisfy both conditions at once (kappa >= 2 omega_m) is rejected as
     ambiguous.  A non-finite input raises ValueError naming it.
     """
-    if not math.isfinite(Delta):
-        raise ValueError(f"Delta must be finite (got {Delta!r})")
-    if not (math.isfinite(omega_m) and omega_m > 0):
-        raise ValueError(f"omega_m must be finite and > 0 (got {omega_m!r})")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and > 0 (got {kappa!r})")
-    if not (math.isfinite(g_s) and g_s >= 0):
-        raise ValueError(f"g_s must be finite and >= 0 (got {g_s!r})")
+    _checked_number("Delta", Delta)
+    _checked_number("omega_m", omega_m, "> 0")
+    _checked_number("kappa", kappa, "> 0")
+    _checked_number("g_s", g_s, ">= 0")
     half_linewidth = kappa / 2.0
     near_red = abs(Delta + omega_m) <= half_linewidth
     near_blue = abs(Delta - omega_m) <= half_linewidth

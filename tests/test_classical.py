@@ -1082,7 +1082,7 @@ class TestStabilityMap:
             assert [s.stable for s in steady_states(pp)] == m.stable[m.point == k].tolist()
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError, match="amplitudes"):
+        with pytest.raises(ValueError, match="A_l"):
             stability_map(FIG5, np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -713,6 +714,64 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: out of memory (grids: x with 50 points, F0 with 3 points)"]
         assert not (tmp_path / "out").exists()
+
+
+def _seeded_config(command, rng):
+    """A config of command with log-uniform params; A_l and F0 grids may start below 0."""
+    def log(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    def signed(value, negative=0.5):
+        return -value if rng.random() < negative else value
+
+    params = {
+        "kappa": log(1e-6, 1e6),
+        "gamma": log(1e-6, 1e6),
+        "omega_m": log(1e-6, 1e6),
+        "m": log(1e-6, 1e6),
+        "g0": log(1e-150, 1e150),
+        "Delta0": signed(log(1e-6, 1e50)),
+        "A_l": log(1e-6, 1e60),
+        "n_th": log(1e290, 1.7e308) if rng.random() < 0.2 else log(1e-6, 1e30),
+    }
+    grids = {}
+    for name in COMMANDS[command][0]:
+        if name in ("Delta0", "Delta", "A_l", "F0"):
+            if name in ("Delta0", "Delta"):
+                start = signed(log(1e-6, 1e50))
+            elif name == "A_l":
+                start = signed(log(1e-6, 1e60), negative=0.2)
+            else:
+                start = signed(log(1e-6, 1e6), negative=0.2)
+            stop = start + abs(start) * log(1e-3, 10.0) + log(1e-6, 1.0)
+            count = rng.randint(2, 21)
+        elif name == "t":
+            start, stop, count = 0.0, log(1e-6, 1e3), rng.randint(2, 201)
+        else:  # x, in wavelengths
+            start = rng.uniform(-1e3, 999.0)
+            stop, count = min(1e3, start + log(1e-2, 2e3)), rng.randint(2, 201)
+        grids[name] = {"start": start, "stop": stop, "count": count}
+    return {"command": command, "params": params, "grids": grids, "output_dir": "out"}
+
+
+class TestErrorContract:
+    """Seeded configs end in exit 0 (no stderr), 1 (one config error line) or 2 (one numerical error line)."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_seeded_configs_keep_the_exit_contract(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        for k in range(20):
+            config = _seeded_config(command, random.Random(f"{command}:{k}"))
+            path.write_text(json.dumps(config))
+            code = main([str(path), "--output-dir", str(tmp_path / f"out{k}"), "--quiet"])
+            err = capsys.readouterr().err
+            expected = {0: "", 1: "config error: ", 2: "numerical error: "}
+            assert code in expected, (k, code, err)
+            if code == 0:
+                assert err == "", (k, err)
+            else:
+                assert err.startswith(expected[code]) and err.count("\n") == 1, (k, err)
+                assert err.endswith("\n"), (k, err)
 
 
 class TestMainOptions:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from optomech.model import (
     validate_params,
 )
 from optomech.rk4 import step_times
+import optomech
+from optomech import classical, quantum
 
 VALID = SystemParams(kappa=0.15, gamma=0.005, g0=0.003, Delta0=-1.0, A_l=5.0)
 
@@ -205,3 +209,118 @@ class TestStepTimes:
     @pytest.mark.parametrize("t_end", [1e-13, 1e-300, 0.004])
     def test_end_below_one_step_is_one_short_step(self, t_end):
         assert step_times(t_end, 0.01, 1.0).tolist() == [0.0, t_end]
+
+
+PUBLIC_NAMES = [
+    "BistabilityBranch", "CavityGeometry", "CovarianceTrajectory", "GeometryCoupling",
+    "MeanFieldTrajectory", "QuadratureVariances", "RegimeReport", "RegimeSummary",
+    "StaticPotentialModel", "StaticPotentialResult", "SteadyState", "SteadyStateGrid",
+    "SystemParams", "beam_radiation_force", "characteristic_coefficients",
+    "classify_regime", "coupling_from_geometry", "cubic_discriminant", "diffusion_matrix",
+    "drift_matrix", "drift_matrix_from_rates", "effective_susceptibility",
+    "hysteresis_traces", "integrate_covariance", "integrate_mean_field",
+    "lorentzian_comb_model", "mean_output_field", "mean_thermal_occupancy",
+    "mechanical_susceptibility", "optical_spring_shift", "optical_susceptibility",
+    "optomechanical_damping", "photon_momentum_kick", "physicality_min_eig",
+    "quadrature_variances", "radiation_force", "radiation_force_gradient",
+    "radiation_potential", "routh_hurwitz_stable", "rwa_interaction", "self_energy",
+    "solve_intracavity_occupancy", "stability_map", "static_equilibria",
+    "static_potential", "steady_covariance", "steady_state_grid", "steady_states",
+    "sweep_bistability", "symplectic_form", "thermal_covariance", "validate_params",
+]
+
+
+def test_star_import_binds_no_module():
+    # a module in __all__ would rebind a caller's own "model" or "stability"
+    assert not [n for n in optomech.__all__ if isinstance(getattr(optomech, n), types.ModuleType)]
+    assert optomech.__all__ == PUBLIC_NAMES
+
+
+# Every scalar input check of the package: (entry, input name, bound, valid inputs).
+# entry(**{**valid, name: value}) passes value as that input, the others valid.
+GEOMETRY = dict(L=1e-2, lambda_l=1064e-9, m_eff=1e-12, omega_m_si=2 * math.pi * 1e6)
+COMB = dict(k_HO=1.0, F0=0.5, wavelength=1.0, finesse=10.0, x_min=-2.0, x_max=2.0)
+RATES = dict(g_s=0.01, Delta=np.linspace(-2.0, 2.0, 5), kappa=0.15, omega_m=1.0)
+RWA = dict(Delta=-1.0, omega_m=1.0, kappa=0.15, g_s=0.01)
+SAMPLE_A = quantum.drift_matrix_from_rates(0.5, 0.5, 1.0, -1.0, 0.05)
+SAMPLE_D = np.diag([0.25, 0.25, 2.75, 2.75])
+FIELD_BOUNDS = {
+    "kappa": "> 0", "gamma": "> 0", "omega_m": "> 0", "m": "> 0",
+    "g0": ">= 0", "A_l": ">= 0", "n_th": ">= 0", "Delta0": "",
+}
+
+
+def validate_fields(**fields):
+    return validate_params(SystemParams(**fields))
+
+
+def geometry_coupling(**lengths):
+    return coupling_from_geometry(CavityGeometry(**lengths))
+
+
+def stability_map_amplitude(A_l):
+    return classical.stability_map(VALID, np.array([-1.0, 0.0]), np.array([1.0, A_l]))
+
+
+def unit_rate_step_times(t_end, dt):
+    return step_times(t_end, dt, 1.0)
+
+
+def mean_field_run(t_end, dt):
+    return classical.integrate_mean_field(VALID, 0j, 0j, t_end, dt)
+
+
+def covariance_run(t_end, dt):
+    V0 = quantum.thermal_covariance(5.0)
+    return quantum.integrate_covariance(SAMPLE_A, SAMPLE_D, V0, t_end, dt)
+
+
+SCALAR_SITES = [
+    *((validate_fields, name, bound, dataclasses.asdict(VALID)) for name, bound in FIELD_BOUNDS.items()),
+    (mean_thermal_occupancy, "omega_m", "> 0", dict(omega_m=1e6, T=0.01)),
+    (mean_thermal_occupancy, "T", ">= 0", dict(omega_m=1e6, T=0.01)),
+    *((geometry_coupling, name, "> 0", GEOMETRY) for name in GEOMETRY),
+    (photon_momentum_kick, "E_photon", ">= 0", dict(E_photon=1e-19)),
+    (beam_radiation_force, "P", ">= 0", dict(P=1e-3)),
+    (classical.optical_susceptibility, "kappa", "> 0", dict(omega=0.5, Delta=-1.0, kappa=0.15)),
+    *(
+        (classical.mechanical_susceptibility, name, "> 0", dict(omega=0.5, m=1.0, omega_m=1.0, gamma=0.01))
+        for name in ("m", "omega_m", "gamma")
+    ),
+    *(
+        (entry, name, "> 0", RATES)
+        for entry in (classical.optomechanical_damping, classical.optical_spring_shift)
+        for name in ("kappa", "omega_m")
+    ),
+    *((classical.lorentzian_comb_model, name, "> 0", COMB) for name in ("k_HO", "wavelength", "finesse")),
+    (classical.lorentzian_comb_model, "F0", ">= 0", COMB),
+    (classical.mean_output_field, "kappa", "> 0", dict(alpha_s=1 + 1j, kappa=0.15)),
+    (stability_map_amplitude, "A_l", ">= 0", dict(A_l=5.0)),
+    *((quantum.rwa_interaction, name, bound, RWA) for name, bound in (
+        ("Delta", ""), ("omega_m", "> 0"), ("kappa", "> 0"), ("g_s", ">= 0"),
+    )),
+    *(
+        (entry, name, "> 0", dict(t_end=1.0, dt=0.01))
+        for entry in (unit_rate_step_times, mean_field_run, covariance_run)
+        for name in ("t_end", "dt")
+    ),
+]
+SITE_IDS = [f"{entry.__name__}-{name}" for entry, name, _, _ in SCALAR_SITES]
+VIOLATORS = {"> 0": [0.0, -1.0], ">= 0": [-5e-324, -1.0], "": []}
+
+
+class TestScalarInputCheck:
+    """Every scalar input must be finite and meet its bound, else a ValueError names it."""
+
+    @pytest.mark.parametrize("entry, name, bound, valid", SCALAR_SITES, ids=SITE_IDS)
+    def test_rejected_input_is_named(self, entry, name, bound, valid):
+        clause = f" and {bound}" if bound else ""
+        for value in [math.nan, math.inf, -math.inf, *VIOLATORS[bound]]:
+            message = f"{name} must be finite{clause} (got {value!r})"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry(**{**valid, name: value})
+
+    @pytest.mark.parametrize("entry, name, bound, valid", SCALAR_SITES, ids=SITE_IDS)
+    def test_valid_input_passes(self, entry, name, bound, valid):
+        for value in (valid[name], 0.0) if bound == ">= 0" else (valid[name],):
+            entry(**{**valid, name: value})

@@ -437,6 +437,16 @@ class TestIntegrateCovariance:
             assert rates[4] == pytest.approx(2.0 * abs(g), rel=1e-15)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
+    def test_non_finite_drift_rejected(self, entry, value):
+        A, D = self.sample()
+        A[entry] = value
+        with pytest.raises(ValueError, match="^A must have finite entries$"):
+            steady_covariance(A, D)
+        with pytest.raises(ValueError, match="^A must have finite entries$"):
+            integrate_covariance(A, D, thermal_covariance(5.0), t_end=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_v0_rejected(self, value):
         A, D = self.sample()
         V0 = thermal_covariance(5.0)
