@@ -17,6 +17,9 @@ code is 4 if any file is not identical.  Sidecars are compared without their
 "output_dir" entry, which names the root they were written to; a differing
 sidecar is reported with the dotted path of each key whose value differs or
 that only one side has.
+
+The script runs the optomech package of its own checkout (its src/), not an
+installed copy, so two checkouts can be compared with each other.
 """
 
 import argparse
@@ -25,9 +28,10 @@ import math
 import sys
 from pathlib import Path
 
-from optomech.cli import main as run_config
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))  # this checkout's optomech, before any other copy
+
+from optomech.cli import main as run_config  # noqa: E402
 
 
 def _cell_differences(ours: bytes, theirs: bytes) -> str:

@@ -63,7 +63,7 @@ _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
 # 1.02 against 1.16 ms for 128; array fixed points took 64 against 15 us for
 # 1 root, 155 against 162 us for 32 and 181 against 378 us for 128.
 _LOCKSTEP_BATCH = 128
-_STRAGGLERS = 8          # open brackets that _y_roots finishes one by one on _y_root
+_STRAGGLERS = 8          # open brackets that _y_roots and _bisect finish one by one on floats
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 _PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
@@ -182,27 +182,6 @@ def _y_inputs(params: SystemParams, Delta0: float, A_l: float) -> tuple[float, f
     if inputs is None or not all(map(math.isfinite, (*inputs, inputs[0] * inputs[1]))):
         raise SimulationError(_OVERFLOW.format(Delta0, A_l, params.g0))
     return inputs
-
-
-def _batch_inputs(params: SystemParams, points):
-    """(Delta0, C, a, c1, t = a C) of the cubic in y = C N at every (Delta0, A_l) point.
-
-    C is a float, the rest arrays over the points.  C is formed once; a and
-    c1 keep _y_inputs' Python float powers per point, so every value has its
-    bits.  None if an input is not finite: _y_inputs raises at such a point.
-    """
-    C = _pull_coefficient(params)
-    try:
-        k2 = params.kappa ** 2
-        a = np.array([4.0 * A_l ** 2 for _, A_l in points])
-        c1 = np.array([4.0 * Delta0 ** 2 + k2 for Delta0, _ in points])
-    except OverflowError:
-        return None
-    with np.errstate(all="ignore"):
-        t = a * C
-    if not (math.isfinite(C) and all(np.isfinite(v).all() for v in (a, c1, t))):
-        return None
-    return np.array([Delta0 for Delta0, _ in points]), C, a, c1, t
 
 
 def _discriminant(c1: float, t: float, Delta0: float, kappa: float) -> float:
@@ -434,19 +413,20 @@ def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
     return _complex(*alpha_s), _complex(*beta_s), Delta_eff, routh_hurwitz_stable(A)
 
 
-def _batch_points(params: SystemParams, Delta0, A_l) -> list[tuple[float, float]]:
-    """(Delta0, A_l) pairs of a batch, validated with the rest of params."""
+def _batch_points(params: SystemParams, Delta0, A_l) -> np.ndarray:
+    """(Delta0, A_l) rows of a batch, an (n, 2) float array, validated with the rest of params."""
     Delta0, A_l = (np.ravel(v).astype(float) for v in np.broadcast_arrays(Delta0, A_l))
     bad = ~(np.isfinite(Delta0) & np.isfinite(A_l) & (A_l >= 0))
-    points = list(zip(Delta0.tolist(), A_l.tolist()))
-    d, a = points[int(np.argmax(bad))] if points else (params.Delta0, params.A_l)
+    points = np.stack([Delta0, A_l], axis=1)
+    d, a = points[int(np.argmax(bad))].tolist() if len(points) else (params.Delta0, params.A_l)
     validate_params(dataclasses.replace(params, Delta0=d, A_l=a))
     return points
 
 
 def _roots_pointwise(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
     """_roots_at's (roots, counts), from one _occupancy_roots call per point."""
-    roots = [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in points]
+    rows = np.asarray(points, dtype=float).tolist()
+    roots = [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in rows]
     flat = [N for point_roots in roots for N in point_roots]
     return np.array(flat, dtype=float), np.array(list(map(len, roots)), dtype=int)
 
@@ -454,19 +434,28 @@ def _roots_pointwise(params: SystemParams, points) -> tuple[np.ndarray, np.ndarr
 def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
     """_roots_pointwise, with every bracket of every point solved at once on arrays.
 
-    The brackets, starts, N recovery and gate are _occupancy_roots' and the
-    iteration is _y_root's (_y_roots), each on arrays with the same float
-    operations, so every root has the same bits.  A point that would raise
-    (an input, S_y or N not finite, or the gate failing) sends the whole
-    batch through _roots_pointwise, which raises its error at its point.
+    The inputs are _y_inputs', with C formed once, the brackets, starts, N
+    recovery and gate _occupancy_roots' and the iteration _y_root's
+    (_y_roots), each on arrays with the same float operations, so every root
+    has the same bits.  A point that would raise (an input, S_y or N not
+    finite, or the gate failing) sends the whole batch through
+    _roots_pointwise, which raises its error at its point.
     """
-    inputs = _batch_inputs(params, points)
-    if inputs is None:
-        return _roots_pointwise(params, points)
-    D, C, a, c1, t = inputs
-    kappa = params.kappa
+    D, A_l = np.asarray(points, dtype=float).T
+    C, kappa = _pull_coefficient(params), params.kappa
     k2 = kappa * kappa
-    # Python's float power per point, as in _occupancy_roots: numpy's differs in bits
+    # a, c1 and cube take Python's float powers per point, as _y_inputs and
+    # _occupancy_roots do: numpy's differ in bits
+    try:
+        kappa2 = kappa ** 2  # _y_inputs' square; the solve's k2 is _occupancy_roots'
+        a = np.array([4.0 * x ** 2 for x in A_l.tolist()])
+        c1 = np.array([4.0 * x ** 2 + kappa2 for x in D.tolist()])
+    except OverflowError:
+        return _roots_pointwise(params, points)
+    with np.errstate(all="ignore"):
+        t = a * C
+    if not (math.isfinite(C) and all(np.isfinite(v).all() for v in (a, c1, t))):
+        return _roots_pointwise(params, points)
     cube = np.array([x ** (1.0 / 3.0) for x in t.tolist()])
     with np.errstate(all="ignore"):
         top = np.where(-2.0 * D > cube, -2.0 * D, cube)
@@ -526,10 +515,9 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     size 1.
     """
     points = _batch_points(params, Delta0, A_l)
-    Delta0, A_l = np.array(points, dtype=float).reshape(-1, 2).T
     N_o, counts = _roots_at(params, points)
     point = np.repeat(np.arange(len(points)), counts)
-    Delta0, A_l = Delta0[point], A_l[point]
+    Delta0, A_l = points[point].T
     if len(points) < _LOCKSTEP_BATCH:  # Python floats, for CPython's complex arithmetic
         columns = _fixed_points(params, Delta0.tolist(), A_l.tolist(), N_o.tolist())
     else:
@@ -567,6 +555,20 @@ def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
 # sweeps
 
 
+def _bisect_one(f, lo: float, hi: float, f_lo: float, width: float, k: int) -> float:
+    """_bisect's loop for the one bracket k, on Python floats."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid, k)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
     """Bisect the sign change of f on every bracket [lo, hi] in lockstep.
 
@@ -574,8 +576,10 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
     makes one call f(mid, k) at the midpoints mid of the unfinished brackets
     k (an index array) and halves each of them.  A bracket ends at its
     midpoint once it is no wider than its width, or at the first midpoint
-    where f is exactly zero.  Per bracket this is the scalar bisection
-    loop, so the results carry its bits.
+    where f is exactly zero.  Once at most _STRAGGLERS brackets are open
+    (from the start, if no more), _bisect_one finishes each on Python
+    floats: f(mid, k) then takes one float and an int and returns a float.
+    Per bracket this is the scalar loop, so the results carry its bits.
     """
     lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
     width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
@@ -586,8 +590,8 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
         done = k[~wide]
         out[done] = 0.5 * (lo[done] + hi[done])
         k = k[wide]
-        if not k.size:
-            return out
+        if k.size <= _STRAGGLERS:
+            break
         mid = 0.5 * (lo[k] + hi[k])
         f_mid = f(mid, k)
         zero = f_mid == 0.0
@@ -596,6 +600,9 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
         lo[k[same]], f_lo[k[same]] = mid[same], f_mid[same]
         hi[k[~same]] = mid[~same]
         k = k[~zero]
+    for i in k.tolist():
+        out[i] = _bisect_one(f, lo[i].item(), hi[i].item(), f_lo[i].item(), width[i].item(), i)
+    return out
 
 
 def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -603,13 +610,15 @@ def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
     The root count is defined by the discriminant sign, so grid neighbours
     with different counts always bracket a sign change (or hit a zero).  The
-    discriminant is evaluated on arrays, from the inputs the root solve uses
-    (_batch_inputs), and all brackets are bisected together.
+    discriminant takes _y_inputs' operations on Python floats, so it has the
+    root solve's bits, and all brackets are bisected together (_bisect).
     """
-    def disc(detunings, k=None) -> np.ndarray:
-        D, _, _, c1, t = _batch_inputs(params, [(d, params.A_l) for d in detunings.tolist()])
-        with np.errstate(all="ignore"):
-            return _discriminant(c1, t, D, params.kappa)
+    k2, t = params.kappa ** 2, 4.0 * params.A_l ** 2 * _pull_coefficient(params)
+
+    def disc(d, k=None):
+        if isinstance(d, np.ndarray):
+            return np.array([disc(x) for x in d.tolist()])
+        return _discriminant(4.0 * d ** 2 + k2, t, d, params.kappa)
 
     f_lo, f_hi = disc(lo), disc(hi)
     edges = np.where(f_lo == 0.0, lo, hi)
@@ -637,10 +646,13 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
 
 def _continue_from(start: float, roots) -> list[float]:
     """Nearest-root continuation: start, then per point the root nearest the last."""
-    trace = [start]
+    trace = [prev := start]
     for point_roots in roots:
-        prev = trace[-1]
-        trace.append(min(point_roots, key=lambda r: abs(r - prev)))
+        if len(point_roots) > 1:
+            prev = min(point_roots, key=lambda r: abs(r - prev))
+        else:  # the one root, without min's key calls
+            prev = point_roots[0]
+        trace.append(prev)
     return trace
 
 
@@ -967,10 +979,12 @@ def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
     )
     # two float steps bound the width far from x = 0, where they exceed 1e-10 wavelengths
     steps = 2.0 * np.spacing(np.maximum(np.abs(x[node]), np.abs(x[node + 1])))
-    roots = _bisect(
-        lambda mid, k: k_HO * mid - F0[force[k]] * radiation_force(comb, mid),
-        x[node], x[node + 1], h[force, node], np.maximum(1e-10 * wavelength, steps),
-    )
+    width = np.maximum(1e-10 * wavelength, steps)
+
+    def slope(mid, k):  # dV_t/dx of force k at mid, a float for a float mid
+        return k_HO * mid - F0[force[k]] * radiation_force(comb, mid).reshape(np.shape(mid))
+
+    roots = _bisect(slope, x[node], x[node + 1], h[force, node], width)
     candidates = [
         sorted(x[~nonzero[f]].tolist() + roots[force == f].tolist()) for f in range(F0.size)
     ]

@@ -24,8 +24,10 @@ from optomech import classical
 from optomech.model import SystemParams
 from optomech.classical import (
     _LOCKSTEP_BATCH,
+    _STRAGGLERS,
     _bisect,
     _complex,
+    _continue_from,
     _fixed_point_columns,
     _fixed_points,
     _occupancy_roots,
@@ -957,30 +959,90 @@ def _refine_edge_reference(params, lo, hi):
     return _bisect_scalar(disc, lo, hi, f_lo, 1e-10 * max(1.0, abs(lo), abs(hi)))
 
 
+def _bisect_with_calls(roots, lo, hi, width, sign=None):
+    """_bisect on f(mid, k) = sign (mid - root), checked against _bisect_scalar per bracket.
+
+    Returns the results and the calls f received, in order: ("array", brackets)
+    for a lockstep round, ("float", bracket) for a call on Python floats.
+    """
+    roots, lo, hi = (np.asarray(v, dtype=float) for v in (roots, lo, hi))
+    width = np.broadcast_to(np.asarray(width, dtype=float), roots.shape)
+    sign = np.ones_like(roots) if sign is None else np.asarray(sign, dtype=float)
+    calls = []
+
+    def f(mid, k):
+        if isinstance(k, np.ndarray):
+            calls.append(("array", k.tolist()))
+            return sign[k] * (mid - roots[k])
+        assert type(mid) is float and type(k) is int
+        calls.append(("float", k))
+        return sign[k].item() * (mid - roots[k].item())
+
+    out = _bisect(f, lo, hi, sign * (lo - roots), width)
+    for i in range(roots.size):
+        expected = _bisect_scalar(
+            lambda m: sign[i] * (m - roots[i]), lo[i], hi[i], sign[i] * (lo[i] - roots[i]), width[i]
+        )
+        assert out[i] == expected, i
+    return out, calls
+
+
 class TestBisect:
+    # brackets of different widths, one whose first midpoint is an exact zero
+    ROOTS = [0.5, 0.3, 2.7, -1.0 / 3.0]
+    LO, HI = [0.0, 0.0, 2.0, -1.0], [1.0, 1.0, 3.0, 0.0]
+    WIDTH = [1e-3, 1e-12, 1e-6, 1e-15]
+
     def test_equals_scalar_loop_per_bracket(self):
-        # brackets of different widths, one whose first midpoint is an exact zero
-        roots = np.array([0.5, 0.3, 2.7, -1.0 / 3.0])
-        lo = np.array([0.0, 0.0, 2.0, -1.0])
-        hi = np.array([1.0, 1.0, 3.0, 0.0])
-        width = np.array([1e-3, 1e-12, 1e-6, 1e-15])
-        calls = []
-
-        def f(mid, k):
-            calls.append(k.tolist())
-            return mid - roots[k]
-
-        out = _bisect(f, lo, hi, lo - roots, width)
-        for i in range(roots.size):
-            expected = _bisect_scalar(
-                lambda m: m - roots[i], lo[i], hi[i], lo[i] - roots[i], width[i]
-            )
-            assert out[i] == expected
+        # at most _STRAGGLERS brackets: each bracket on Python floats, in its own run of calls
+        out, calls = _bisect_with_calls(self.ROOTS, self.LO, self.HI, self.WIDTH)
         assert out[0] == 0.5
-        # the exact zero ends bracket 0 after one round; each bracket stops at its own width
-        assert calls[0] == [0, 1, 2, 3] and all(0 not in k for k in calls[1:])
-        rounds = [sum(i in k for k in calls) for i in range(roots.size)]
-        assert rounds[1] < rounds[3] and rounds[2] < rounds[1]
+        assert {kind for kind, _ in calls} == {"float"}
+        order = [k for _, k in calls]
+        assert order == sorted(order)
+        # the exact zero ends bracket 0 after one call; each bracket stops at its own width
+        rounds = [order.count(i) for i in range(len(self.ROOTS))]
+        assert rounds[0] == 1 and rounds[2] < rounds[1] < rounds[3]
+
+        # more than _STRAGGLERS brackets (three shifted copies of the four): lockstep
+        # rounds over the open brackets while more than _STRAGGLERS are open, then
+        # the last ones on Python floats
+        copies = 3
+        assert 4 * copies > _STRAGGLERS >= 2 * copies
+        shift = np.repeat(np.arange(copies, dtype=float), 4)
+        out, calls = _bisect_with_calls(
+            np.tile(self.ROOTS, copies) + shift, np.tile(self.LO, copies) + shift,
+            np.tile(self.HI, copies) + shift, np.tile(self.WIDTH, copies),
+        )
+        assert out[0::4].tolist() == [0.5, 1.5, 2.5]
+        lockstep = [k for kind, k in calls if kind == "array"]
+        tail = [k for kind, k in calls if kind == "float"]
+        assert [kind for kind, _ in calls] == ["array"] * len(lockstep) + ["float"] * len(tail)
+        assert lockstep[0] == list(range(4 * copies))
+        assert all(0 not in k and 4 not in k and 8 not in k for k in lockstep[1:])
+        assert all(len(k) > _STRAGGLERS for k in lockstep)
+        assert all(set(b) <= set(a) for a, b in zip(lockstep, lockstep[1:]))
+        # the width-1e-6 brackets finish in lockstep, the two narrower kinds on floats
+        assert sorted(set(tail)) == [1, 3, 5, 7, 9, 11] and tail == sorted(tail)
+        assert set(tail) <= set(lockstep[-1])
+
+    @pytest.mark.parametrize("n", range(1, 2 * _STRAGGLERS + 1))
+    def test_equals_scalar_loop_for_any_batch_size(self, n):
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-2.0, 2.0, n)
+        hi = lo + rng.uniform(1e-3, 2.0, n)
+        roots = rng.uniform(lo, hi)
+        width = 10.0 ** rng.uniform(-15.0, -2.0, n)
+        sign = rng.choice([-1.0, 1.0], n)
+        roots[0] = 0.5 * (lo[0] + hi[0])  # an exact zero at the first midpoint
+        width[-1] = hi[-1] - lo[-1]       # a bracket already within its width
+        out, calls = _bisect_with_calls(roots, lo, hi, width, sign)
+        assert out[0] == roots[0]
+        assert n == 1 or out[-1] == 0.5 * (lo[-1] + hi[-1])
+        assert all(k != n - 1 for kind, k in calls if kind == "float") and all(
+            n - 1 not in k for kind, k in calls if kind == "array"
+        )
+        assert ("array" in {kind for kind, _ in calls}) == (n - 1 > _STRAGGLERS)
 
     def test_bracket_within_width_makes_no_call(self):
         def f(mid, k):
@@ -1018,6 +1080,27 @@ class TestWindowEdges:
                 assert sweep.window_edges == tuple(expected)
                 edges_seen += len(expected)
         assert edges_seen >= 80
+
+
+class TestContinueFrom:
+    def test_equals_min_per_step(self):
+        # roots on a coarse lattice, so that two roots are often equally near
+        rng = np.random.default_rng(26)
+        ties = 0
+        for _ in range(200):
+            roots = [
+                sorted((0.25 * rng.integers(0, 12, rng.integers(1, 4))).tolist())
+                for _ in range(rng.integers(0, 30))
+            ]
+            start = 0.25 * float(rng.integers(0, 12))
+            expected = [start]
+            for point_roots in roots:
+                prev = expected[-1]
+                nearest = min(abs(r - prev) for r in point_roots)
+                ties += sum(abs(r - prev) == nearest for r in set(point_roots)) > 1
+                expected.append(min(point_roots, key=lambda r: abs(r - prev)))
+            assert _continue_from(start, roots) == expected
+        assert ties >= 50
 
 
 class TestHysteresis:

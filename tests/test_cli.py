@@ -21,6 +21,7 @@ from optomech.cli import (
     COMMANDS,
     GridSpec,
     ResultTable,
+    RunSpec,
     emit_csv,
     load_config,
     main,
@@ -29,6 +30,7 @@ from optomech.cli import (
     write_tables,
 )
 from optomech.errors import ConfigError
+from optomech.model import SystemParams
 from optomech import classical
 from test_classical import (
     LINALG_ERROR_INPUT,
@@ -271,6 +273,12 @@ class TestRoundTrip:
             "grids": {"Delta": {"start": -2.0, "stop": 2.0, "count": 11}},
             "output_dir": str(tmp_path / "out"),
         }
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_spec_to_config_is_asdict(self, config):
+        spec = load_config(config)
+        assert spec_to_config(spec) == dataclasses.asdict(spec)
+        assert spec_to_config(spec)["grids"] is not spec.grids
 
 
 class TestEmitCsv:
@@ -517,6 +525,37 @@ class TestCommands:
 
 
 class TestExitCodes:
+    def test_usage_error_is_1(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "optomech: error: the following arguments are required: config\n"
+        )
+
+    def test_non_object_grids_is_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, grids=[])
+        assert main([str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err == "config error: grids must be a JSON object\n"
+
+    def test_run_command_rejects_unknown_command(self):
+        spec = RunSpec(command="nope", params=SystemParams(**BASE["params"]), output_dir="out")
+        with pytest.raises(ConfigError, match="^unknown command 'nope'$"):
+            run_command(spec)
+
+    def test_integrator_sample_count_mismatch_is_2(self, tmp_path, capsys):
+        # the grid's step is subnormal: the integrator's times collapse to fewer samples
+        config = write_config(
+            tmp_path,
+            command="mean-field",
+            grids={"t": {"start": 0.0, "stop": 1.5e-323, "count": 3}},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main([str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: integrator produced 2 samples for a 3-point grid\n"
+        )
+
     def test_config_error_is_1(self, tmp_path, capsys):
         assert main([str(tmp_path / "missing.json")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -887,6 +926,27 @@ class TestRunAllConfigsCompare:
         assert f"DIFFERS    run/only_ours.csv: missing under {theirs}" in lines
         assert "DIFFERS    run/nested.meta.json: sidecars differ at params.kappa, seed" in lines
         assert lines[-1] == "2/6 files identical"
+
+    def test_imports_optomech_from_its_own_checkout(self, tmp_path):
+        # a decoy package first on PYTHONPATH stands in for another checkout or an
+        # installed copy; the script still runs the optomech beside it
+        decoy = tmp_path / "decoy" / "optomech"
+        decoy.mkdir(parents=True)
+        (decoy / "__init__.py").write_text("")
+        (decoy / "cli.py").write_text("def main(argv=None):\n    return 0\n")
+        path = SRC_DIR.parent / "scripts" / "run_all_configs.py"
+        code = (
+            "import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('run_all_configs', {str(path)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print(sys.modules['optomech.cli'].__file__)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(decoy.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert Path(result.stdout.strip()).resolve() == (SRC_DIR / "optomech" / "cli.py").resolve()
 
     def test_golden_configs_compare_identical(self, tmp_path, capsys):
         script = self.load_script()
