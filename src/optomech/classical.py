@@ -63,7 +63,7 @@ _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
 # 1.02 against 1.16 ms for 128; array fixed points took 64 against 15 us for
 # 1 root, 155 against 162 us for 32 and 181 against 378 us for 128.
 _LOCKSTEP_BATCH = 128
-_STRAGGLERS = 8          # open brackets that _y_roots and _bisect finish one by one on floats
+_STRAGGLERS = 8          # open brackets that _y_roots finishes one by one on _y_root
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 _PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
@@ -555,11 +555,11 @@ def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
 # sweeps
 
 
-def _bisect_one(f, lo: float, hi: float, f_lo: float, width: float, k: int) -> float:
-    """_bisect's loop for the one bracket k, on Python floats."""
+def _bisect_one(f, lo: float, hi: float, f_lo: float, width: float) -> float:
+    """_bisect's loop for one bracket on Python floats: f takes and returns one float."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid, k)
+        f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):
@@ -576,10 +576,8 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
     makes one call f(mid, k) at the midpoints mid of the unfinished brackets
     k (an index array) and halves each of them.  A bracket ends at its
     midpoint once it is no wider than its width, or at the first midpoint
-    where f is exactly zero.  Once at most _STRAGGLERS brackets are open
-    (from the start, if no more), _bisect_one finishes each on Python
-    floats: f(mid, k) then takes one float and an int and returns a float.
-    Per bracket this is the scalar loop, so the results carry its bits.
+    where f is exactly zero.  f takes and returns float arrays.  Per bracket
+    this is the scalar loop (_bisect_one), so the results carry its bits.
     """
     lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
     width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
@@ -590,8 +588,8 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
         done = k[~wide]
         out[done] = 0.5 * (lo[done] + hi[done])
         k = k[wide]
-        if k.size <= _STRAGGLERS:
-            break
+        if not k.size:
+            return out
         mid = 0.5 * (lo[k] + hi[k])
         f_mid = f(mid, k)
         zero = f_mid == 0.0
@@ -600,32 +598,28 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
         lo[k[same]], f_lo[k[same]] = mid[same], f_mid[same]
         hi[k[~same]] = mid[~same]
         k = k[~zero]
-    for i in k.tolist():
-        out[i] = _bisect_one(f, lo[i].item(), hi[i].item(), f_lo[i].item(), width[i].item(), i)
-    return out
 
 
-def _window_edges(params: SystemParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Detunings in [lo, hi] where the cubic discriminant changes sign.
+def _window_edges(params: SystemParams, lo: list[float], hi: list[float]) -> list[float]:
+    """Detunings where the cubic discriminant changes sign, one per bracket [lo, hi].
 
     The root count is defined by the discriminant sign, so grid neighbours
-    with different counts always bracket a sign change (or hit a zero).  The
-    discriminant takes _y_inputs' operations on Python floats, so it has the
-    root solve's bits, and all brackets are bisected together (_bisect).
+    with different counts always bracket a sign change (or hit a zero).  On
+    Python floats, the discriminant takes _y_inputs' operations, so it has
+    the root solve's bits, and each bracket is bisected alone (_bisect_one).
     """
     k2, t = params.kappa ** 2, 4.0 * params.A_l ** 2 * _pull_coefficient(params)
 
-    def disc(d, k=None):
-        if isinstance(d, np.ndarray):
-            return np.array([disc(x) for x in d.tolist()])
+    def disc(d: float) -> float:
         return _discriminant(4.0 * d ** 2 + k2, t, d, params.kappa)
 
-    f_lo, f_hi = disc(lo), disc(hi)
-    edges = np.where(f_lo == 0.0, lo, hi)
-    k = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
-    width = _EDGE_ATOL * np.maximum(1.0, np.maximum(np.abs(lo[k]), np.abs(hi[k])))
-    edges[k] = _bisect(disc, lo[k], hi[k], f_lo[k], width)
-    return edges
+    def edge(a: float, b: float) -> float:
+        f_a, f_b = disc(a), disc(b)
+        if f_a == 0.0 or f_b == 0.0:
+            return a if f_a == 0.0 else b
+        return _bisect_one(disc, a, b, f_a, _EDGE_ATOL * max(1.0, abs(a), abs(b)))
+
+    return [edge(a, b) for a, b in zip(lo, hi)]
 
 
 def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> BistabilityBranch:
@@ -640,8 +634,8 @@ def sweep_bistability(params: SystemParams, detunings: np.ndarray) -> Bistabilit
     grid = steady_state_grid(params, detunings, params.A_l)
     i = np.flatnonzero(np.diff(grid.counts))
     a, b = detunings[i], detunings[i + 1]
-    edges = _window_edges(params, np.minimum(a, b), np.maximum(a, b))
-    return BistabilityBranch(states=grid, window_edges=tuple(sorted(edges.tolist())))
+    edges = _window_edges(params, np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+    return BistabilityBranch(states=grid, window_edges=tuple(sorted(edges)))
 
 
 def _continue_from(start: float, roots) -> list[float]:
@@ -891,14 +885,19 @@ def lorentzian_comb_model(
     _PAD_RESONANCES (10) spacings beyond each end of the interval so edge
     effects on the force inside the window stay negligible.  The force costs
     O(grid points x resonances) in time and memory, so a comb of more than
-    _MAX_COMB_RESONANCES resonances raises ValueError before it is built.
+    _MAX_COMB_RESONANCES resonances raises ValueError before it is built, and
+    a spacing or width beyond the float range raises SimulationError.
     """
     for name, value in (("k_HO", k_HO), ("wavelength", wavelength), ("finesse", finesse)):
         _checked_number(name, value, "> 0")
     _checked_number("F0", F0, ">= 0")
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
-    spacing = wavelength / 2.0
+    spacing, width = wavelength / 2.0, wavelength / (2.0 * finesse)
+    if spacing == 0.0 or not 0.0 < width < math.inf:
+        raise SimulationError(
+            f"comb spacing or width leaves the float range at {wavelength = }, {finesse = }"
+        )
     lo, hi = x_min / spacing, x_max / spacing
     if math.isfinite(hi - lo):  # an end beyond the float range has no resonance index
         j_min, j_max = math.floor(lo) - _PAD_RESONANCES, math.ceil(hi) + _PAD_RESONANCES
@@ -913,7 +912,7 @@ def lorentzian_comb_model(
         k_HO=k_HO,
         F0=F0,
         x_res=tuple(j * spacing for j in range(j_min, j_max + 1)),
-        width=wavelength / (2.0 * finesse),
+        width=width,
         finesse=finesse,
     )
 
@@ -981,8 +980,8 @@ def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
     steps = 2.0 * np.spacing(np.maximum(np.abs(x[node]), np.abs(x[node + 1])))
     width = np.maximum(1e-10 * wavelength, steps)
 
-    def slope(mid, k):  # dV_t/dx of force k at mid, a float for a float mid
-        return k_HO * mid - F0[force[k]] * radiation_force(comb, mid).reshape(np.shape(mid))
+    def slope(mid, k):  # dV_t/dx of forces k at midpoints mid
+        return k_HO * mid - F0[force[k]] * radiation_force(comb, mid)
 
     roots = _bisect(slope, x[node], x[node + 1], h[force, node], width)
     candidates = [

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import SimulationError
+
 # CODATA 2018 / SI 2019: c, h and k_B are exact by definition.
 _c = 299792458.0                        # speed of light, m/s
 _hbar = 6.62607015e-34 / (2 * math.pi)  # reduced Planck constant, J s
@@ -124,7 +126,10 @@ def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
         _checked_number(name, getattr(geometry, name), "> 0")
     omega_o = 2.0 * math.pi * _c / geometry.lambda_l
     G = omega_o / geometry.L
-    x_zp = math.sqrt(_hbar / (2.0 * geometry.m_eff * geometry.omega_m_si))
+    denominator = 2.0 * geometry.m_eff * geometry.omega_m_si
+    if denominator == 0.0:
+        raise SimulationError(f"2 m_eff omega_m_si underflows to 0 for {geometry!r}")
+    x_zp = math.sqrt(_hbar / denominator)
     return GeometryCoupling(G=G, x_zp=x_zp, g0=G * x_zp, fsr=math.pi * _c / geometry.L)
 
 

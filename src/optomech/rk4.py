@@ -16,8 +16,8 @@ def step_times(t_end: float, dt: float, fastest: float) -> np.ndarray:
 
     ValueError unless t_end and dt are finite and > 0; StepSizeError unless
     dt <= STEP_BOUND_FACTOR / fastest, the fastest rate of the system (no
-    bound applies when fastest is not > 0).  If dt does not divide t_end, a
-    shorter final step closes the gap; if no full step fits, it is [0, t_end].
+    bound applies when fastest is not > 0), and t_end / dt is finite.  A
+    shorter final step closes any gap to t_end; with no full step, [0, t_end].
     """
     _checked_number("dt", dt, "> 0")
     _checked_number("t_end", t_end, "> 0")
@@ -26,7 +26,10 @@ def step_times(t_end: float, dt: float, fastest: float) -> np.ndarray:
             f"dt = {dt:g} exceeds the step bound {STEP_BOUND_FACTOR / fastest:g} "
             f"for the fastest rate {fastest:g}"
         )
-    n = int(np.floor(t_end / dt + 1e-9))
+    steps = float(t_end) / float(dt)  # Python floats: an overflow gives inf, no warning
+    if not np.isfinite(steps):
+        raise StepSizeError(f"t_end / dt overflows for t_end = {t_end!r}, dt = {dt!r}")
+    n = int(np.floor(steps + 1e-9))
     times = dt * np.arange(n + 1, dtype=float)
     if n and t_end - times[-1] <= 1e-12 * max(1.0, t_end):
         times[-1] = t_end

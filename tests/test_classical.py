@@ -26,6 +26,7 @@ from optomech.classical import (
     _LOCKSTEP_BATCH,
     _STRAGGLERS,
     _bisect,
+    _bisect_one,
     _complex,
     _continue_from,
     _fixed_point_columns,
@@ -931,6 +932,28 @@ class TestBistabilitySweep:
             d_hi = cubic_discriminant(dataclasses.replace(p, Delta0=edge + 1e-6))
             assert d_lo * d_hi < 0  # sign change within 1e-6 of the edge
 
+    def test_edges_bisected_one_bracket_at_a_time(self):
+        # the zigzag grid crosses the window 15 times, more than _STRAGGLERS brackets
+        p = dataclasses.replace(FIG5, g0=0.005)
+        zigzag = np.tile([-0.3, -0.2, -0.1, -0.2], 4)
+        lockstep = mock.patch.object(classical, "_bisect", side_effect=AssertionError("lockstep"))
+        for detunings in (self.GRID, self.GRID[::-1], zigzag):
+            with lockstep:
+                sweep = sweep_bistability(p, detunings)
+            counts = sweep.states.counts
+            expected = sorted(
+                _refine_edge_reference(p, *sorted(detunings[i:i + 2].tolist()))
+                for i in range(detunings.size - 1)
+                if counts[i] != counts[i + 1]
+            )
+            assert sweep.window_edges == tuple(expected)
+        assert len(expected) == 15 > _STRAGGLERS
+
+    def test_grid_validated(self):
+        for grid in (np.array([-0.2]), self.GRID.reshape(7, 43)):
+            with pytest.raises(ValueError, match="1-D grid with at least 2 points"):
+                sweep_bistability(FIG5, grid)
+
 
 def _bisect_scalar(f, lo, hi, f_lo, width):
     """The one-bracket bisection loop as it was before brackets ran in lockstep."""
@@ -962,8 +985,9 @@ def _refine_edge_reference(params, lo, hi):
 def _bisect_with_calls(roots, lo, hi, width, sign=None):
     """_bisect on f(mid, k) = sign (mid - root), checked against _bisect_scalar per bracket.
 
-    Returns the results and the calls f received, in order: ("array", brackets)
-    for a lockstep round, ("float", bracket) for a call on Python floats.
+    Also checks the lockstep pattern: every call gets arrays, the first round
+    holds every open bracket and each later round a subset of the round before.
+    Returns the results and the brackets k of each call, in order.
     """
     roots, lo, hi = (np.asarray(v, dtype=float) for v in (roots, lo, hi))
     width = np.broadcast_to(np.asarray(width, dtype=float), roots.shape)
@@ -971,12 +995,9 @@ def _bisect_with_calls(roots, lo, hi, width, sign=None):
     calls = []
 
     def f(mid, k):
-        if isinstance(k, np.ndarray):
-            calls.append(("array", k.tolist()))
-            return sign[k] * (mid - roots[k])
-        assert type(mid) is float and type(k) is int
-        calls.append(("float", k))
-        return sign[k].item() * (mid - roots[k].item())
+        assert isinstance(mid, np.ndarray) and isinstance(k, np.ndarray)
+        calls.append(k.tolist())
+        return sign[k] * (mid - roots[k])
 
     out = _bisect(f, lo, hi, sign * (lo - roots), width)
     for i in range(roots.size):
@@ -984,6 +1005,9 @@ def _bisect_with_calls(roots, lo, hi, width, sign=None):
             lambda m: sign[i] * (m - roots[i]), lo[i], hi[i], sign[i] * (lo[i] - roots[i]), width[i]
         )
         assert out[i] == expected, i
+    open_brackets = np.flatnonzero(hi - lo > width).tolist()
+    assert calls[:1] == ([open_brackets] if open_brackets else [])
+    assert all(set(b) <= set(a) for a, b in zip(calls, calls[1:]))
     return out, calls
 
 
@@ -994,37 +1018,22 @@ class TestBisect:
     WIDTH = [1e-3, 1e-12, 1e-6, 1e-15]
 
     def test_equals_scalar_loop_per_bracket(self):
-        # at most _STRAGGLERS brackets: each bracket on Python floats, in its own run of calls
-        out, calls = _bisect_with_calls(self.ROOTS, self.LO, self.HI, self.WIDTH)
-        assert out[0] == 0.5
-        assert {kind for kind, _ in calls} == {"float"}
-        order = [k for _, k in calls]
-        assert order == sorted(order)
-        # the exact zero ends bracket 0 after one call; each bracket stops at its own width
-        rounds = [order.count(i) for i in range(len(self.ROOTS))]
-        assert rounds[0] == 1 and rounds[2] < rounds[1] < rounds[3]
-
-        # more than _STRAGGLERS brackets (three shifted copies of the four): lockstep
-        # rounds over the open brackets while more than _STRAGGLERS are open, then
-        # the last ones on Python floats
-        copies = 3
-        assert 4 * copies > _STRAGGLERS >= 2 * copies
-        shift = np.repeat(np.arange(copies, dtype=float), 4)
-        out, calls = _bisect_with_calls(
-            np.tile(self.ROOTS, copies) + shift, np.tile(self.LO, copies) + shift,
-            np.tile(self.HI, copies) + shift, np.tile(self.WIDTH, copies),
-        )
-        assert out[0::4].tolist() == [0.5, 1.5, 2.5]
-        lockstep = [k for kind, k in calls if kind == "array"]
-        tail = [k for kind, k in calls if kind == "float"]
-        assert [kind for kind, _ in calls] == ["array"] * len(lockstep) + ["float"] * len(tail)
-        assert lockstep[0] == list(range(4 * copies))
-        assert all(0 not in k and 4 not in k and 8 not in k for k in lockstep[1:])
-        assert all(len(k) > _STRAGGLERS for k in lockstep)
-        assert all(set(b) <= set(a) for a, b in zip(lockstep, lockstep[1:]))
-        # the width-1e-6 brackets finish in lockstep, the two narrower kinds on floats
-        assert sorted(set(tail)) == [1, 3, 5, 7, 9, 11] and tail == sorted(tail)
-        assert set(tail) <= set(lockstep[-1])
+        # the four brackets, then three shifted copies of them (more than
+        # _STRAGGLERS): every bracket in lockstep rounds on arrays
+        for copies in (1, 3):
+            shift = np.repeat(np.arange(copies, dtype=float), 4)
+            out, calls = _bisect_with_calls(
+                np.tile(self.ROOTS, copies) + shift, np.tile(self.LO, copies) + shift,
+                np.tile(self.HI, copies) + shift, np.tile(self.WIDTH, copies),
+            )
+            assert out[0::4].tolist() == [0.5 + c for c in range(copies)]
+            assert calls[0] == list(range(4 * copies))
+            # the exact zeros end their brackets after round 1; each other
+            # bracket stops at its own width
+            zeros = set(range(0, 4 * copies, 4))
+            assert all(not zeros & set(k) for k in calls[1:])
+            rounds = [sum(i in k for k in calls) for i in range(4)]
+            assert rounds[0] == 1 and rounds[2] < rounds[1] < rounds[3]
 
     @pytest.mark.parametrize("n", range(1, 2 * _STRAGGLERS + 1))
     def test_equals_scalar_loop_for_any_batch_size(self, n):
@@ -1039,10 +1048,19 @@ class TestBisect:
         out, calls = _bisect_with_calls(roots, lo, hi, width, sign)
         assert out[0] == roots[0]
         assert n == 1 or out[-1] == 0.5 * (lo[-1] + hi[-1])
-        assert all(k != n - 1 for kind, k in calls if kind == "float") and all(
-            n - 1 not in k for kind, k in calls if kind == "array"
-        )
-        assert ("array" in {kind for kind, _ in calls}) == (n - 1 > _STRAGGLERS)
+        assert all(n - 1 not in k for k in calls)
+        assert all(0 not in k for k in calls[1:])
+        assert n == 1 or calls[0][0] == 0
+
+    def test_one_bracket_loop_equals_scalar_loop(self):
+        for root, lo, hi, width in zip(self.ROOTS, self.LO, self.HI, self.WIDTH):
+            for sign in (1.0, -1.0):
+                def f(mid):
+                    assert type(mid) is float
+                    return sign * (mid - root)
+
+                f_lo = f(lo)
+                assert _bisect_one(f, lo, hi, f_lo, width) == _bisect_scalar(f, lo, hi, f_lo, width)
 
     def test_bracket_within_width_makes_no_call(self):
         def f(mid, k):
@@ -1167,6 +1185,12 @@ class TestStabilityMap:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="A_l"):
             stability_map(FIG5, np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
+
+    def test_grids_validated(self):
+        det, amp = np.linspace(-0.3, 0.3, 6), np.linspace(0.5, 8.0, 4)
+        for grids in ((det.reshape(2, 3), amp), (det, amp.reshape(2, 2))):
+            with pytest.raises(ValueError, match="must be 1-D grids"):
+                stability_map(FIG5, *grids)
 
 
 # ---------------------------------------------------------------------------
@@ -1561,6 +1585,43 @@ class TestStaticPotential:
             static_potential(model, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="resonance"):
             static_potential(model, np.linspace(0.05, 0.2, 50))
+        for x in (np.array([0.1]), self.X[:2200].reshape(2, 1100)):
+            with pytest.raises(ValueError, match="1-D grid with at least 2 points"):
+                static_potential(model, x)
+
+    def test_few_brackets_bisected_in_lockstep(self):
+        # F0 = 1.5 has 7 brackets, no more than _STRAGGLERS: every one is
+        # bisected in lockstep rounds on arrays, none on the float loop
+        model, bisect, sizes = self.model(1.5), classical._bisect, []
+
+        def counted(f, lo, *rest):
+            sizes.append(len(lo))
+            return bisect(f, lo, *rest)
+
+        floats = mock.patch.object(classical, "_bisect_one", side_effect=AssertionError("floats"))
+        with floats, mock.patch.object(classical, "_bisect", counted):
+            result = static_potential(model, self.X)
+        assert sizes == [7] and 7 <= _STRAGGLERS
+        ref_eq, ref_k = _static_equilibria_reference(model, self.X)
+        assert _same_bits(result.equilibria, ref_eq) and _same_bits(result.K_eff, ref_k)
+
+    def test_near_duplicate_root_skipped(self):
+        # float-resolution grids around a stable root show one sign change, so
+        # no grid is known to reach the skip and the bisection is patched: F0 =
+        # 0.8 has the roots stable, unstable, stable, and the unstable one is
+        # moved to 5e-10 wavelengths past the first stable one
+        model, bisect = self.model(0.8), classical._bisect
+        ((expected, K_expected),) = static_equilibria([model], self.X)
+
+        def near_duplicate(*args):
+            roots = bisect(*args)
+            roots[1] = roots[0] + 5e-10
+            return roots
+
+        with mock.patch.object(classical, "_bisect", near_duplicate):
+            ((equilibria, K_eff),) = static_equilibria([model], self.X)
+        assert expected.size == 2 and equilibria.tolist() == expected.tolist()
+        assert K_eff.tolist() == K_expected.tolist()
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_equal_one_force_one_bracket_at_a_time(self, seed):
@@ -1642,6 +1703,21 @@ class TestStaticPotential:
         # both ends beyond the float range once divided by the spacing
         with pytest.raises(ValueError, match="inf wavelengths"):
             lorentzian_comb_model(1.0, 1.0, 1.0, 10.0, -1.7e308, 1.7e308)
+
+    @pytest.mark.parametrize(
+        "wavelength, finesse, x_min, x_max",
+        [
+            (5e-324, 10.0, -2.0, 2.0),          # the spacing wavelength / 2 underflows
+            (1e-300, 1e300, -1e-300, 1e-300),   # the width wavelength / (2 finesse) underflows
+            (1e10, 5e-324, -2.0, 2.0),          # the width overflows
+        ],
+    )
+    def test_comb_beyond_the_float_range_raises(self, wavelength, finesse, x_min, x_max):
+        message = f"wavelength = {wavelength!r}, finesse = {finesse!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=re.escape(message)):
+                lorentzian_comb_model(1.0, 0.5, wavelength, finesse, x_min, x_max)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

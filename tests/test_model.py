@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from optomech.model import (
     photon_momentum_kick,
     validate_params,
 )
+from optomech.errors import SimulationError, StepSizeError
 from optomech.rk4 import step_times
 import optomech
 from optomech import classical, quantum
@@ -151,6 +153,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match="m_eff"):
             coupling_from_geometry(dataclasses.replace(self.GEOM, m_eff=-1.0))
 
+    def test_underflowing_zero_point_denominator_raises(self):
+        # 2 m_eff omega_m_si underflows to 0 for a finite positive omega_m_si
+        geometry = CavityGeometry(L=1e-3, lambda_l=1e-6, m_eff=1e-12, omega_m_si=5e-324)
+        with pytest.raises(SimulationError, match=re.escape(repr(geometry))):
+            coupling_from_geometry(geometry)
+
 
 class TestConstants:
     def test_equal_scipy_constants(self):
@@ -209,6 +217,16 @@ class TestStepTimes:
     @pytest.mark.parametrize("t_end", [1e-13, 1e-300, 0.004])
     def test_end_below_one_step_is_one_short_step(self, t_end):
         assert step_times(t_end, 0.01, 1.0).tolist() == [0.0, t_end]
+
+    def test_step_count_beyond_the_float_range_raises(self):
+        # t_end / dt overflows to inf: step_times and both integrators name the two
+        for entry in (unit_rate_step_times, mean_field_run, covariance_run):
+            with pytest.raises(StepSizeError, match=re.escape("t_end = 1.0, dt = 5e-324")):
+                entry(1.0, 5e-324)
+        with warnings.catch_warnings():  # numpy scalars overflow without a warning too
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match=re.escape("t_end / dt overflows")):
+                step_times(np.float64(1.0), np.float64(5e-324), 1.0)
 
 
 PUBLIC_NAMES = [
