@@ -27,12 +27,13 @@ backward-error bound |g(y)| <= 1e-8 max(1, S_y), S_y = 4 y^3 + 8 |Delta0| y^2
 + c1 y + t, or RootSolveError is raised (also for a non-finite N).  The bound
 is evaluated on g / 4 and S_y / 4, an exact power-of-two scaling, so a
 representable root with t near the float maximum passes it; SimulationError
-if S_y / 4 overflows.  A batch's roots are one column with a count per
-point, and its fixed points one column per field, on both paths: a large
-batch has every bracket of every point iterated at once on numpy arrays,
-and its fixed points formed on float arrays, with the same float
-operations, so the same bits (steady_state_grid); solve_intracavity_occupancy
-and steady_states are the kernel at one point.
+if S_y / 4 overflows.  The input's representation picks the path.
+solve_intracavity_occupancy and steady_states are the kernel at one point,
+on Python floats.  A batch of any size (steady_state_grid,
+hysteresis_traces) has every bracket of every point iterated at once on
+numpy arrays, and its fixed points formed on float arrays, with the same
+float operations, so the same bits; its roots are one column with a count
+per point, and its fixed points one column per field.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -57,12 +58,6 @@ from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, sum of |terms|)
 _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
-# From this many points a batch's roots (_roots_in_lockstep) and fixed points
-# (_fixed_point_columns) are computed on arrays.  On a 2-vCPU Xeon (numpy 2.4)
-# lockstep roots took 0.57 ms for 96 points, as one point at a time did, and
-# 1.02 against 1.16 ms for 128; array fixed points took 64 against 15 us for
-# 1 root, 155 against 162 us for 32 and 181 against 378 us for 128.
-_LOCKSTEP_BATCH = 128
 _STRAGGLERS = 8          # open brackets that _y_roots finishes one by one on _y_root
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
@@ -334,14 +329,14 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
 
 
 def _fixed_points(params: SystemParams, Delta0, A_l, N):
-    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, root by root (the per-point path).
+    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, root by root, on Python floats.
 
     Delta0, A_l and N hold one Python float per root, and each returned
     column is a list of Python numbers.  The amplitudes use the scalar
     complex formulas; the drift entries of all roots go into one flat list of
     floats, which takes all Routh-Hurwitz verdicts in one _hurwitz_verdicts
-    call.  This loop is the reference that _fixed_point_columns reproduces
-    bit for bit.
+    call.  steady_states calls it at one point, and it is the reference that
+    _fixed_point_columns reproduces bit for bit.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
     mech = gamma / 2.0 + 1j * omega_m
@@ -390,7 +385,7 @@ def _complex(real, imag) -> np.ndarray:
 
 
 def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
-    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, on arrays (the lockstep path).
+    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, on arrays (steady_state_grid's).
 
     Delta0, A_l and N hold one entry per root.  _fixed_points' complex
     formulas are written out in real arithmetic with the same operations in
@@ -424,7 +419,11 @@ def _batch_points(params: SystemParams, Delta0, A_l) -> np.ndarray:
 
 
 def _roots_pointwise(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
-    """_roots_at's (roots, counts), from one _occupancy_roots call per point."""
+    """_roots_in_lockstep's (roots, counts), from one _occupancy_roots call per point.
+
+    It is the lockstep solve's error reporter: it runs only on a batch with a
+    point that raises, and raises _occupancy_roots' own error at the first.
+    """
     rows = np.asarray(points, dtype=float).tolist()
     roots = [_occupancy_roots(*_y_inputs(params, d, a), d, params.kappa) for d, a in rows]
     flat = [N for point_roots in roots for N in point_roots]
@@ -432,14 +431,16 @@ def _roots_pointwise(params: SystemParams, points) -> tuple[np.ndarray, np.ndarr
 
 
 def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
-    """_roots_pointwise, with every bracket of every point solved at once on arrays.
+    """Roots of the cubic at each (Delta0, A_l) point: (all roots in one column, roots per point).
 
-    The inputs are _y_inputs', with C formed once, the brackets, starts, N
-    recovery and gate _occupancy_roots' and the iteration _y_root's
-    (_y_roots), each on arrays with the same float operations, so every root
-    has the same bits.  A point that would raise (an input, S_y or N not
-    finite, or the gate failing) sends the whole batch through
-    _roots_pointwise, which raises its error at its point.
+    The roots are listed point by point, ascending within a point.  Every
+    bracket of every point is solved at once on arrays: the inputs are
+    _y_inputs', with C formed once, the brackets, starts, N recovery and gate
+    _occupancy_roots' and the iteration _y_root's (_y_roots), each with the
+    same float operations, so every root has the same bits.  A point that
+    would raise (an input, S_y or N not finite, or the gate failing) sends
+    the whole batch through _roots_pointwise, which raises its error at its
+    point.
     """
     D, A_l = np.asarray(points, dtype=float).T
     C, kappa = _pull_coefficient(params), params.kappa
@@ -489,43 +490,22 @@ def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.nda
     return N[np.lexsort((N, point))], 1 + 2 * three
 
 
-def _roots_at(params: SystemParams, points) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the cubic at each (Delta0, A_l) point: (all roots in one column, roots per point).
-
-    The roots are listed point by point, ascending within a point.  A batch
-    of _LOCKSTEP_BATCH points or more is solved in lockstep, a smaller one
-    point by point; both give the same roots and errors.
-    """
-    if len(points) < _LOCKSTEP_BATCH:
-        return _roots_pointwise(params, points)
-    return _roots_in_lockstep(params, points)
-
-
 def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     """All classical fixed points at every (Delta0, A_l) of a batch.
 
     Delta0 and A_l are broadcast against each other and flattened (C order);
     params supplies every other parameter.  One call solves the cubics of all
     points, forms the amplitudes of every root and takes all Routh-Hurwitz
-    verdicts from one stacked call.  The batch size picks the path: below
-    _LOCKSTEP_BATCH points, per-point roots and Python fixed points
-    (_fixed_points); from there on, lockstep roots and array fixed points
-    (_fixed_point_columns) straight into the columns, to the same bits.
-    solve_intracavity_occupancy and steady_states are this kernel at batch
-    size 1.
+    verdicts from one stacked call, on arrays at every batch size: lockstep
+    roots (_roots_in_lockstep) and array fixed points (_fixed_point_columns)
+    straight into the columns.  They have the bits of steady_states, the
+    same kernel on Python floats at one point.
     """
     points = _batch_points(params, Delta0, A_l)
-    N_o, counts = _roots_at(params, points)
+    N_o, counts = _roots_in_lockstep(params, points)
     point = np.repeat(np.arange(len(points)), counts)
     Delta0, A_l = points[point].T
-    if len(points) < _LOCKSTEP_BATCH:  # Python floats, for CPython's complex arithmetic
-        columns = _fixed_points(params, Delta0.tolist(), A_l.tolist(), N_o.tolist())
-    else:
-        columns = _fixed_point_columns(params, Delta0, A_l, N_o)
-    alpha_s, beta_s, Delta_eff, stable = (
-        np.array(column, dtype=dtype)
-        for column, dtype in zip(columns, (complex, complex, float, bool))
-    )
+    alpha_s, beta_s, Delta_eff, stable = _fixed_point_columns(params, Delta0, A_l, N_o)
     return SteadyStateGrid(
         Delta0=Delta0, A_l=A_l, point=point,
         branch=np.arange(point.size) - np.searchsorted(point, point),
@@ -663,7 +643,7 @@ def hysteresis_traces(
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size < 1:
         raise ValueError("detunings must be a non-empty 1-D grid")
-    N, counts = _roots_at(params, _batch_points(params, detunings, params.A_l))
+    N, counts = _roots_in_lockstep(params, _batch_points(params, detunings, params.A_l))
     N, ends = N.tolist(), np.cumsum(counts).tolist()
     roots = [N[i:j] for i, j in zip([0, *ends], ends)]
     up = _continue_from(roots[0][0], roots[1:])

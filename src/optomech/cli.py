@@ -215,17 +215,21 @@ def _sampled_times(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _run_steady(spec: RunSpec) -> dict:
-    grid = classical.steady_state_grid(spec.params, spec.params.Delta0, spec.params.A_l)
+    states = classical.steady_states(spec.params)
+    alpha_s, beta_s, N_o, Delta_eff, stable = (
+        np.array([getattr(state, name) for state in states])
+        for name in ("alpha_s", "beta_s", "N_o", "Delta_eff", "stable")
+    )
     return {
         "steady": {
-            "branch": grid.branch,
-            "N_o": grid.N_o,
-            "alpha_re": grid.alpha_s.real,
-            "alpha_im": grid.alpha_s.imag,
-            "beta_re": grid.beta_s.real,
-            "beta_im": grid.beta_s.imag,
-            "Delta_eff": grid.Delta_eff,
-            "stable": grid.stable,
+            "branch": np.arange(len(states)),
+            "N_o": N_o,
+            "alpha_re": alpha_s.real,
+            "alpha_im": alpha_s.imag,
+            "beta_re": beta_s.real,
+            "beta_im": beta_s.imag,
+            "Delta_eff": Delta_eff,
+            "stable": stable,
         }
     }
 

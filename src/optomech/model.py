@@ -121,7 +121,10 @@ def mean_thermal_occupancy(omega_m: float, T: float) -> float:
 
 
 def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
-    """Map cavity geometry to frequency pull, zero-point motion and g0."""
+    """Map cavity geometry to frequency pull, zero-point motion and g0.
+
+    SimulationError names the geometry where G, g0 or fsr has no finite value.
+    """
     for name in ("L", "lambda_l", "m_eff", "omega_m_si"):
         _checked_number(name, getattr(geometry, name), "> 0")
     omega_o = 2.0 * math.pi * _c / geometry.lambda_l
@@ -130,7 +133,13 @@ def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
     if denominator == 0.0:
         raise SimulationError(f"2 m_eff omega_m_si underflows to 0 for {geometry!r}")
     x_zp = math.sqrt(_hbar / denominator)
-    return GeometryCoupling(G=G, x_zp=x_zp, g0=G * x_zp, fsr=math.pi * _c / geometry.L)
+    g0, fsr = G * x_zp, math.pi * _c / geometry.L
+    if not all(map(math.isfinite, (G, g0, fsr))):
+        raise SimulationError(
+            "G = 2 pi c / (lambda_l L), g0 = G x_zp or fsr = pi c / L"
+            f" is not finite for {geometry!r}"
+        )
+    return GeometryCoupling(G=G, x_zp=x_zp, g0=g0, fsr=fsr)
 
 
 def photon_momentum_kick(E_photon: float) -> float:

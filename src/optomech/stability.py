@@ -15,12 +15,12 @@ minors, unlike the power-sum traces of Newton's identities, do not cancel
 when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
 mechanical frequency of 1 leaves no correct digit in a trace-based det A.
 
-The minors have one form per representation.  _hurwitz_verdicts forms them
-on Python floats, read from a flat list of 16 floats per matrix, and gives a
-list of bools with no numpy round trip; routh_hurwitz_stable is the same
-entry for arrays.  _scaled forms them entry-wise across a numpy stack, for
-characteristic_coefficients and for verdicts on more than _PER_MATRIX_STACK
-matrices.  Both forms give the same bits.
+The minors have one form per representation, and the input picks it.
+_hurwitz_verdicts forms them on Python floats, read from a flat list of 16
+floats per matrix, and gives a list of bools with no numpy round trip.
+routh_hurwitz_stable and characteristic_coefficients take arrays, and
+_scaled forms their minors entry-wise across the numpy stack, whatever its
+size.  Both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Up to this many matrices a verdict is taken on Python floats, where numpy's
-# cost per call would dominate; above it, on numpy arrays across the stack.
-_PER_MATRIX_STACK = 8
 _NORMAL = 2.0 ** -1022  # the smallest normal float
 _OVERFLOW = Fraction(2**1024 - 2**970)  # the smallest rational that rounds to inf
 
@@ -73,7 +70,7 @@ def _scaled(A):
         raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
-    e = np.frexp(np.max(np.abs(A), axis=(-2, -1)))[1]
+    e = np.frexp(np.max(np.abs(A), axis=(-2, -1), initial=0.0))[1]  # initial: a stack may be empty
     S = np.ldexp(A, -e[..., None, None])
     return np.stack(_polynomial([[S[..., i, j] for j in range(4)] for i in range(4)]), -1), e
 
@@ -116,13 +113,10 @@ def _hurwitz_verdicts(m):
     """Routh-Hurwitz verdicts of n matrices given as one flat list m of 16 n Python floats.
 
     The matrices follow one another in m, each row by row, and the verdicts
-    come back as a list of n bools.  Up to _PER_MATRIX_STACK matrices each is
-    scaled on Python floats as _scaled scales arrays; a longer list takes the
-    numpy path of routh_hurwitz_stable.  Either way the verdicts are those of
+    come back as a list of n bools.  Each matrix is scaled on Python floats as
+    _scaled scales arrays, however long the list, so the verdicts are those of
     routh_hurwitz_stable, and a non-finite entry raises its ValueError.
     """
-    if len(m) > 16 * _PER_MATRIX_STACK:
-        return routh_hurwitz_stable(np.reshape(m, (-1, 4, 4))).tolist()
     verdicts = []
     for k in range(0, len(m), 16):
         x = m[k : k + 16]
@@ -145,14 +139,11 @@ def routh_hurwitz_stable(A):
     stable.  A stack of matrices gives a boolean array.  The verdict reads
     the signs of the scaled quantities, exact even where the unscaled ones
     overflow, or of exact rational ones where a scaled one is below 2^-1022.
-    A small stack (and one matrix) goes to _hurwitz_verdicts in one tolist().
+    Every stack, one matrix included, is evaluated across numpy arrays.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape[-2:] == (4, 4) and A.size <= 16 * _PER_MATRIX_STACK:
-        verdicts = _hurwitz_verdicts(A.ravel().tolist())
-    else:  # a large stack, or a shape that _scaled rejects
-        q = _scaled(A)[0][..., [0, 2, 3, 4]].reshape(-1, 4)
-        verdicts = np.all(q > 0, axis=-1)
-        for k in np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1)):  # may have lost its sign
-            verdicts[k] = _exact_verdict(A.reshape(-1, 16)[k].tolist())
-    return verdicts[0] if A.ndim == 2 else np.array(verdicts, dtype=bool).reshape(A.shape[:-2])
+    q = _scaled(A)[0][..., [0, 2, 3, 4]].reshape(-1, 4)
+    verdicts = np.all(q > 0, axis=-1)
+    for k in np.flatnonzero(np.any(np.abs(q) < _NORMAL, axis=-1)):  # may have lost its sign
+        verdicts[k] = _exact_verdict(A.reshape(-1, 16)[k].tolist())
+    return bool(verdicts[0]) if A.ndim == 2 else verdicts.reshape(A.shape[:-2])

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import functools
 import itertools
@@ -23,7 +22,6 @@ from optomech.errors import (
 from optomech import classical
 from optomech.model import SystemParams
 from optomech.classical import (
-    _LOCKSTEP_BATCH,
     _STRAGGLERS,
     _bisect,
     _bisect_one,
@@ -34,7 +32,6 @@ from optomech.classical import (
     _occupancy_roots,
     _product,
     _quotient,
-    _roots_at,
     _roots_in_lockstep,
     _y_inputs,
     classify_regime,
@@ -377,7 +374,7 @@ class TestCubic:
             steady_states,
             cubic_discriminant,
             lambda p: steady_state_grid(p, p.Delta0, p.A_l),
-            lambda p: steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l),
+            lambda p: steady_state_grid(p, [p.Delta0] * 128, p.A_l),
             lambda p: hysteresis_traces(p, np.linspace(-0.3, 0.3, 3)),
         ],
         ids=["steady_states", "cubic_discriminant", "grid-1", "grid-lockstep", "hysteresis"],
@@ -411,7 +408,7 @@ class TestCubic:
         checked = three = 0
         for g0 in (0.0, 0.005, 0.01):
             p = dataclasses.replace(FIG5, g0=g0)
-            N, counts = _roots_at(p, points)
+            N, counts = _roots_in_lockstep(p, points)
             N, ends = N.tolist(), np.cumsum(counts).tolist()
             for (d, a), i, j in zip(points, [0, *ends], ends):
                 roots = tuple(N[i:j])
@@ -725,7 +722,7 @@ def _window_edges_around(p):
 
 @st.composite
 def lockstep_batches(draw):
-    """(params, points) with 1 to 2 _LOCKSTEP_BATCH points of mixed kinds.
+    """(params, points) with 1 to 256 points of mixed kinds.
 
     A point lies in a span around p.Delta0 (one or three roots), within
     relative 1e-12..1e-6 of a window edge (in the span if p has none), in
@@ -733,7 +730,7 @@ def lockstep_batches(draw):
     a point of OVERFLOW_INPUTS.
     """
     p = draw(st.sampled_from(LOCKSTEP_CASES))
-    size = draw(st.integers(1, 2 * _LOCKSTEP_BATCH))
+    size = draw(st.integers(1, 256))
     scale, edges = max(1.0, abs(p.Delta0)), _window_edges_around(p)
     points = []
     for kind, u, w in draw(st.lists(
@@ -785,25 +782,25 @@ class TestLockstepRoots:
                 N, counts = _roots_in_lockstep(p, points)
             assert N.tolist() == [N for roots in expected for N in roots]
             assert counts.tolist() == [len(roots) for roots in expected]
-            # the grid's columns, from either root path by batch size, are the per-point states
+            # the grid's columns, from the lockstep roots, are the per-point states
             D, A = np.array(points).T
             assert_grid_is_per_point(steady_state_grid(p, D, A), points, p)
 
-    def test_threshold_batch_equals_per_point_states(self):
-        # _LOCKSTEP_BATCH points are the smallest batch solved in lockstep
+    @pytest.mark.parametrize("size", [1, 2, 8, 127])
+    def test_every_batch_size_stays_on_arrays(self, size):
+        # a batch of any size has lockstep roots and array fixed points, with
+        # the per-point states' bits
         p = dataclasses.replace(FIG5, g0=0.005)
-        det = np.linspace(-0.35, -0.05, _LOCKSTEP_BATCH)
+        det = np.linspace(-0.35, -0.05, size)
         with mock.patch.object(
             classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
+        ), mock.patch.object(
+            classical, "_fixed_points", side_effect=AssertionError("fixed points in Python")
         ):
             grid = steady_state_grid(p, det, p.A_l)
+        assert grid.counts.size == size
+        assert set(grid.counts.tolist()) == ({1} if size < 8 else {1, 3})
         assert_grid_is_per_point(grid, [(d, p.A_l) for d in det], p)
-        assert set(grid.counts.tolist()) == {1, 3}
-        with mock.patch.object(
-            classical, "_roots_in_lockstep", side_effect=AssertionError("solved in lockstep")
-        ):
-            below = steady_state_grid(p, det[1:], p.A_l)
-        assert_grid_is_per_point(below, [(d, p.A_l) for d in det[1:]], p)
 
     @pytest.mark.parametrize("p", ZERO_T)
     def test_zero_t_gives_the_linear_cavity_root(self, p):
@@ -812,8 +809,8 @@ class TestLockstepRoots:
         with mock.patch.object(
             classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
         ):
-            grid = steady_state_grid(p, [p.Delta0] * _LOCKSTEP_BATCH, p.A_l)
-        assert grid.counts.tolist() == [1] * _LOCKSTEP_BATCH
+            grid = steady_state_grid(p, [p.Delta0] * 128, p.A_l)
+        assert grid.counts.tolist() == [1] * 128
         assert set(grid.N_o.tolist()) == {N_o}
 
 
@@ -880,10 +877,10 @@ class TestArrayFixedPoints:
             np.testing.assert_array_equal(_bits(column), _bits(expected), err_msg=name)
 
     def test_large_map_stays_on_arrays(self):
-        # a map of _LOCKSTEP_BATCH points or more takes the lockstep path whole:
+        # a map takes the array path whole:
         # no per-point roots, no Python fixed points, one stacked verdict
         p = dataclasses.replace(FIG5, g0=0.005)
-        det, amp = np.linspace(-0.35, -0.05, 16), np.linspace(1.0, 8.0, _LOCKSTEP_BATCH // 16)
+        det, amp = np.linspace(-0.35, -0.05, 16), np.linspace(1.0, 8.0, 8)
         verdicts = mock.Mock(wraps=classical.routh_hurwitz_stable)
         with mock.patch.object(
             classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
@@ -892,7 +889,7 @@ class TestArrayFixedPoints:
         ), mock.patch.object(classical, "routh_hurwitz_stable", verdicts):
             grid = stability_map(p, det, amp)
         assert verdicts.call_count == 1
-        assert grid.counts.size == _LOCKSTEP_BATCH and set(grid.counts.tolist()) == {1, 3}
+        assert grid.counts.size == 128 and set(grid.counts.tolist()) == {1, 3}
         assert_grid_is_per_point(grid, [(d, a) for d in det for a in amp], p)
 
 
@@ -1145,13 +1142,12 @@ class TestHysteresis:
         assert np.max(jumps) > 10 * np.median(jumps[jumps > 0])
 
     def test_traces_equal_both_sweeps(self):
-        # the 301-point grids are solved in lockstep, the short ones point by point
+        # every grid, of 301 points or of 1 or 2, is solved in lockstep
         p = dataclasses.replace(FIG5, g0=0.005)
         for grid in (self.GRID, self.GRID[::-1], self.GRID[:1], self.GRID[:2]):
-            lockstep = mock.patch.object(
+            with mock.patch.object(
                 classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
-            )
-            with lockstep if grid.size >= _LOCKSTEP_BATCH else contextlib.nullcontext():
+            ):
                 up, down = hysteresis_traces(p, grid)
             assert (up.tolist(), down.tolist()) == _continuation_reference(p, grid)
             assert up.shape == down.shape == grid.shape

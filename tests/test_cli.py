@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -376,6 +377,30 @@ class TestCommands:
         assert float(data["N_o"]) == pytest.approx(4444.444444444444, rel=1e-12)
         assert float(data["stable"]) == 1.0
 
+    def test_steady_takes_the_point_kernel(self):
+        # the steady table comes from steady_states, with the columns and bits
+        # of a one-point steady_state_grid, at one root and at three
+        spec = load_config(CONFIG_DIR / "steady.json")
+        bistable = dataclasses.replace(spec.params, g0=0.005, Delta0=-0.2)
+        for run in (spec, dataclasses.replace(spec, params=bistable)):
+            p = run.params
+            grid = classical.steady_state_grid(p, p.Delta0, p.A_l)
+            want = {
+                "branch": grid.branch, "N_o": grid.N_o,
+                "alpha_re": grid.alpha_s.real, "alpha_im": grid.alpha_s.imag,
+                "beta_re": grid.beta_s.real, "beta_im": grid.beta_s.imag,
+                "Delta_eff": grid.Delta_eff, "stable": grid.stable,
+            }
+            with mock.patch.object(
+                classical, "steady_state_grid", side_effect=AssertionError("one-point grid")
+            ):
+                (table,) = run_command(run)
+            assert list(table.columns) == list(want)
+            for name, column in table.columns.items():
+                assert column.dtype == want[name].dtype, name
+                assert column.tobytes() == want[name].tobytes(), name
+        assert grid.counts.tolist() == [3]
+
     def test_steady_past_photon_number_overflow(self, tmp_path):
         # c3 = 4 C^2 overflows at g0 = 1e100, the cubic in y = C N does not
         # (test_classical checks this root against mpmath)
@@ -601,10 +626,10 @@ class TestExitCodes:
         assert main([str(config), "--quiet"]) == 2
 
     def test_linalg_error_is_2(self, tmp_path, capsys, monkeypatch):
-        def singular(params, Delta0, A_l):
+        def singular(params):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
-        monkeypatch.setattr(classical, "steady_state_grid", singular)
+        monkeypatch.setattr(classical, "steady_states", singular)
         config = write_config(
             tmp_path, command="steady", grids={}, output_dir=str(tmp_path / "out")
         )
@@ -976,6 +1001,24 @@ class TestReadme:
         assert result.returncode == 0, result.stderr
         branches = [line for line in result.stdout.splitlines() if line.startswith("N = ")]
         assert len(branches) == 3
+
+    def test_names_and_commands_exist(self):
+        # every backticked private name (`_name`, `module._name`, `_name(args)`)
+        # is defined in optomech, and the CLI table lists COMMANDS with their grids
+        import importlib
+
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        modules = [importlib.import_module(f"optomech.{name}") for name in
+                   ("model", "classical", "quantum", "stability", "rk4", "cli", "errors")]
+        names = set(re.findall(r"`((?:\w+\.)*_\w+)(?:\([^`]*\))?`", readme))
+        assert "classical._fixed_points" in names
+        for name in names:
+            *owner, attr = name.split(".")
+            owners = [importlib.import_module(".".join(["optomech", *owner]))] if owner else modules
+            assert any(hasattr(module, attr) for module in owners), name
+        rows = re.findall(r"^\| `([\w-]+)` \| ([^|]*) \|", readme, flags=re.M)
+        table = {command: tuple(re.findall(r"`(\w+)`", grids)) for command, grids in rows}
+        assert table == {command: grids for command, (grids, _) in COMMANDS.items()}
 
 
 class TestCoolingSummary:

@@ -159,6 +159,14 @@ class TestGeometry:
         with pytest.raises(SimulationError, match=re.escape(repr(geometry))):
             coupling_from_geometry(geometry)
 
+    @pytest.mark.parametrize("field", ["lambda_l", "L"])
+    def test_overflowing_coupling_raises(self, field):
+        # 2 pi c / lambda_l overflows, so G = g0 = inf; a tiny L also sends fsr to inf
+        geometry = dataclasses.replace(self.GEOM, **{field: 5e-324})
+        with pytest.raises(SimulationError, match=re.escape(repr(geometry))) as info:
+            coupling_from_geometry(geometry)
+        assert "is not finite" in str(info.value)
+
 
 class TestConstants:
     def test_equal_scipy_constants(self):

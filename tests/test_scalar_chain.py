@@ -1,10 +1,11 @@
 """The scalar covariance chain against copies of its earlier array form.
 
-steady_covariance, quadrature_variances, physicality_min_eig, _unpacked,
-routh_hurwitz_stable and its float entry _hurwitz_verdicts take their checks
-and conversions on Python floats.  The reference_* functions below are the
-numpy forms they replaced, kept here verbatim: every output must have the
-same bits, and every rejected input the same exception type and message.
+steady_covariance, quadrature_variances, physicality_min_eig, _unpacked and
+the float entry of the Routh-Hurwitz verdict, _hurwitz_verdicts, take their
+checks and conversions on Python floats; routh_hurwitz_stable takes arrays.
+The reference_* functions below are the forms they replaced, kept here
+verbatim: every output must have the same bits, and every rejected input the
+same exception type and message.
 """
 
 import dataclasses
@@ -35,7 +36,6 @@ from optomech.quantum import (
 from optomech.errors import SimulationError, SingularSystemError, UnstableSystemError
 from optomech.stability import (
     _NORMAL,
-    _PER_MATRIX_STACK,
     _hurwitz_verdicts,
     _polynomial,
     routh_hurwitz_stable,
@@ -53,7 +53,7 @@ def reference_scaled(A):
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2:] != (4, 4):
         raise ValueError(f"A must be 4x4 or a stack of 4x4 matrices (got shape {A.shape})")
-    if A.size <= 16 * _PER_MATRIX_STACK:
+    if A.size <= 16 * 8:  # up to 8 matrices were scaled on Python floats
         values, e = [], []
         for m in A.reshape(-1, 16).tolist():
             if not all(map(math.isfinite, m)):
@@ -230,7 +230,7 @@ def test_random_drift_systems_give_the_same_bits():
     stacks = np.array(matrices)
     start = 0
     while start < len(matrices):  # stacks of 1-8 matrices, and a few of 40
-        count = int(rng.integers(1, _PER_MATRIX_STACK + 1)) if rng.random() < 0.9 else 40
+        count = int(rng.integers(1, 9)) if rng.random() < 0.9 else 40
         stack = stacks[start : start + count]
         start += count
         for A in (stack, stack.reshape((1,) + stack.shape)):
@@ -309,7 +309,7 @@ def test_routh_hurwitz_odd_shapes_and_entries_match(A):
     assert_matches(routh_hurwitz_stable, reference_routh_hurwitz_stable, A)
 
 
-STACK_SIZES = [1, 3, _PER_MATRIX_STACK, _PER_MATRIX_STACK + 1]
+STACK_SIZES = [1, 3, 8, 9]  # the reference scales up to 8 matrices on floats
 
 
 def random_matrices(rng, count):
@@ -341,8 +341,8 @@ def split_matrices(rng, count):
 @pytest.mark.parametrize("count", STACK_SIZES)
 @pytest.mark.parametrize("kind", [random_matrices, underflowing_matrices, split_matrices])
 def test_float_entry_matches_stacked_reference(kind, count):
-    # the float entry takes per-matrix scaling up to _PER_MATRIX_STACK
-    # matrices and the numpy path above; either way the reference's verdicts
+    # the float entry scales every matrix on Python floats, at any count,
+    # and gives the verdicts of the reference's float and numpy paths
     rng = np.random.default_rng([count, len(kind.__name__)])
     verdicts, exact = [], 0
     for _ in range(60):
@@ -384,7 +384,7 @@ def test_fixed_point_verdicts_equal_the_stacked_verdict():
                  for d, a in zip(detuning, alpha)]
         want = reference_routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
         assert stable == want and all(type(v) is bool for v in stable)
-        seen.add((len(N) > _PER_MATRIX_STACK, all(stable)))
+        seen.add((len(N) > 8, all(stable)))  # past 8 roots the reference took numpy
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 

@@ -1,14 +1,16 @@
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from optomech import stability
 from optomech.stability import (
     _NORMAL,
     _OVERFLOW,
-    _PER_MATRIX_STACK,
+    _hurwitz_verdicts,
     _nearest_float,
     _scaled,
     characteristic_coefficients,
@@ -98,7 +100,7 @@ def test_input_validation():
 
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_stack_equals_matrix_by_matrix(count):
-    # verdicts on small stacks are taken per matrix, on large ones across the stack
+    # a stack's verdicts and coefficients are those of its matrices one by one
     rng = np.random.default_rng(count)
     stack = rng.uniform(-3, 3, (count, 4, 4))
     columns = characteristic_coefficients(stack)
@@ -159,29 +161,52 @@ def test_exact_coefficients_round_to_the_nearest_float():
 
 @pytest.mark.parametrize("count", [1, 5, 40])
 def test_underflow_takes_the_exact_verdict_in_every_stack(count):
-    # a stack of up to 8 matrices is evaluated per matrix, a larger one
-    # across the stack; both take the exact verdict where a quantity underflows
+    # arrays and the float entry both take the exact verdict where a quantity underflows
     A = _split_pairs(1e300)
     stack = np.stack([A, -A] * count)
     assert routh_hurwitz_stable(stack).tolist() == [True, False] * count
+    assert _hurwitz_verdicts(stack.ravel().tolist()) == [True, False] * count
     assert routh_hurwitz_stable(stack.reshape(count, 2, 4, 4)).tolist() == [[True, False]] * count
 
 
 def test_small_stacks_scale_like_the_stacked_path():
-    # verdicts on up to _PER_MATRIX_STACK matrices are scaled with math.frexp
-    # and math.ldexp on Python floats; the same matrices repeated into a larger
-    # stack go through numpy's frexp and ldexp, and give the same verdicts
+    # the float entry scales each matrix with math.frexp and math.ldexp; a
+    # stack of 1 to 8 matrices, and the same matrices repeated into a larger
+    # one, go through numpy's frexp and ldexp, and give the same verdicts
     rng = np.random.default_rng(20261018)
     exact = 0
     for _ in range(150):
-        count = int(rng.integers(1, _PER_MATRIX_STACK + 1))
+        count = int(rng.integers(1, 9))
         stack = rng.choice((-1.0, 1.0), (count, 4, 4)) * 10.0 ** rng.uniform(-100, 100, (count, 4, 4))
         stack[rng.random((count, 4, 4)) < 0.1] = 0.0
-        large = np.concatenate([stack] * (_PER_MATRIX_STACK // count + 1))
+        large = np.concatenate([stack] * (8 // count + 1))
         assert routh_hurwitz_stable(stack).tolist() == routh_hurwitz_stable(large)[:count].tolist()
+        assert _hurwitz_verdicts(stack.ravel().tolist()) == routh_hurwitz_stable(stack).tolist()
         assert np.array_equal(np.array(characteristic_coefficients(stack)),
                               np.array(characteristic_coefficients(large))[:, :count])
         assert routh_hurwitz_stable(stack[0]) == routh_hurwitz_stable(large)[0]
         q = _scaled(stack)[0][:, [0, 2, 3, 4]]
         exact += int(np.sum(np.min(np.abs(q), axis=-1) < _NORMAL))
     assert exact >= 40  # verdicts that the exact Fraction fallback takes
+
+
+def test_each_representation_keeps_its_own_path():
+    # a flat float list of 40 matrices is scaled matrix by matrix on floats,
+    # and arrays of 1 to 8 matrices across numpy: neither entry calls the other
+    rng = np.random.default_rng(28)
+    signs = rng.choice((-1.0, 1.0), (40, 1, 1))
+    stack = rng.uniform(-2, 2, (40, 4, 4)) - 3.0 * signs * np.eye(4)
+    stack *= 10.0 ** rng.uniform(-100, 100, (40, 1, 1))
+    stack[:2] = [_split_pairs(1e300), -_split_pairs(1e300)]  # the exact verdicts
+    with mock.patch.object(
+        stability, "routh_hurwitz_stable", side_effect=AssertionError("verdict on arrays")
+    ):
+        flat = _hurwitz_verdicts(stack.ravel().tolist())
+    with mock.patch.object(
+        stability, "_hurwitz_verdicts", side_effect=AssertionError("verdict on floats")
+    ):
+        ends = np.cumsum([1, 2, 3, 4, 5, 6, 7, 8, 4]).tolist()
+        stacked = [v for i, j in zip([0, *ends], ends) for v in routh_hurwitz_stable(stack[i:j])]
+        single = [routh_hurwitz_stable(A) for A in stack]
+    assert flat == stacked == single and all(type(v) is bool for v in flat + single)
+    assert 5 < sum(flat) < 35
