@@ -58,7 +58,6 @@ from . import quantum
 
 _ROOT_RTOL = 1e-8        # residual tolerance relative to max(1, sum of |terms|)
 _NEWTON_ROUNDS = 32      # Newton iterates per root before halving brackets only
-_STRAGGLERS = 8          # open brackets that _y_roots finishes one by one on _y_root
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float and its bit pattern
 _EDGE_ATOL = 1e-10       # bisection width for bistability window edges
 _PAD_RESONANCES = 10     # comb resonances past each end of a static-potential window
@@ -201,17 +200,16 @@ def cubic_discriminant(params: SystemParams) -> float:
     return _discriminant(c1, a * C, params.Delta0, params.kappa)
 
 
-def _y_root(
-    D: float, k2: float, t: float, neg: float, pos: float, y: float, newton: int = _NEWTON_ROUNDS
-) -> float:
+def _y_root(D: float, k2: float, t: float, neg: float, pos: float, y: float) -> float:
     """Root of g(y) = y (4 (y + D)^2 + k2) - t between neg and pos, from y.
 
     g(neg) <= 0 <= g(pos) is known, not evaluated.  Each round moves the end
     of g(y)'s sign to y, then takes the Newton iterate if it lies strictly
-    inside (at most newton times), else the float that halves the bracket's
-    bit pattern: nonnegative floats span < 2^63 patterns, so g is evaluated
-    at most newton + 64 times.
+    inside (at most _NEWTON_ROUNDS times), else the float that halves the
+    bracket's bit pattern: nonnegative floats span < 2^63 patterns, so g is
+    evaluated at most _NEWTON_ROUNDS + 64 times.
     """
+    newton = _NEWTON_ROUNDS
     while True:
         u = y + D
         f = y * (4.0 * u * u + k2) - t
@@ -245,15 +243,15 @@ def _y_roots(D, k2: float, t, neg, pos, y) -> np.ndarray:
     its own exit, so each root has _y_root's bits.  The ends and iterates are
     nonnegative, so min and max order them as _y_root does, and the
     bit-pattern midpoint a + (b - a) // 2 on int64 views is (a + b) // 2
-    without the overflow.  The last _STRAGGLERS open brackets are finished
-    by _y_root, from their state and remaining Newton budget.  Call under
-    np.errstate(all="ignore").
+    without the overflow.  Rounds go on until no bracket is open; a nan g
+    ends its bracket at once and an infinite one halves it, so non-finite
+    inputs end too.  Call under np.errstate(all="ignore").
     """
     out = np.empty_like(y)
     k = np.arange(y.size)
     # rows y, D, t, neg, pos and Newton budget of the open brackets, compacted together
     state = np.stack([y, D, t, neg, pos, np.full(y.size, float(_NEWTON_ROUNDS))])
-    while k.size > _STRAGGLERS:
+    while k.size:
         y, D, t, neg, pos, newton = state
         u = y + D
         u4 = 4.0 * u
@@ -279,8 +277,6 @@ def _y_roots(D, k2: float, t, neg, pos, y) -> np.ndarray:
         if done.size:
             keep = np.flatnonzero(going)
             state, k = state[:, keep], k[keep]
-    for i, (y, D, t, neg, pos, newton) in zip(k.tolist(), state.T.tolist()):
-        out[i] = _y_root(D, k2, t, neg, pos, y, int(newton))
     return out
 
 
@@ -438,9 +434,11 @@ def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.nda
     _y_inputs', with C formed once, the brackets, starts, N recovery and gate
     _occupancy_roots' and the iteration _y_root's (_y_roots), each with the
     same float operations, so every root has the same bits.  A point that
-    would raise (an input, S_y or N not finite, or the gate failing) sends
-    the whole batch through _roots_pointwise, which raises its error at its
-    point.
+    would raise sends the whole batch through _roots_pointwise, which raises
+    its error at its point.  Two sites send it: a Python power that raises
+    OverflowError, and the gate mask, which fails where S_y / 4 or N is not
+    finite or the gate fails.  A non-finite C, a, c1 or t leaves S_y / 4 or N
+    non-finite at every bracket of its point, so the mask catches it too.
     """
     D, A_l = np.asarray(points, dtype=float).T
     C, kappa = _pull_coefficient(params), params.kappa
@@ -455,8 +453,6 @@ def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.nda
         return _roots_pointwise(params, points)
     with np.errstate(all="ignore"):
         t = a * C
-    if not (math.isfinite(C) and all(np.isfinite(v).all() for v in (a, c1, t))):
-        return _roots_pointwise(params, points)
     cube = np.array([x ** (1.0 / 3.0) for x in t.tolist()])
     with np.errstate(all="ignore"):
         top = np.where(-2.0 * D > cube, -2.0 * D, cube)

@@ -182,13 +182,8 @@ def load_config(path: str | Path) -> RunSpec:
 
 
 def spec_to_config(spec: RunSpec) -> dict:
-    """RunSpec as a plain dict in the config-file schema (round-trippable).
-
-    It equals dataclasses.asdict(spec): the fields of spec, its params and each
-    grid hold numbers and strings, so a copy one level deep replaces its deep copy.
-    """
-    grids = {name: dict(vars(grid)) for name, grid in spec.grids.items()}
-    return dict(vars(spec), params=dict(vars(spec.params)), grids=grids)
+    """RunSpec as a plain dict in the config-file schema (round-trippable): dataclasses.asdict."""
+    return dataclasses.asdict(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -329,11 +329,11 @@ def integrate_covariance(
 
 
 def quadrature_variances(V: np.ndarray) -> QuadratureVariances:
-    """Diagonal variances of V and the names of any squeezed quadratures."""
-    V = np.asarray(V, dtype=float)
-    if V.shape != (4, 4):
-        raise ValueError(f"V must be 4x4 (got shape {V.shape})")
-    diag = V.diagonal().tolist()
+    """Diagonal variances of V and the names of any squeezed quadratures.
+
+    ValueError unless V is 4x4 with finite entries (_checked_entries).
+    """
+    diag = _checked_entries(V, "V")[1][0::5]
     squeezed = tuple(
         name for name, v in zip(QUADRATURE_NAMES, diag) if v < 0.5 - _SQUEEZE_GUARD
     )

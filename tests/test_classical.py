@@ -22,7 +22,6 @@ from optomech.errors import (
 from optomech import classical
 from optomech.model import SystemParams
 from optomech.classical import (
-    _STRAGGLERS,
     _bisect,
     _bisect_one,
     _complex,
@@ -327,9 +326,17 @@ class TestCubic:
     )
     def test_coefficient_overflow_is_simulation_error(self, field, value):
         # a float power raises OverflowError, a product overflows to inf: c1 or
-        # 4 A_l^2, which the solve in y = C N needs
+        # 4 A_l^2, which the solve in y = C N needs.  A batch meets the first
+        # at its Python powers and the second at its gate mask, and raises the
+        # same error from its per-point reporter
         p = dataclasses.replace(FIG5, **{field: value})
-        for solve in (solve_intracavity_occupancy, steady_states):
+        for solve in (
+            solve_intracavity_occupancy,
+            steady_states,
+            lambda p: steady_state_grid(p, p.Delta0, p.A_l),
+            lambda p: steady_state_grid(p, [p.Delta0] * 128, p.A_l),
+            lambda p: hysteresis_traces(p, [p.Delta0] * 3),
+        ):
             with pytest.raises(SimulationError, match="steady-state cubic overflows") as info:
                 solve(p)
             message = str(info.value)
@@ -788,12 +795,14 @@ class TestLockstepRoots:
 
     @pytest.mark.parametrize("size", [1, 2, 8, 127])
     def test_every_batch_size_stays_on_arrays(self, size):
-        # a batch of any size has lockstep roots and array fixed points, with
-        # the per-point states' bits
+        # a batch of any size has every bracket iterated in lockstep and array
+        # fixed points, with the per-point states' bits
         p = dataclasses.replace(FIG5, g0=0.005)
         det = np.linspace(-0.35, -0.05, size)
         with mock.patch.object(
             classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
+        ), mock.patch.object(
+            classical, "_y_root", side_effect=AssertionError("bracket iterated on floats")
         ), mock.patch.object(
             classical, "_fixed_points", side_effect=AssertionError("fixed points in Python")
         ):
@@ -930,7 +939,8 @@ class TestBistabilitySweep:
             assert d_lo * d_hi < 0  # sign change within 1e-6 of the edge
 
     def test_edges_bisected_one_bracket_at_a_time(self):
-        # the zigzag grid crosses the window 15 times, more than _STRAGGLERS brackets
+        # the zigzag grid crosses the window 15 times: _window_edges bisects
+        # each edge on its own with the float loop, never with the lockstep one
         p = dataclasses.replace(FIG5, g0=0.005)
         zigzag = np.tile([-0.3, -0.2, -0.1, -0.2], 4)
         lockstep = mock.patch.object(classical, "_bisect", side_effect=AssertionError("lockstep"))
@@ -944,7 +954,7 @@ class TestBistabilitySweep:
                 if counts[i] != counts[i + 1]
             )
             assert sweep.window_edges == tuple(expected)
-        assert len(expected) == 15 > _STRAGGLERS
+        assert len(expected) == 15
 
     def test_grid_validated(self):
         for grid in (np.array([-0.2]), self.GRID.reshape(7, 43)):
@@ -1015,8 +1025,8 @@ class TestBisect:
     WIDTH = [1e-3, 1e-12, 1e-6, 1e-15]
 
     def test_equals_scalar_loop_per_bracket(self):
-        # the four brackets, then three shifted copies of them (more than
-        # _STRAGGLERS): every bracket in lockstep rounds on arrays
+        # the four brackets, then three shifted copies of them: every bracket
+        # in lockstep rounds on arrays, however many there are
         for copies in (1, 3):
             shift = np.repeat(np.arange(copies, dtype=float), 4)
             out, calls = _bisect_with_calls(
@@ -1032,7 +1042,7 @@ class TestBisect:
             rounds = [sum(i in k for k in calls) for i in range(4)]
             assert rounds[0] == 1 and rounds[2] < rounds[1] < rounds[3]
 
-    @pytest.mark.parametrize("n", range(1, 2 * _STRAGGLERS + 1))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_equals_scalar_loop_for_any_batch_size(self, n):
         rng = np.random.default_rng(n)
         lo = rng.uniform(-2.0, 2.0, n)
@@ -1586,8 +1596,8 @@ class TestStaticPotential:
                 static_potential(model, x)
 
     def test_few_brackets_bisected_in_lockstep(self):
-        # F0 = 1.5 has 7 brackets, no more than _STRAGGLERS: every one is
-        # bisected in lockstep rounds on arrays, none on the float loop
+        # F0 = 1.5 has 7 brackets: all of them are bisected in one lockstep
+        # call on arrays, none on the float loop
         model, bisect, sizes = self.model(1.5), classical._bisect, []
 
         def counted(f, lo, *rest):
@@ -1597,7 +1607,7 @@ class TestStaticPotential:
         floats = mock.patch.object(classical, "_bisect_one", side_effect=AssertionError("floats"))
         with floats, mock.patch.object(classical, "_bisect", counted):
             result = static_potential(model, self.X)
-        assert sizes == [7] and 7 <= _STRAGGLERS
+        assert sizes == [7]
         ref_eq, ref_k = _static_equilibria_reference(model, self.X)
         assert _same_bits(result.equilibria, ref_eq) and _same_bits(result.K_eff, ref_k)
 

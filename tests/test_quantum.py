@@ -557,11 +557,15 @@ class TestPhysicality:
             (np.diag([np.inf, 1.0, 1.0, 1.0]), "V must have finite entries"),  # was nan
             (np.eye(3), r"V must be 4x4 \(got shape \(3, 3\)\)"),  # was a broadcasting error
             (np.eye(4)[None], r"V must be 4x4 \(got shape \(1, 4, 4\)\)"),
+            # quadrature_variances gave var_q = nan and var_p = inf
+            (np.diag([0.5, 0.5, np.nan, np.inf]), "V must have finite entries"),
         ],
     )
     def test_bad_covariance_rejected(self, V, message):
-        with pytest.raises(ValueError, match=message):
-            physicality_min_eig(V)
+        # both readers of V share quantum's 4x4-and-finite rule
+        for check in (physicality_min_eig, quadrature_variances):
+            with pytest.raises(ValueError, match=message):
+                check(V)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_asymmetric_covariance_rejected(self, transpose):
