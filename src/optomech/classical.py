@@ -31,9 +31,13 @@ if S_y / 4 overflows.  The input's representation picks the path.
 solve_intracavity_occupancy and steady_states are the kernel at one point,
 on Python floats.  A batch of any size (steady_state_grid,
 hysteresis_traces) has every bracket of every point iterated at once on
-numpy arrays, and its fixed points formed on float arrays, with the same
-float operations, so the same bits; its roots are one column with a count
-per point, and its fixed points one column per field.
+numpy arrays, and its fixed points formed on complex arrays, with the same
+formulas; its roots are one column with a count per point, and its fixed
+points one column per field.  numpy rounds some powers and the complex
+quotient differently from Python, so the two agree to a bound, not to the
+bit: a batch root y lies within a few eps S_y / |g'(y)| of the float one
+(wide only near a double root), and a fixed point's parts within a few eps
+of the float ones at the same N.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -332,7 +336,7 @@ def _fixed_points(params: SystemParams, Delta0, A_l, N):
     complex formulas; the drift entries of all roots go into one flat list of
     floats, which takes all Routh-Hurwitz verdicts in one _hurwitz_verdicts
     call.  steady_states calls it at one point, and it is the reference that
-    _fixed_point_columns reproduces bit for bit.
+    _fixed_point_columns is tested against, within the bounds stated there.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
     mech = gamma / 2.0 + 1j * omega_m
@@ -349,59 +353,25 @@ def _fixed_points(params: SystemParams, Delta0, A_l, N):
     return alpha, beta, detuning, _hurwitz_verdicts(drift)
 
 
-def _product(ar, ai, br, bi):
-    """CPython's complex product (ar + i ai)(br + i bi), as (real, imag) parts.
-
-    Floats and arrays alike; a float operand x enters as complex(x, 0.0).
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quotient(ar, ai, br, bi):
-    """CPython's complex quotient (ar + i ai) / (br + i bi), as (real, imag) arrays.
-
-    Smith's algorithm, as in CPython's _Py_c_quot (R. L. Smith, CACM 5(8),
-    435, 1962): each entry takes the branch its |br| >= |bi| picks, and a nan
-    in b gives nan parts.  br and bi are numpy floats or arrays.  Call under
-    np.errstate(all="ignore").
-    """
-    first = np.abs(br) >= np.abs(bi)
-    ratio = np.where(first, bi / br, br / bi)
-    denom = np.where(first, br + bi * ratio, br * ratio + bi)
-    real = np.where(first, ar + ai * ratio, ar * ratio + ai) / denom
-    imag = np.where(first, ai - ar * ratio, ai * ratio - ar) / denom
-    return real, imag
-
-
-def _complex(real, imag) -> np.ndarray:
-    """The complex array with these parts, signed zeros included."""
-    z = np.empty(real.shape, dtype=complex)
-    z.real, z.imag = real, imag
-    return z
-
-
 def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
     """(alpha_s, beta_s, Delta_eff, stable) of the roots N, on arrays (steady_state_grid's).
 
-    Delta0, A_l and N hold one entry per root.  _fixed_points' complex
-    formulas are written out in real arithmetic with the same operations in
-    the same order (_product, _quotient), so every column has its bits.  The
-    drift stack comes from quantum._drift_entries on the columns, for one
+    Delta0, A_l and N hold one entry per root.  _fixed_points' formulas run
+    on numpy complex arrays, whose quotient rounds differently from CPython's,
+    so each part of beta_s and alpha_s is within a few eps of _fixed_points'
+    at the same N, Delta_eff within a few eps of |Delta0| + |2 g0 Re beta_s|.
+    The drift stack comes from quantum._drift_entries on the columns, for one
     Routh-Hurwitz call.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
-    mech, ig0 = gamma / 2.0 + 1j * omega_m, 1j * g0  # Python complex, as in _fixed_points
     with np.errstate(all="ignore"):
-        beta_s = _quotient(
-            *_product(ig0.real, ig0.imag, N, 0.0), np.float64(mech.real), np.float64(mech.imag)
-        )
-        Delta_eff = Delta0 + 2.0 * g0 * beta_s[0]
-        i_Delta = _product(0.0, 1.0, Delta_eff, 0.0)  # 1j * Delta_eff
-        alpha_s = _quotient(A_l, 0.0, kappa / 2.0 - i_Delta[0], 0.0 - i_Delta[1])
-        g = _product(g0, 0.0, *alpha_s)
-        entries = quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, *g)
+        beta_s = 1j * g0 * N / (gamma / 2.0 + 1j * omega_m)
+        Delta_eff = Delta0 + 2.0 * g0 * beta_s.real
+        alpha_s = A_l / (kappa / 2.0 - 1j * Delta_eff)
+        g = g0 * alpha_s
+        entries = quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, g.real, g.imag)
     A = np.stack(np.broadcast_arrays(*entries), -1).reshape(-1, 4, 4)
-    return _complex(*alpha_s), _complex(*beta_s), Delta_eff, routh_hurwitz_stable(A)
+    return alpha_s, beta_s, Delta_eff, routh_hurwitz_stable(A)
 
 
 def _batch_points(params: SystemParams, Delta0, A_l) -> np.ndarray:
@@ -431,30 +401,25 @@ def _roots_in_lockstep(params: SystemParams, points) -> tuple[np.ndarray, np.nda
 
     The roots are listed point by point, ascending within a point.  Every
     bracket of every point is solved at once on arrays: the inputs are
-    _y_inputs', with C formed once, the brackets, starts, N recovery and gate
-    _occupancy_roots' and the iteration _y_root's (_y_roots), each with the
-    same float operations, so every root has the same bits.  A point that
-    would raise sends the whole batch through _roots_pointwise, which raises
-    its error at its point.  Two sites send it: a Python power that raises
-    OverflowError, and the gate mask, which fails where S_y / 4 or N is not
-    finite or the gate fails.  A non-finite C, a, c1 or t leaves S_y / 4 or N
-    non-finite at every bracket of its point, so the mask catches it too.
+    _y_inputs' on numpy powers, with C formed once, the brackets, starts, N
+    recovery and gate _occupancy_roots' and the iteration _y_root's
+    (_y_roots).  numpy's powers may round a, c1 and the start t^(1/3) one
+    ulp away from Python's, so a root may differ from _occupancy_roots' by a
+    few eps S_y / |g'(y)| in y; the counts come from the same discriminant.
+    A point that would raise sends the whole batch through _roots_pointwise,
+    which raises its error at its point.  The gate mask sends it: it fails
+    where S_y / 4 or N is not finite or the gate fails.  A non-finite C, a,
+    c1 or t (an overflowing power gives inf) leaves S_y / 4 or N non-finite at
+    every bracket of its point, so the mask catches it too.
     """
     D, A_l = np.asarray(points, dtype=float).T
     C, kappa = _pull_coefficient(params), params.kappa
     k2 = kappa * kappa
-    # a, c1 and cube take Python's float powers per point, as _y_inputs and
-    # _occupancy_roots do: numpy's differ in bits
-    try:
-        kappa2 = kappa ** 2  # _y_inputs' square; the solve's k2 is _occupancy_roots'
-        a = np.array([4.0 * x ** 2 for x in A_l.tolist()])
-        c1 = np.array([4.0 * x ** 2 + kappa2 for x in D.tolist()])
-    except OverflowError:
-        return _roots_pointwise(params, points)
     with np.errstate(all="ignore"):
+        a = 4.0 * A_l ** 2
+        c1 = 4.0 * D ** 2 + kappa ** 2
         t = a * C
-    cube = np.array([x ** (1.0 / 3.0) for x in t.tolist()])
-    with np.errstate(all="ignore"):
+        cube = t ** (1.0 / 3.0)
         top = np.where(-2.0 * D > cube, -2.0 * D, cube)
         bend = -2.0 * D / 3.0
         bend = np.where(bend > 0.0, bend, 0.0)
@@ -494,8 +459,10 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     points, forms the amplitudes of every root and takes all Routh-Hurwitz
     verdicts from one stacked call, on arrays at every batch size: lockstep
     roots (_roots_in_lockstep) and array fixed points (_fixed_point_columns)
-    straight into the columns.  They have the bits of steady_states, the
-    same kernel on Python floats at one point.
+    straight into the columns.  Counts and points are those of
+    steady_states, the same kernel on Python floats at one point; N_o and the
+    amplitudes agree with it within the rounding bounds of those two, and so
+    do the verdicts wherever rounding resolves Delta_eff against kappa.
     """
     points = _batch_points(params, Delta0, A_l)
     N_o, counts = _roots_in_lockstep(params, points)

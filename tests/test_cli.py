@@ -36,6 +36,7 @@ from optomech import classical
 from test_classical import (
     LINALG_ERROR_INPUT,
     VALID_PARAMS,
+    assert_near_per_point,
     log_uniform,
     or_zero,
     signed_log_uniform,
@@ -378,27 +379,40 @@ class TestCommands:
         assert float(data["stable"]) == 1.0
 
     def test_steady_takes_the_point_kernel(self):
-        # the steady table comes from steady_states, with the columns and bits
-        # of a one-point steady_state_grid, at one root and at three
+        # the steady table is steady_states' bits, in the columns and dtypes of
+        # a one-point steady_state_grid, which lies within their rounding
+        # bounds; at one root and at three
         spec = load_config(CONFIG_DIR / "steady.json")
         bistable = dataclasses.replace(spec.params, g0=0.005, Delta0=-0.2)
         for run in (spec, dataclasses.replace(spec, params=bistable)):
             p = run.params
             grid = classical.steady_state_grid(p, p.Delta0, p.A_l)
-            want = {
+            assert_near_per_point(grid, [(p.Delta0, p.A_l)], p)
+            columns = {
                 "branch": grid.branch, "N_o": grid.N_o,
                 "alpha_re": grid.alpha_s.real, "alpha_im": grid.alpha_s.imag,
                 "beta_re": grid.beta_s.real, "beta_im": grid.beta_s.imag,
                 "Delta_eff": grid.Delta_eff, "stable": grid.stable,
             }
+            states = classical.steady_states(p)
+            alpha, beta, N_o, Delta_eff, stable = (
+                np.array([getattr(s, name) for s in states])
+                for name in ("alpha_s", "beta_s", "N_o", "Delta_eff", "stable")
+            )
+            bits = {
+                "branch": np.arange(len(states)), "N_o": N_o,
+                "alpha_re": alpha.real, "alpha_im": alpha.imag,
+                "beta_re": beta.real, "beta_im": beta.imag,
+                "Delta_eff": Delta_eff, "stable": stable,
+            }
             with mock.patch.object(
                 classical, "steady_state_grid", side_effect=AssertionError("one-point grid")
             ):
                 (table,) = run_command(run)
-            assert list(table.columns) == list(want)
+            assert list(table.columns) == list(columns)
             for name, column in table.columns.items():
-                assert column.dtype == want[name].dtype, name
-                assert column.tobytes() == want[name].tobytes(), name
+                assert column.dtype == columns[name].dtype, name
+                assert column.tobytes() == bits[name].tobytes(), name
         assert grid.counts.tolist() == [3]
 
     def test_steady_past_photon_number_overflow(self, tmp_path):
