@@ -590,9 +590,9 @@ def assert_near_per_point(grid, points, p, want=None):
         part of beta_s at most 7 times in CPython and 8 in numpy (a rounded
         reciprocal), each relative to like-signed terms: <= 8 u = 4 eps of
         the part per path.  An underflowing product or quotient adds up to
-        UNDERFLOW / 2 instead, at most 8 of them, later divided by no less
-        than |mech|.  |d beta_s| <= 4 eps (|beta_s| + |beta_ref|)
-        + |beta_ref| r + 4 UNDERFLOW (1 + 1 / |mech|).
+        UNDERFLOW / 2 instead, at most 8 of them per path, later divided by
+        no less than |mech|.  |d beta_s| <= 4 eps (|beta_s| + |beta_ref|)
+        + |beta_ref| r + 8 UNDERFLOW (1 + 1 / |mech|).
       - Delta_eff = Delta0 + (2 g0) Re beta_s rounds twice more per path.
         |d Delta_eff| <= 10 eps (|Delta0| + |2 g0 Re beta_ref|)
         + |2 g0 Re beta_ref| r + 2 g0 (beta_s's underflow term) + UNDERFLOW.
@@ -600,7 +600,7 @@ def assert_near_per_point(grid, points, p, want=None):
         The exact quotients at the two Delta_eff differ by exactly
         |alpha_ref| |d Delta_eff| / |kappa / 2 - i Delta_eff|; each part
         rounds <= 4 eps per path as for beta_s.  |d alpha_s| <= 4 eps
-        (|alpha_s| + |alpha_ref|) + that term + 4 UNDERFLOW (1 + 2 / kappa).
+        (|alpha_s| + |alpha_ref|) + that term + 8 UNDERFLOW (1 + 2 / kappa).
       - stable is equal wherever the Delta_eff bound is at most kappa / 2,
         so that it moves alpha_s by less than its own size.  Past that,
         rounding has not resolved Delta_eff against the linewidth (far-detuned
@@ -641,7 +641,7 @@ def assert_near_per_point(grid, points, p, want=None):
         within("N_o", np.broadcast_to(_root_tolerance(p, got["Delta0"], got["A_l"], N_ref), N.shape))
         r = np.where(N_ref > 0.0, np.abs(N - N_ref) / N_ref, 0.0)
         beta, beta_ref = np.abs(got["beta_s"]), np.abs(want["beta_s"])
-        beta_tiny = 4.0 * UNDERFLOW * (1.0 + 1.0 / abs(gamma / 2.0 + 1j * omega_m))
+        beta_tiny = 8.0 * UNDERFLOW * (1.0 + 1.0 / abs(gamma / 2.0 + 1j * omega_m))
         within("beta_s", 4.0 * EPS * (beta + beta_ref) + beta_ref * r + beta_tiny)
         pull = np.abs(2.0 * g0 * want["beta_s"].real)
         dDelta = np.abs(got["Delta_eff"] - want["Delta_eff"])
@@ -651,7 +651,7 @@ def assert_near_per_point(grid, points, p, want=None):
         alpha, alpha_ref = np.abs(got["alpha_s"]), np.abs(want["alpha_s"])
         within("alpha_s", 4.0 * EPS * (alpha + alpha_ref)
                + alpha_ref * dDelta / np.abs(kappa / 2.0 - 1j * got["Delta_eff"])
-               + 4.0 * UNDERFLOW * (1.0 + 2.0 / kappa))
+               + 8.0 * UNDERFLOW * (1.0 + 2.0 / kappa))
     resolved = Delta_tol <= kappa / 2.0
     np.testing.assert_array_equal(got["stable"][resolved], want["stable"][resolved], err_msg="stable")
     return int(resolved.sum())
