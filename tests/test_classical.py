@@ -638,7 +638,7 @@ def assert_near_per_point(grid, points, p, want=None):
     kappa, gamma, omega_m, g0 = p.kappa, p.gamma, p.omega_m, p.g0
     N, N_ref = got["N_o"], want["N_o"]
     with np.errstate(all="ignore"):
-        within("N_o", np.broadcast_to(_root_tolerance(p, got["Delta0"], got["A_l"], N_ref), N.shape))
+        within("N_o", _root_tolerance(p, got["Delta0"], got["A_l"], N_ref))
         r = np.where(N_ref > 0.0, np.abs(N - N_ref) / N_ref, 0.0)
         beta, beta_ref = np.abs(got["beta_s"]), np.abs(want["beta_s"])
         beta_tiny = 8.0 * UNDERFLOW * (1.0 + 1.0 / abs(gamma / 2.0 + 1j * omega_m))
