@@ -31,13 +31,13 @@ if S_y / 4 overflows.  The input's representation picks the path.
 solve_intracavity_occupancy and steady_states are the kernel at one point,
 on Python floats.  A batch of any size (steady_state_grid,
 hysteresis_traces) has every bracket of every point iterated at once on
-numpy arrays, and its fixed points formed on complex arrays, with the same
-formulas; its roots are one column with a count per point, and its fixed
-points one column per field.  numpy rounds some powers and the complex
-quotient differently from Python, so the two agree to a bound, not to the
-bit: a batch root y lies within a few eps S_y / |g'(y)| of the float one
-(wide only near a double root), and a fixed point's parts within a few eps
-of the float ones at the same N.
+numpy arrays; its roots are one column with a count per point.  Both forms
+share _fixed_points; only the root iteration (_y_root, _y_roots) and the
+Routh-Hurwitz verdict are written once per form.  numpy rounds some powers
+and the complex quotient differently from Python, so the two agree to a
+bound, not to the bit: a batch root y lies within a few eps S_y / |g'(y)|
+of the float one (wide only near a double root), and a fixed point's
+parts within a few eps of the float ones at the same N.
 This module also provides the linear-response quantities (susceptibilities,
 radiation-pressure self-energy, optomechanical damping and spring shift) and
 a static multi-well potential model for the slow-cavity limit.
@@ -329,49 +329,21 @@ def _occupancy_roots(C, a, c1, Delta0, kappa) -> tuple[float, ...]:
 
 
 def _fixed_points(params: SystemParams, Delta0, A_l, N):
-    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, root by root, on Python floats.
+    """(alpha_s, beta_s, Delta_eff, drift entries) of the root N, on floats or arrays alike.
 
-    Delta0, A_l and N hold one Python float per root, and each returned
-    column is a list of Python numbers.  The amplitudes use the scalar
-    complex formulas; the drift entries of all roots go into one flat list of
-    floats, which takes all Routh-Hurwitz verdicts in one _hurwitz_verdicts
-    call.  steady_states calls it at one point, and it is the reference that
-    _fixed_point_columns is tested against, within the bounds stated there.
+    Python numbers give one root's Python numbers; arrays of one entry per
+    root give arrays, and entries that broadcast to them (call those under
+    np.errstate(all="ignore")).  The 16 drift entries are
+    quantum._drift_entries', for the caller's Routh-Hurwitz verdicts.
     """
     kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
-    mech = gamma / 2.0 + 1j * omega_m
-    alpha, beta, detuning, drift = [], [], [], []
-    for d, a, n in zip(Delta0, A_l, N):
-        beta_s = 1j * g0 * n / mech
-        Delta_eff = d + 2.0 * g0 * beta_s.real
-        alpha_s = a / (kappa / 2.0 - 1j * Delta_eff)
-        g = g0 * alpha_s
-        alpha.append(alpha_s)
-        beta.append(beta_s)
-        detuning.append(Delta_eff)
-        drift += quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, g.real, g.imag)
-    return alpha, beta, detuning, _hurwitz_verdicts(drift)
-
-
-def _fixed_point_columns(params: SystemParams, Delta0, A_l, N):
-    """(alpha_s, beta_s, Delta_eff, stable) of the roots N, on arrays (steady_state_grid's).
-
-    Delta0, A_l and N hold one entry per root.  _fixed_points' formulas run
-    on numpy complex arrays, whose quotient rounds differently from CPython's,
-    so each part of beta_s and alpha_s is within a few eps of _fixed_points'
-    at the same N, Delta_eff within a few eps of |Delta0| + |2 g0 Re beta_s|.
-    The drift stack comes from quantum._drift_entries on the columns, for one
-    Routh-Hurwitz call.
-    """
-    kappa, gamma, omega_m, g0 = params.kappa, params.gamma, params.omega_m, params.g0
-    with np.errstate(all="ignore"):
-        beta_s = 1j * g0 * N / (gamma / 2.0 + 1j * omega_m)
-        Delta_eff = Delta0 + 2.0 * g0 * beta_s.real
-        alpha_s = A_l / (kappa / 2.0 - 1j * Delta_eff)
-        g = g0 * alpha_s
-        entries = quantum._drift_entries(kappa, gamma, omega_m, Delta_eff, g.real, g.imag)
-    A = np.stack(np.broadcast_arrays(*entries), -1).reshape(-1, 4, 4)
-    return alpha_s, beta_s, Delta_eff, routh_hurwitz_stable(A)
+    beta_s = 1j * g0 * N / (gamma / 2.0 + 1j * omega_m)
+    Delta_eff = Delta0 + 2.0 * g0 * beta_s.real
+    alpha_s = A_l / (kappa / 2.0 - 1j * Delta_eff)
+    g = g0 * alpha_s
+    return alpha_s, beta_s, Delta_eff, quantum._drift_entries(
+        kappa, gamma, omega_m, Delta_eff, g.real, g.imag
+    )
 
 
 def _batch_points(params: SystemParams, Delta0, A_l) -> np.ndarray:
@@ -455,24 +427,27 @@ def steady_state_grid(params: SystemParams, Delta0, A_l) -> SteadyStateGrid:
     """All classical fixed points at every (Delta0, A_l) of a batch.
 
     Delta0 and A_l are broadcast against each other and flattened (C order);
-    params supplies every other parameter.  One call solves the cubics of all
-    points, forms the amplitudes of every root and takes all Routh-Hurwitz
-    verdicts from one stacked call, on arrays at every batch size: lockstep
-    roots (_roots_in_lockstep) and array fixed points (_fixed_point_columns)
-    straight into the columns.  Counts and points are those of
-    steady_states, the same kernel on Python floats at one point; N_o and the
-    amplitudes agree with it within the rounding bounds of those two, and so
-    do the verdicts wherever rounding resolves Delta_eff against kappa.
+    params supplies every other parameter.  On arrays at every batch size,
+    one call solves the cubics of all points (_roots_in_lockstep), forms
+    every root's fixed point in one _fixed_points call and takes all
+    Routh-Hurwitz verdicts from one stacked call.  Counts and points are
+    those of steady_states, the same kernel on Python floats at one point;
+    N_o and the amplitudes agree with it within the module docstring's
+    bounds, and so do the verdicts wherever rounding resolves Delta_eff
+    against kappa.
     """
     points = _batch_points(params, Delta0, A_l)
     N_o, counts = _roots_in_lockstep(params, points)
     point = np.repeat(np.arange(len(points)), counts)
     Delta0, A_l = points[point].T
-    alpha_s, beta_s, Delta_eff, stable = _fixed_point_columns(params, Delta0, A_l, N_o)
+    with np.errstate(all="ignore"):
+        alpha_s, beta_s, Delta_eff, entries = _fixed_points(params, Delta0, A_l, N_o)
+    drift = np.stack(np.broadcast_arrays(*entries), -1).reshape(-1, 4, 4)
     return SteadyStateGrid(
         Delta0=Delta0, A_l=A_l, point=point,
         branch=np.arange(point.size) - np.searchsorted(point, point),
-        N_o=N_o, alpha_s=alpha_s, beta_s=beta_s, Delta_eff=Delta_eff, stable=stable,
+        N_o=N_o, alpha_s=alpha_s, beta_s=beta_s, Delta_eff=Delta_eff,
+        stable=routh_hurwitz_stable(drift),
     )
 
 
@@ -485,12 +460,16 @@ def solve_intracavity_occupancy(params: SystemParams) -> tuple[float, ...]:
 
 
 def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
-    """All classical fixed points, in ascending photon number."""
+    """All classical fixed points, in ascending photon number.
+
+    On Python floats: _fixed_points per root, and all verdicts from one
+    _hurwitz_verdicts call on their drift entries.
+    """
     N = solve_intracavity_occupancy(params)
-    n = len(N)
-    alpha_s, beta_s, Delta_eff, stable = _fixed_points(
-        params, [params.Delta0] * n, [params.A_l] * n, N
+    alpha_s, beta_s, Delta_eff, drift = zip(
+        *(_fixed_points(params, params.Delta0, params.A_l, n) for n in N)
     )
+    stable = _hurwitz_verdicts([x for entries in drift for x in entries])
     return tuple(map(SteadyState, alpha_s, beta_s, N, Delta_eff, stable))
 
 

@@ -452,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, SimulationError) as exc:
         # before ValueError: LinAlgError subclasses it
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
@@ -464,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         sizes = ", ".join(f"{name} with {grid.count} points" for name, grid in grids.items())
         print(f"config error: out of memory (grids: {sizes or 'none'})", file=sys.stderr)
         return 1
-    except SimulationError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -194,11 +194,6 @@ def _checked_symmetric(X, name: str, relative: bool = False) -> tuple[np.ndarray
     return X, x
 
 
-def _checked_system(A, D) -> tuple[np.ndarray, list[float], np.ndarray, list[float]]:
-    """A and its entries (_checked_entries), then D and its entries (_checked_symmetric)."""
-    return (*_checked_entries(A, "A"), *_checked_symmetric(D, "D"))
-
-
 def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Steady-state covariance solving A V + V A^T + D = 0.
 
@@ -206,14 +201,15 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     system L w = -d on the upper-triangle entries w of V and d of D, with L
     the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
     with integrate_covariance); V is filled from w and is exactly symmetric.
-    A and D must be 4x4 and finite, D also symmetric to 1e-12 (_checked_system,
-    shared with integrate_covariance; ValueError otherwise).  Requires a
-    strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
+    A and D must be 4x4 and finite, D also symmetric to 1e-12
+    (_checked_entries, _checked_symmetric; ValueError otherwise).  Requires
+    a strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
     ones included, raises UnstableSystemError.  SingularSystemError means
     the solve itself failed: a singular system, a V that overflows or a
     residual above tolerance.
     """
-    A, a, D, d = _checked_system(A, D)
+    A, a = _checked_entries(A, "A")
+    D, d = _checked_symmetric(D, "D")
     if not _hurwitz_verdicts(a)[0]:
         raise UnstableSystemError(
             "drift matrix has an eigenvalue with non-negative real part; "
@@ -293,7 +289,8 @@ def integrate_covariance(
     trajectory with a non-finite sample raises DivergenceError naming the
     first such time.
     """
-    A, _, D, _ = _checked_system(A, D)
+    A, _ = _checked_entries(A, "A")
+    D, _ = _checked_symmetric(D, "D")
     V0, _ = _checked_symmetric(V0, "V0")
     fastest = max(abs(rate) for rate in _drift_rates(A))
     times = step_times(t_end, dt, fastest)

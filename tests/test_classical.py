@@ -26,7 +26,6 @@ from optomech.classical import (
     _bisect,
     _bisect_one,
     _continue_from,
-    _fixed_point_columns,
     _fixed_points,
     _occupancy_roots,
     _roots_in_lockstep,
@@ -55,6 +54,7 @@ from optomech.classical import (
     sweep_bistability,
 )
 from optomech.quantum import drift_matrix
+from optomech.stability import _hurwitz_verdicts, routh_hurwitz_stable
 from test_acceptance import _independent_discriminant
 
 
@@ -899,8 +899,8 @@ class TestLockstepRoots:
 
     @pytest.mark.parametrize("size", [1, 2, 8, 127])
     def test_every_batch_size_stays_on_arrays(self, size):
-        # a batch of any size has every bracket iterated in lockstep and array
-        # fixed points, within the per-point states' bounds
+        # a batch of any size has every bracket iterated in lockstep and its
+        # verdicts taken on arrays, within the per-point states' bounds
         p = dataclasses.replace(FIG5, g0=0.005)
         det = np.linspace(-0.35, -0.05, size)
         with mock.patch.object(
@@ -908,7 +908,7 @@ class TestLockstepRoots:
         ), mock.patch.object(
             classical, "_y_root", side_effect=AssertionError("bracket iterated on floats")
         ), mock.patch.object(
-            classical, "_fixed_points", side_effect=AssertionError("fixed points in Python")
+            classical, "_hurwitz_verdicts", side_effect=AssertionError("verdicts on floats")
         ):
             grid = steady_state_grid(p, det, p.A_l)
         assert grid.counts.size == size
@@ -959,7 +959,7 @@ class TestLockstepRoots:
 
 
 class TestArrayFixedPoints:
-    """The lockstep path's fixed points against the Python loop, within rounding bounds."""
+    """_fixed_points on arrays against its per-root float calls, within rounding bounds."""
 
     @pytest.mark.parametrize("g0", [0.0, 0.005, 1e150, 5e-324])
     @pytest.mark.parametrize("omega_m", [1.0, 1e-3])  # |Re mech| below and above |Im mech|
@@ -972,29 +972,54 @@ class TestArrayFixedPoints:
             (0.0, 1.0, 5e-324, 1e-300, 123.4),
         )
         D, A, N = (np.array(column) for column in zip(*values))
-        columns = _fixed_points(p, D.tolist(), A.tolist(), N.tolist())
-        want = dict(zip(("alpha_s", "beta_s", "Delta_eff", "stable"), columns), Delta0=D, A_l=A, N_o=N)
+        # steady_states' form: one float call per root, one verdict call
+        roots = zip(D.tolist(), A.tolist(), N.tolist())
+        *columns, drift = zip(*(_fixed_points(p, d, a, n) for d, a, n in roots))
+        stable = _hurwitz_verdicts([x for entries in drift for x in entries])
+        fields = ("alpha_s", "beta_s", "Delta_eff", "stable")
+        want = dict(zip(fields, (*columns, stable)), Delta0=D, A_l=A, N_o=N)
+        # steady_state_grid's form: one array call, one stacked verdict
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _fixed_point_columns(p, D, A, N)
-        grid = dict(zip(("alpha_s", "beta_s", "Delta_eff", "stable"), got), Delta0=D, A_l=A, N_o=N)
+            with np.errstate(all="ignore"):
+                *got, entries = _fixed_points(p, D, A, N)
+            stack = np.stack(np.broadcast_arrays(*entries), -1).reshape(-1, 4, 4)
+            got.append(routh_hurwitz_stable(stack))
+        grid = dict(zip(fields, got), Delta0=D, A_l=A, N_o=N)
         assert_near_per_point(types.SimpleNamespace(**grid), None, p, want=want)
 
     def test_large_map_stays_on_arrays(self):
         # a map takes the array path whole:
-        # no per-point roots, no Python fixed points, one stacked verdict
+        # no per-point roots, no verdicts on floats, one stacked verdict
         p = dataclasses.replace(FIG5, g0=0.005)
         det, amp = np.linspace(-0.35, -0.05, 16), np.linspace(1.0, 8.0, 8)
         verdicts = mock.Mock(wraps=classical.routh_hurwitz_stable)
         with mock.patch.object(
             classical, "_roots_pointwise", side_effect=AssertionError("solved per point")
         ), mock.patch.object(
-            classical, "_fixed_points", side_effect=AssertionError("fixed points in Python")
+            classical, "_hurwitz_verdicts", side_effect=AssertionError("verdicts on floats")
         ), mock.patch.object(classical, "routh_hurwitz_stable", verdicts):
             grid = stability_map(p, det, amp)
         assert verdicts.call_count == 1
         assert grid.counts.size == 128 and set(grid.counts.tolist()) == {1, 3}
         assert_near_per_point(grid, [(d, a) for d in det for a in amp], p)
+
+    @pytest.mark.parametrize("p, roots", [(FIG5, 1), (BISTABLE, 3)], ids=["one-root", "three-roots"])
+    def test_one_point_stays_on_floats(self, p, roots):
+        # steady_states (a cooling scan calls it once per point) takes no
+        # array path: no lockstep roots, no array iteration, no stacked verdict
+        with mock.patch.object(
+            classical, "_roots_in_lockstep", side_effect=AssertionError("roots in lockstep")
+        ), mock.patch.object(
+            classical, "_y_roots", side_effect=AssertionError("brackets iterated on arrays")
+        ), mock.patch.object(
+            classical, "routh_hurwitz_stable", side_effect=AssertionError("verdicts on arrays")
+        ):
+            states = steady_states(p)
+        assert len(states) == roots
+        for s in states:
+            assert (type(s.alpha_s), type(s.beta_s), type(s.Delta_eff)) == (complex, complex, float)
+            assert type(s.stable) is bool
 
 
 # ---------------------------------------------------------------------------

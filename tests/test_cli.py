@@ -1035,6 +1035,27 @@ class TestReadme:
         assert table == {command: grids for command, (grids, _) in COMMANDS.items()}
 
 
+class TestPytestSettings:
+    def test_failing_property_prints_its_example(self, tmp_path):
+        # under the project's warning filters a failing @given test reports
+        # its falsifying example instead of aborting the session
+        (tmp_path / "test_property.py").write_text(
+            "from hypothesis import given, strategies as st\n\n\n"
+            "@given(st.integers())\n"
+            "def test_below_five(x):\n"
+            "    assert x < 5\n"
+        )
+        pyproject = CONFIG_DIR.parent / "pyproject.toml"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-c", str(pyproject),
+             "--rootdir", str(tmp_path), "test_property.py"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        )
+        output = result.stdout + result.stderr
+        assert result.returncode == 1, output
+        assert "Falsifying example" in output and "INTERNALERROR" not in output
+
+
 class TestCoolingSummary:
     def test_default_run(self, capsys):
         import importlib.util

@@ -371,8 +371,9 @@ def test_float_entry_rejects_non_finite_entries(count, bad):
 
 
 def test_fixed_point_verdicts_equal_the_stacked_verdict():
-    # _fixed_points hands its flat drift list to the float entry; the verdicts
-    # are those of one stacked call on the same matrices, at 1 to 30 roots
+    # per-root _fixed_points calls give one flat drift list to the float
+    # entry, as in steady_states; the verdicts are those of one stacked call
+    # on the same matrices, at 1 to 30 roots
     rng = np.random.default_rng(20261019)
     base = SystemParams(kappa=0.15, gamma=0.005, g0=0.005, Delta0=-0.2, A_l=5.0)
     seen = set()
@@ -381,7 +382,8 @@ def test_fixed_point_verdicts_equal_the_stacked_verdict():
         grid = steady_state_grid(p, rng.uniform(-0.4, 0.1, int(rng.integers(1, 11))),
                                  rng.uniform(0.5, 9.0))
         Delta0, A_l, N = grid.Delta0.tolist(), grid.A_l.tolist(), grid.N_o.tolist()
-        alpha, _, detuning, stable = _fixed_points(p, Delta0, A_l, N)
+        alpha, _, detuning, entries = zip(*map(_fixed_points, [p] * len(N), Delta0, A_l, N))
+        stable = _hurwitz_verdicts([x for matrix in entries for x in matrix])
         drift = [_drift_entries(p.kappa, p.gamma, p.omega_m, d, (p.g0 * a).real, (p.g0 * a).imag)
                  for d, a in zip(detuning, alpha)]
         want = reference_routh_hurwitz_stable(np.array(drift).reshape(-1, 4, 4)).tolist()
