@@ -466,10 +466,9 @@ def steady_states(params: SystemParams) -> tuple[SteadyState, ...]:
     _hurwitz_verdicts call on their drift entries.
     """
     N = solve_intracavity_occupancy(params)
-    alpha_s, beta_s, Delta_eff, drift = zip(
-        *(_fixed_points(params, params.Delta0, params.A_l, n) for n in N)
-    )
-    stable = _hurwitz_verdicts([x for entries in drift for x in entries])
+    d, a = params.Delta0, params.A_l
+    alpha_s, beta_s, Delta_eff, drift = zip(*[_fixed_points(params, d, a, n) for n in N])
+    stable = _hurwitz_verdicts(sum(drift, ()))
     return tuple(map(SteadyState, alpha_s, beta_s, N, Delta_eff, stable))
 
 

@@ -16,8 +16,8 @@ when the eigenvalue magnitudes are far apart: a detuning of 1e10 against a
 mechanical frequency of 1 leaves no correct digit in a trace-based det A.
 
 The minors have one form per representation, and the input picks it.
-_hurwitz_verdicts forms them on Python floats, read from a flat list of 16
-floats per matrix, and gives a list of bools with no numpy round trip.
+_hurwitz_verdicts forms them on Python floats, read from a flat sequence of
+16 floats per matrix, and gives a list of bools with no numpy round trip.
 routh_hurwitz_stable and characteristic_coefficients take arrays, and
 _scaled forms their minors entry-wise across the numpy stack, whatever its
 size.  Both forms give the same bits.
@@ -110,11 +110,11 @@ def _exact_verdict(m):
 
 
 def _hurwitz_verdicts(m):
-    """Routh-Hurwitz verdicts of n matrices given as one flat list m of 16 n Python floats.
+    """Routh-Hurwitz verdicts of n matrices given as one flat sequence m of 16 n Python floats.
 
     The matrices follow one another in m, each row by row, and the verdicts
     come back as a list of n bools.  Each matrix is scaled on Python floats as
-    _scaled scales arrays, however long the list, so the verdicts are those of
+    _scaled scales arrays, however long m is, so the verdicts are those of
     routh_hurwitz_stable, and a non-finite entry raises its ValueError.
     """
     verdicts = []
