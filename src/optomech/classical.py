@@ -45,7 +45,6 @@ a static multi-well potential model for the slow-cavity limit.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -736,56 +735,76 @@ def integrate_mean_field(
 ) -> MeanFieldTrajectory:
     """Integrate the nonlinear mean-field equations with fixed-step RK4.
 
-    dt must satisfy dt <= 0.05 / max(kappa, gamma, omega_m, |Delta0|); a
-    trajectory whose field amplitude exceeds 1e12 aborts with
-    DivergenceError.  The bound leaves out the coupling rate g0 |alpha|,
-    because |alpha| is not known before the run.
+    A non-finite part of alpha0 or beta0 raises ValueError naming it.  dt
+    must satisfy dt <= 0.05 / max(kappa, gamma, omega_m, |Delta0|); a step
+    that leaves |alpha| > 1e12 (or not finite) or beta not finite aborts
+    the run with DivergenceError at that step's time.  The bound leaves out
+    the coupling rate g0 |alpha|, because |alpha| is not known before the
+    run.
     """
     validate_params(params)
+    a, b = complex(alpha0), complex(beta0)
+    ar, ai = _checked_number("alpha0", a.real), _checked_number("alpha0", a.imag)
+    br, bi = _checked_number("beta0", b.real), _checked_number("beta0", b.imag)
 
-    # Python complex arithmetic with the four RK4 stages inlined, operation
-    # for operation the numpy-array RK4 step of reference_mean_field in
-    # tests/test_classical.py, so the two trajectories are bit-identical.
-    # The squares stay powers because pow(x, 2) and x * x can round
-    # differently.  A float power that overflows raises OverflowError where
-    # numpy gives inf; an inf always leaves the step non-finite, so both end
-    # in the same DivergenceError.
-    kh, Delta0, A_l = params.kappa / 2.0, params.Delta0, params.A_l
-    g2 = 2.0 * params.g0
-    cb = -(params.gamma / 2.0 + 1j * params.omega_m)
-    ig0 = 1j * params.g0
+    # The four RK4 stages inlined on Python floats: alpha = ar + i ai and
+    # beta = br + i bi, with rates ca + i d and cr + i ci.  Each line is the
+    # real form of a complex operation in the numpy-array RK4 step of
+    # reference_mean_field in tests/test_classical.py, less the terms that
+    # come from the exact 0.0 imaginary part of a real operand promoted to
+    # complex (a step, 2.0, kappa/2, A_l, d, g0 |alpha|^2).  Times a finite
+    # factor such a term is a signed zero: adding it leaves every sum but an
+    # exact zero as it is, and can flip only that zero's sign.  Times a
+    # non-finite one, the step is non-finite either way and diverges at the
+    # same time.  test_bit_identical_to_numpy_reference_stepper (signed-zero
+    # starts, a zero drive, a zero coupling) and
+    # test_seeded_draws_bit_identical_to_reference (diverging draws too) pin
+    # the trajectories bit for bit.  The squares stay powers because pow(x, 2)
+    # and x * x can round differently.  A float power that overflows raises
+    # OverflowError where numpy gives inf; an inf always leaves the step
+    # non-finite, so both end in the same DivergenceError.
+    ca, Delta0, A_l, g0 = -params.kappa / 2.0, params.Delta0, params.A_l, params.g0
+    g2 = 2.0 * g0
+    cr, ci = -params.gamma / 2.0, -params.omega_m
 
     fastest = max(params.kappa, params.gamma, params.omega_m, abs(params.Delta0))
     times = step_times(t_end, dt, fastest)
-    a, b = complex(alpha0), complex(beta0)
-    alphas, betas = [a], [b]
+    rows = [(ar, ai, br, bi)]
     for i, h in enumerate(np.diff(times).tolist(), start=1):
         half = 0.5 * h
         try:
-            ka1 = -(kh - 1j * (Delta0 + g2 * b.real)) * a + A_l
-            kb1 = cb * b + ig0 * (a.real ** 2 + a.imag ** 2)
-            a2, b2 = a + half * ka1, b + half * kb1
-            ka2 = -(kh - 1j * (Delta0 + g2 * b2.real)) * a2 + A_l
-            kb2 = cb * b2 + ig0 * (a2.real ** 2 + a2.imag ** 2)
-            a3, b3 = a + half * ka2, b + half * kb2
-            ka3 = -(kh - 1j * (Delta0 + g2 * b3.real)) * a3 + A_l
-            kb3 = cb * b3 + ig0 * (a3.real ** 2 + a3.imag ** 2)
-            a4, b4 = a + h * ka3, b + h * kb3
-            ka4 = -(kh - 1j * (Delta0 + g2 * b4.real)) * a4 + A_l
-            kb4 = cb * b4 + ig0 * (a4.real ** 2 + a4.imag ** 2)
+            d = Delta0 + g2 * br
+            k1r, k1i = ca * ar - d * ai + A_l, ca * ai + d * ar
+            l1r, l1i = cr * br - ci * bi, cr * bi + ci * br + g0 * (ar ** 2 + ai ** 2)
+            xr, xi = ar + half * k1r, ai + half * k1i
+            yr, yi = br + half * l1r, bi + half * l1i
+            d = Delta0 + g2 * yr
+            k2r, k2i = ca * xr - d * xi + A_l, ca * xi + d * xr
+            l2r, l2i = cr * yr - ci * yi, cr * yi + ci * yr + g0 * (xr ** 2 + xi ** 2)
+            xr, xi = ar + half * k2r, ai + half * k2i
+            yr, yi = br + half * l2r, bi + half * l2i
+            d = Delta0 + g2 * yr
+            k3r, k3i = ca * xr - d * xi + A_l, ca * xi + d * xr
+            l3r, l3i = cr * yr - ci * yi, cr * yi + ci * yr + g0 * (xr ** 2 + xi ** 2)
+            xr, xi = ar + h * k3r, ai + h * k3i
+            yr, yi = br + h * l3r, bi + h * l3i
+            d = Delta0 + g2 * yr
+            k4r, k4i = ca * xr - d * xi + A_l, ca * xi + d * xr
+            l4r, l4i = cr * yr - ci * yi, cr * yi + ci * yr + g0 * (xr ** 2 + xi ** 2)
             sixth = h / 6.0
-            a = a + sixth * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-            b = b + sixth * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-            diverged = not (cmath.isfinite(a) and cmath.isfinite(b)) or abs(a) > 1e12
-        except OverflowError:
-            diverged = True
+            ar = ar + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            ai = ai + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            br = br + sixth * (l1r + 2.0 * l2r + 2.0 * l3r + l4r)
+            bi = bi + sixth * (l1i + 2.0 * l2i + 2.0 * l3i + l4i)
+            diverged = not (math.hypot(ar, ai) <= 1e12 and math.isfinite(br) and math.isfinite(bi))
+        except OverflowError:  # only a square raises: an alpha stage past 1e154
+            diverged, ar = True, math.inf
         if diverged:
-            raise DivergenceError(
-                f"mean-field trajectory diverged at t = {times[i]:g} (|alpha| > 1e12)"
-            )
-        alphas.append(a)
-        betas.append(b)
-    return MeanFieldTrajectory(t=times, alpha=np.array(alphas), beta=np.array(betas))
+            failed = "beta is not finite" if math.hypot(ar, ai) <= 1e12 else "|alpha| > 1e12"
+            raise DivergenceError(f"mean-field trajectory diverged at t = {times[i]:g} ({failed})")
+        rows.append((ar, ai, br, bi))
+    alpha, beta = np.array(rows).view(complex).T
+    return MeanFieldTrajectory(t=times, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 import re
 import types
 import warnings
@@ -22,6 +23,7 @@ from optomech.errors import (
 )
 from optomech import classical
 from optomech.model import SystemParams
+from optomech.rk4 import step_times
 from optomech.classical import (
     _bisect,
     _bisect_one,
@@ -1591,6 +1593,14 @@ class TestIntegrateMeanField:
             (BISTABLE, 1.5 - 0.7j, -0.3 + 2.1j, 20.005, 0.01),
             (dataclasses.replace(FIG5, g0=0.05, Delta0=-1.0), 0.0, 0.0, 40.0, 0.05),
             (dataclasses.replace(FIG5, g0=0.02, Delta0=0.8, A_l=0.0), 3.0 + 4.0j, -0.0, 7.3, 0.03),
+            # signed zeros: each term the loop leaves out could flip only a zero's sign
+            (BISTABLE, complex(0.0, -0.0), -0.3 + 2.1j, 3.0, 0.05),
+            (BISTABLE, 1.5 - 0.7j, complex(-0.0, -0.0), 3.0, 0.05),
+            (dataclasses.replace(FIG5, A_l=0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 3.0, 0.05),
+            (dataclasses.replace(FIG5, A_l=0.0, Delta0=-0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 3.0, 0.05),
+            (dataclasses.replace(FIG5, g0=0.0), 1.5 - 0.7j, -0.3 + 2.1j, 3.0, 0.05),
+            (dataclasses.replace(FIG5, g0=0.0, A_l=0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), 3.0, 0.05),
+            (dataclasses.replace(FIG5, Delta0=-0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 3.0, 0.05),
         ],
     )
     def test_bit_identical_to_numpy_reference_stepper(self, params, alpha0, beta0, t_end, dt):
@@ -1601,6 +1611,47 @@ class TestIntegrateMeanField:
         # bit for bit, signed zeros included
         assert traj.alpha.tobytes() == alpha.tobytes()
         assert traj.beta.tobytes() == beta.tobytes()
+
+    def test_seeded_draws_bit_identical_to_reference(self):
+        # Rates over three decades, zero or signed-zero drive, coupling, detuning
+        # and start parts, and starts up to 1e13 (some diverge at once, some after
+        # RK4 instability grows them).  Each draw matches the reference bit for bit,
+        # or raises DivergenceError at its first sample after the start that is not
+        # finite or has |alpha| > 1e12.
+        rng = random.Random(20221104)
+
+        def value(lo, hi, zeros=(0.0, -0.0), signed=True):
+            if rng.random() < 0.25:
+                return rng.choice(zeros)
+            v = 10.0 ** rng.uniform(lo, hi)
+            return -v if signed and rng.random() < 0.5 else v
+
+        diverged = 0
+        for _ in range(200):
+            params = SystemParams(
+                kappa=10.0 ** rng.uniform(-2, 1), gamma=10.0 ** rng.uniform(-4, 0),
+                omega_m=10.0 ** rng.uniform(-1, 1), g0=value(-4, 0, (0.0,), signed=False),
+                A_l=value(-3, 3, (0.0,), signed=False), Delta0=value(-2, 1),
+            )
+            hi = 13 if rng.random() < 0.1 else 4
+            alpha0, beta0 = complex(value(-3, hi), value(-3, hi)), complex(value(-3, hi), value(-3, hi))
+            fastest = max(params.kappa, params.gamma, params.omega_m, abs(params.Delta0))
+            dt = 0.05 / fastest * rng.uniform(0.1, 1.0)
+            times = step_times(dt * rng.uniform(0.5, 59.5), dt, fastest)
+            with np.errstate(all="ignore"):
+                alpha, beta = reference_mean_field(params, alpha0, beta0, times)
+            # the start itself is not tested; the first step is
+            bad = ~(np.abs(alpha[1:]) <= 1e12) | ~np.isfinite(beta[1:])
+            if bad.any():
+                diverged += 1
+                with pytest.raises(DivergenceError, match=f"at t = {times[1 + bad.argmax()]:g} "):
+                    integrate_mean_field(params, alpha0, beta0, t_end=times[-1], dt=dt)
+                continue
+            traj = integrate_mean_field(params, alpha0, beta0, t_end=times[-1], dt=dt)
+            assert traj.t.tobytes() == times.tobytes()
+            assert traj.alpha.tobytes() == alpha.tobytes()
+            assert traj.beta.tobytes() == beta.tobytes()
+        assert 20 <= diverged <= 100  # both branches exercised
 
     def test_step_bound(self):
         with pytest.raises(StepSizeError):
@@ -1616,12 +1667,28 @@ class TestIntegrateMeanField:
 
     def test_divergence_guard(self):
         p = dataclasses.replace(FIG5, A_l=0.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=re.escape("at t = 0.05 (|alpha| > 1e12)")):
             integrate_mean_field(p, 2e12, 0.0, t_end=1.0, dt=0.05)
 
     def test_overflow_guard(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=re.escape("at t = 0.05 (|alpha| > 1e12)")):
             integrate_mean_field(FIG5, 1e308, 0.0, t_end=1.0, dt=0.05)
+
+    def test_beta_overflow_names_beta(self):
+        # with g0 = 0 beta does not feed back on alpha, which stays finite
+        p = dataclasses.replace(FIG5, g0=0.0)
+        with pytest.raises(DivergenceError, match=re.escape("at t = 0.05 (beta is not finite)")):
+            integrate_mean_field(p, 0.0, 1e308, t_end=1.0, dt=0.05)
+
+    @pytest.mark.parametrize("name", ["alpha0", "beta0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_non_finite_start_is_a_value_error(self, name, bad, imag):
+        # an invalid input, not a numerical failure at a time the run never reached
+        start = complex(0.5, bad) if imag else complex(bad, 0.5)
+        message = f"{name} must be finite (got {bad!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_mean_field(FIG5, **{"alpha0": 0.0, "beta0": 0.0, name: start}, t_end=1.0, dt=0.05)
 
 
 # ---------------------------------------------------------------------------
