@@ -736,11 +736,11 @@ def integrate_mean_field(
     """Integrate the nonlinear mean-field equations with fixed-step RK4.
 
     A non-finite part of alpha0 or beta0 raises ValueError naming it.  dt
-    must satisfy dt <= 0.05 / max(kappa, gamma, omega_m, |Delta0|); a step
-    that leaves |alpha| > 1e12 (or not finite) or beta not finite aborts
-    the run with DivergenceError at that step's time.  The bound leaves out
-    the coupling rate g0 |alpha|, because |alpha| is not known before the
-    run.
+    must satisfy dt <= 0.05 / max(kappa, gamma, omega_m, |Delta0|); a start
+    with |alpha0| > 1e12 raises DivergenceError at t = 0, and a step that
+    leaves |alpha| > 1e12 (or not finite) or beta not finite aborts the run
+    with DivergenceError at that step's time.  The bound leaves out the
+    coupling rate g0 |alpha|, because |alpha| is not known before the run.
     """
     validate_params(params)
     a, b = complex(alpha0), complex(beta0)
@@ -769,6 +769,8 @@ def integrate_mean_field(
 
     fastest = max(params.kappa, params.gamma, params.omega_m, abs(params.Delta0))
     times = step_times(t_end, dt, fastest)
+    if not math.hypot(ar, ai) <= 1e12:  # the start is held to the steps' bound
+        raise DivergenceError("mean-field trajectory diverged at t = 0 (|alpha| > 1e12)")
     rows = [(ar, ai, br, bi)]
     for i, h in enumerate(np.diff(times).tolist(), start=1):
         half = 0.5 * h

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AmbiguousRegimeError,
@@ -184,12 +185,13 @@ def _checked_entries(X, name: str) -> tuple[np.ndarray, list[float]]:
 
 
 def _checked_symmetric(X, name: str, relative: bool = False) -> tuple[np.ndarray, list[float]]:
-    """_checked_entries of X; ValueError also unless X is symmetric on each mirrored
-    pair to 1e-12, or to 1e-12 max(1, max|X|) if relative.
+    """_checked_entries of X; ValueError also unless X is symmetric on each of its six
+    mirrored off-diagonal pairs to 1e-12, or to 1e-12 max(1, max|X|) if relative.
     """
     X, x = _checked_entries(X, name)
     tol = 1e-12 * max(1.0, max(map(abs, x))) if relative else 1e-12
-    if not all(abs(x[i] - x[j]) <= tol for i, j in zip(_UPPER, _LOWER)):
+    if not (abs(x[1] - x[4]) <= tol and abs(x[2] - x[8]) <= tol and abs(x[3] - x[12]) <= tol
+            and abs(x[6] - x[9]) <= tol and abs(x[7] - x[13]) <= tol and abs(x[11] - x[14]) <= tol):
         raise ValueError(f"{name} must be symmetric")
     return X, x
 
@@ -201,6 +203,8 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     system L w = -d on the upper-triangle entries w of V and d of D, with L
     the closed-form operator of V -> A V + V A^T (_lyapunov_operator, shared
     with integrate_covariance); V is filled from w and is exactly symmetric.
+    The solve is LAPACK's gufunc _umath_linalg.solve1, which np.linalg.solve
+    wraps, called as the wrapper calls it: w has the wrapper's bits.
     A and D must be 4x4 and finite, D also symmetric to 1e-12
     (_checked_entries, _checked_symmetric; ValueError otherwise).  Requires
     a strictly stable A by the Routh-Hurwitz verdict: any other A, marginal
@@ -215,10 +219,12 @@ def steady_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady covariance exists"
         )
+    L = _lyapunov_operator(A)
     try:
-        w = np.linalg.solve(_lyapunov_operator(A), [-d[k] for k in _UPPER])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"Lyapunov system is singular: {exc}") from exc
+        with np.errstate(all="ignore", invalid="raise"):
+            w = _umath_linalg.solve1(L, [-d[k] for k in _UPPER], signature="dd->d")
+    except FloatingPointError as exc:  # LAPACK's flag for a singular L
+        raise SingularSystemError("Lyapunov system is singular: Singular matrix") from exc
     if not all(map(math.isfinite, w.tolist())):  # V's entries are w's
         raise SingularSystemError("steady covariance overflows (an entry of V is not finite)")
     V = _unpacked(w)
@@ -344,12 +350,18 @@ def physicality_min_eig(V: np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega; >= 0 for a physical state.
 
     ValueError unless V is 4x4 with finite entries and symmetric to
-    1e-12 max(1, max|V|) on each mirrored pair (_checked_symmetric): eigvalsh
-    reads only the lower triangle.  It returns the eigenvalues in ascending
-    order, so the smallest is the first.
+    1e-12 max(1, max|V|) on each mirrored pair (_checked_symmetric): LAPACK's
+    gufunc _umath_linalg.eigvalsh_lo, which np.linalg.eigvalsh wraps, reads
+    only the lower triangle.  Called as the wrapper calls it, it gives the
+    wrapper's bits, with the eigenvalues in ascending order, so the smallest
+    is the first.
     """
     V, _ = _checked_symmetric(V, "V", relative=True)
-    return float(np.linalg.eigvalsh(V + _HALF_I_OMEGA)[0])
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return float(_umath_linalg.eigvalsh_lo(V + _HALF_I_OMEGA, signature="D->d")[0])
+    except FloatingPointError as exc:  # LAPACK's flag for no convergence
+        raise np.linalg.LinAlgError("Eigenvalues did not converge") from exc
 
 
 def rwa_interaction(

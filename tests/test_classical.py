@@ -1615,8 +1615,8 @@ class TestIntegrateMeanField:
         # Rates over decades, zero drive and coupling, signed-zero detuning and
         # start parts, and starts up to 1e13 (some diverge at once, some after RK4
         # instability grows them).  Each draw matches the reference bit for bit, or
-        # raises DivergenceError at its first sample after the start that is not
-        # finite or has |alpha| > 1e12.
+        # raises DivergenceError at its first sample, the start included, that is
+        # not finite or has |alpha| > 1e12.
         rng = random.Random(20221104)
 
         def value(lo, hi, zeros=(0.0, -0.0), signed=True):
@@ -1639,11 +1639,10 @@ class TestIntegrateMeanField:
             times = step_times(dt * rng.uniform(0.5, 59.5), dt, fastest)
             with np.errstate(all="ignore"):
                 alpha, beta = reference_mean_field(params, alpha0, beta0, times)
-            # the start itself is not tested; the first step is
-            bad = ~(np.abs(alpha[1:]) <= 1e12) | ~np.isfinite(beta[1:])
+            bad = ~(np.abs(alpha) <= 1e12) | ~np.isfinite(beta)
             if bad.any():
                 diverged += 1
-                with pytest.raises(DivergenceError, match=f"at t = {times[1 + bad.argmax()]:g} "):
+                with pytest.raises(DivergenceError, match=f"at t = {times[bad.argmax()]:g} "):
                     integrate_mean_field(params, alpha0, beta0, t_end=times[-1], dt=dt)
                 continue
             traj = integrate_mean_field(params, alpha0, beta0, t_end=times[-1], dt=dt)
@@ -1665,12 +1664,22 @@ class TestIntegrateMeanField:
         assert np.array_equal(traj.alpha, alpha) and np.array_equal(traj.beta, beta)
 
     def test_divergence_guard(self):
+        # a start past the bound fails at t = 0, a time the run reached
         p = dataclasses.replace(FIG5, A_l=0.0)
-        with pytest.raises(DivergenceError, match=re.escape("at t = 0.05 (|alpha| > 1e12)")):
+        with pytest.raises(DivergenceError, match=re.escape("at t = 0 (|alpha| > 1e12)")):
             integrate_mean_field(p, 2e12, 0.0, t_end=1.0, dt=0.05)
+        # a linear cavity driven at A_l = 1e12 has |alpha| = 2 A_l / kappa (1 - e^(-kappa t / 2)),
+        # which crosses 1e12 between t = 1.0 and t = 1.05
+        p = dataclasses.replace(FIG5, A_l=1e12, g0=0.0)
+        with pytest.raises(DivergenceError, match=re.escape("at t = 1.05 (|alpha| > 1e12)")):
+            integrate_mean_field(p, 0.0, 0.0, t_end=2.0, dt=0.05)
 
     def test_overflow_guard(self):
+        # beta0 = 1e300 shifts the detuning to 6e297, so the first alpha stage passes
+        # 1e154 and its square raises OverflowError inside the step
         with pytest.raises(DivergenceError, match=re.escape("at t = 0.05 (|alpha| > 1e12)")):
+            integrate_mean_field(FIG5, 1.0, 1e300, t_end=1.0, dt=0.05)
+        with pytest.raises(DivergenceError, match=re.escape("at t = 0 (|alpha| > 1e12)")):
             integrate_mean_field(FIG5, 1e308, 0.0, t_end=1.0, dt=0.05)
 
     def test_beta_overflow_names_beta(self):

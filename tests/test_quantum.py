@@ -594,6 +594,30 @@ class TestPhysicality:
         with pytest.raises(ValueError, match="V0 must be symmetric"):
             integrate_covariance(A, 0.5 * np.eye(4), X, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_every_mirrored_pair_is_checked(self, pair):
+        # one entry of the pair moved by 2x the tolerance is rejected, by 0.5x accepted,
+        # on either side of the diagonal; V's tolerance is 1e-12 max(1, max|V|), here
+        # also from a negative largest entry and from max|V| < 1
+        A = drift_matrix_from_rates(0.5, 0.5, 1.0, -1.0, 0.05)
+        dense = np.full((4, 4), 0.25) + np.diag([1.0, 2.0, 3.0, 4.0])
+        negative = dense - np.diag([4e10, 0.0, 0.0, 0.0])
+        checks = [
+            (lambda X: steady_covariance(A, X), "D", dense, 1e-12),
+            (lambda X: integrate_covariance(A, np.eye(4), X, t_end=0.1, dt=0.01), "V0", dense, 1e-12),
+            (physicality_min_eig, "V", dense, 4.25e-12),
+            (physicality_min_eig, "V", negative, 1e-12 * (4e10 - 1.25)),
+            (physicality_min_eig, "V", 1e-3 * dense, 1e-12),
+        ]
+        for check, name, base, tol in checks:
+            for entry in (pair, pair[::-1]):
+                near, far = base.copy(), base.copy()
+                near[entry] += 0.5 * tol
+                far[entry] += 2.0 * tol
+                check(near)
+                with pytest.raises(ValueError, match=f"^{name} must be symmetric$"):
+                    check(far)
+
     def test_symplectic_form_is_antisymmetric(self):
         O = symplectic_form()
         np.testing.assert_array_equal(O, -O.T)

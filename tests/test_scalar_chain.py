@@ -26,6 +26,7 @@ from optomech.quantum import (
     QuadratureVariances,
     _drift_entries,
     _lyapunov_operator,
+    _umath_linalg,
     _unpacked,
     diffusion_matrix,
     drift_matrix_from_rates,
@@ -282,14 +283,37 @@ def test_rejected_inputs_keep_type_and_message(A, D):
     assert_same(got, reference(reference_steady_covariance, A, D))
 
 
-def test_singular_system_keeps_type_and_message(monkeypatch):
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+def invalid_flag(shape):
+    """nan entries, raising the floating-point invalid flag as a LAPACK gufunc does on failure."""
+    return np.sqrt(np.full(shape, -1.0))
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    got = outcome(steady_covariance, SAMPLE_A, SAMPLE_D)
+
+def test_singular_system_keeps_type_and_message(monkeypatch):
+    # steady_covariance and np.linalg.solve call the same gufunc, patched for both
+    def singular(a, b, signature):
+        assert signature == "dd->d"
+        return invalid_flag(np.shape(b))
+
+    monkeypatch.setattr(_umath_linalg, "solve1", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(steady_covariance, SAMPLE_A, SAMPLE_D)
     assert got == (SingularSystemError, "Lyapunov system is singular: Singular matrix")
     assert got == reference(reference_steady_covariance, SAMPLE_A, SAMPLE_D)
+
+
+def test_unconverged_eigenvalues_keep_type_and_message(monkeypatch):
+    def unconverged(a, signature):
+        assert signature == "D->d"
+        return invalid_flag(a.shape[-1])
+
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", unconverged)
+    V = steady_covariance(SAMPLE_A, SAMPLE_D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(physicality_min_eig, V)
+    assert got == (np.linalg.LinAlgError, "Eigenvalues did not converge")
+    assert got == reference(reference_physicality_min_eig, V)
 
 
 @pytest.mark.parametrize("V", [np.eye(3), np.ones(16), np.full((4, 4), np.nan)])
