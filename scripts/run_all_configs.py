@@ -9,10 +9,11 @@ points elsewhere.
 With --compare OTHER_ROOT, every CSV and .meta.json sidecar under the output
 root is then checked against the file at the same relative path under
 OTHER_ROOT (for instance the outputs of another checkout) and reported as
-identical, differing (with the largest absolute difference between numeric
-CSV cells, that difference relative to the largest magnitude in the columns
-that moved, and the number of cells whose text differs, so that a -0 against
-a 0 or a change of formatting still shows) or missing on either side; the exit
+identical, differing (with the largest absolute difference between CSV cells
+that are finite on both sides, that difference relative to the largest finite
+magnitude in the columns that moved, the number of cells whose text differs,
+so that a -0 against a 0 or a change of formatting still shows, and the
+number of cells finite on one side only) or missing on either side; the exit
 code is 4 if any file is not identical.  Sidecars are compared without their
 "output_dir" entry, which names the root they were written to; a differing
 sidecar is reported with the dotted path of each key whose value differs or
@@ -35,18 +36,19 @@ from optomech.cli import main as run_config  # noqa: E402
 
 
 def _cell_differences(ours: bytes, theirs: bytes) -> str:
-    """Largest |a - b| over CSV cells and the count of cells whose text differs.
+    """Largest |a - b| over CSV cells finite on both sides; counts of differing cells.
 
-    A nonzero largest difference is also given relative to the largest |cell|,
-    on either side, of the columns that hold a numerically differing cell.
-    Or why the files cannot be compared cellwise.
+    A nonzero largest difference is also given relative to the largest finite
+    |cell|, on either side, of the columns that hold such a differing cell.
+    Cells whose text differs are counted, and so, apart, are cells finite on
+    one side only.  Or why the files cannot be compared cellwise.
     """
     rows_a, rows_b = ours.decode().splitlines(), theirs.decode().splitlines()
     if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
         return f"{len(rows_a)} vs {len(rows_b)} lines, or different headers"
     body_a = [row.split(",") for row in rows_a[1:]]
     body_b = [row.split(",") for row in rows_b[1:]]
-    worst, differing, cells, moved = 0.0, 0, 0, set()
+    worst, differing, one_sided, cells, moved = 0.0, 0, 0, 0, set()
     for cells_a, cells_b in zip(body_a, body_b):
         if len(cells_a) != len(cells_b):
             return "rows of different lengths"
@@ -56,16 +58,21 @@ def _cell_differences(ours: bytes, theirs: bytes) -> str:
                 continue
             differing += 1
             a, b = float(text_a), float(text_b)
-            if a != b and not (math.isnan(a) and math.isnan(b)):
+            if math.isfinite(a) != math.isfinite(b):
+                one_sided += 1
+            elif math.isfinite(a) and a != b:
                 worst = max(worst, abs(a - b))
                 moved.add(column)
     relative = ""
     if worst:
-        largest = max(abs(float(row[c])) for row in body_a + body_b for c in moved)
+        largest = max(
+            abs(v) for row in body_a + body_b for c in moved if math.isfinite(v := float(row[c]))
+        )
         relative = f", relative {worst / largest:.3e}"
     return (
         f"max abs difference {worst:.3e}{relative}, "
         f"{differing} of {cells} cells differ as text"
+        + (f", {one_sided} finite on one side only" if one_sided else "")
     )
 
 

@@ -489,17 +489,19 @@ def _bisect_one(f, lo: float, hi: float, f_lo: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
-    """Bisect the sign change of f on every bracket [lo, hi] in lockstep.
+def _bisect(f, lo, hi, width) -> np.ndarray:
+    """Bisect the rising sign change of f on every bracket [lo, hi] in lockstep.
 
-    lo, hi, f_lo = f(lo) and width hold one value per bracket.  Each round
-    makes one call f(mid, k) at the midpoints mid of the unfinished brackets
-    k (an index array) and halves each of them.  A bracket ends at its
+    f(lo) < 0 < f(hi) on every bracket; lo, hi and width hold one value per
+    bracket.  Each round makes one call f(mid, k) at the midpoints mid of the
+    unfinished brackets k (an index array) and halves each of them: hi moves
+    to mid where f(mid) > 0, lo where f(mid) < 0.  A bracket ends at its
     midpoint once it is no wider than its width, or at the first midpoint
     where f is exactly zero.  f takes and returns float arrays.  Per bracket
-    this is the scalar loop (_bisect_one), so the results carry its bits.
+    this is the scalar loop _bisect_one at f_lo < 0, so the results carry
+    its bits.
     """
-    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    lo, hi = (np.array(v, dtype=float) for v in (lo, hi))
     width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
     out = np.empty_like(lo)
     k = np.arange(lo.size)
@@ -514,9 +516,9 @@ def _bisect(f, lo, hi, f_lo, width) -> np.ndarray:
         f_mid = f(mid, k)
         zero = f_mid == 0.0
         out[k[zero]] = mid[zero]
-        same = (f_mid > 0) == (f_lo[k] > 0)
-        lo[k[same]], f_lo[k[same]] = mid[same], f_mid[same]
-        hi[k[~same]] = mid[~same]
+        rising = f_mid > 0
+        hi[k[rising]] = mid[rising]
+        lo[k[~rising]] = mid[~rising]
         k = k[~zero]
 
 
@@ -884,12 +886,14 @@ def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stable equilibria and their stiffness on the grid x, for each model.
 
     The models are one comb at several forces F0: they must share k_HO,
-    x_res, width and finesse.  Equilibria are sign changes of
-    dV_t/dx = k_HO x - F_RP(x) between grid nodes (and nodes where it is
-    exactly zero), refined by bisection to 1e-10 of a wavelength (or to
-    two float steps of x, where those are wider, so that it ends) and kept
-    when the curvature K_eff = k_HO - dF_RP/dx is positive; a candidate
-    within 1e-9 of a wavelength of the last kept one is skipped.
+    x_res, width and finesse.  The stable equilibria are the minima of V_t,
+    where h = dV_t/dx = k_HO x - F_RP(x) rises through zero: brackets between
+    grid nodes with h < 0 then h > 0, bisected to 1e-10 of a wavelength (or
+    to two float steps of x, where those are wider, so that it ends), and
+    nodes where h == 0 with h < 0 at the node before and h > 0 at the node
+    after, a grid end meeting its missing side.  Maxima (falling crossings)
+    are not bisected; one lies between any two minima, so none need merging.
+    K_eff = k_HO - dF_RP/dx is the curvature of V_t at each minimum.
     F_RP = F0 S(x), so the comb sum S is evaluated once at F0 = 1 and
     scaled per force; every bracket of every force is bisected in one
     lockstep pass, and all curvatures come from one gradient call.  Returns
@@ -914,10 +918,7 @@ def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
     F0 = np.array([m.F0 for m in models], dtype=float)
 
     h = k_HO * x - F0[:, None] * radiation_force(comb, x)
-    positive, nonzero = h > 0, h != 0.0
-    force, node = np.nonzero(
-        (positive[:, :-1] != positive[:, 1:]) & nonzero[:, :-1] & nonzero[:, 1:]
-    )
+    force, node = np.nonzero((h[:, :-1] < 0) & (h[:, 1:] > 0))
     # two float steps bound the width far from x = 0, where they exceed 1e-10 wavelengths
     steps = 2.0 * np.spacing(np.maximum(np.abs(x[node]), np.abs(x[node + 1])))
     width = np.maximum(1e-10 * wavelength, steps)
@@ -925,25 +926,17 @@ def static_equilibria(models, x) -> list[tuple[np.ndarray, np.ndarray]]:
     def slope(mid, k):  # dV_t/dx of forces k at midpoints mid
         return k_HO * mid - F0[force[k]] * radiation_force(comb, mid)
 
-    roots = _bisect(slope, x[node], x[node + 1], h[force, node], width)
-    candidates = [
-        sorted(x[~nonzero[f]].tolist() + roots[force == f].tolist()) for f in range(F0.size)
-    ]
-    owner = np.repeat(np.arange(F0.size), list(map(len, candidates)))
-    flat = np.array([pos for positions in candidates for pos in positions])
-    k_eff = iter((k_HO - F0[owner] * radiation_force_gradient(comb, flat)).tolist())
-    found = []
-    for positions in candidates:
-        stable_eq: list[float] = []
-        stiffness: list[float] = []
-        for pos, k in zip(positions, k_eff):  # draws len(positions) values of k_eff
-            if stable_eq and abs(pos - stable_eq[-1]) <= 1e-9 * wavelength:
-                continue
-            if k > 0:
-                stable_eq.append(pos)
-                stiffness.append(k)
-        found.append((np.array(stable_eq), np.array(stiffness)))
-    return found
+    roots = _bisect(slope, x[node], x[node + 1], width)
+    # a node where h == 0 between h < 0 and h > 0; a grid end meets its missing side
+    padded = np.pad(h, ((0, 0), (1, 1)), constant_values=(-1.0, 1.0))
+    at, zero = np.nonzero((padded[:, :-2] < 0) & (h == 0.0) & (padded[:, 2:] > 0))
+    owner = np.concatenate([force, at])
+    position = np.concatenate([roots, x[zero]])
+    order = np.lexsort((position, owner))
+    owner, position = owner[order], position[order]
+    k_eff = k_HO - F0[owner] * radiation_force_gradient(comb, position)
+    cuts = np.searchsorted(owner, np.arange(1, F0.size))
+    return list(zip(np.split(position, cuts), np.split(k_eff, cuts)))
 
 
 def static_potential(model: StaticPotentialModel, x) -> StaticPotentialResult:

@@ -143,10 +143,13 @@ def coupling_from_geometry(geometry: CavityGeometry) -> GeometryCoupling:
 
 
 def photon_momentum_kick(E_photon: float) -> float:
-    """Momentum transferred to a perfect mirror by one reflected photon, 2E/c."""
-    return 2.0 * _checked_number("E_photon", E_photon, ">= 0") / _c
+    """Momentum transferred to a perfect mirror by one reflected photon, 2E/c.
+
+    E / (c/2) is 2E/c rounded once (c/2 is exact), and finite where 2E overflows.
+    """
+    return _checked_number("E_photon", E_photon, ">= 0") / (_c / 2.0)
 
 
 def beam_radiation_force(P: float) -> float:
     """Time-averaged radiation force of a beam of power P on a perfect mirror, 2P/c."""
-    return 2.0 * _checked_number("P", P, ">= 0") / _c
+    return _checked_number("P", P, ">= 0") / (_c / 2.0)

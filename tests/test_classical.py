@@ -1111,8 +1111,8 @@ def _refine_edge_reference(params, lo, hi):
     return _bisect_scalar(disc, lo, hi, f_lo, 1e-10 * max(1.0, abs(lo), abs(hi)))
 
 
-def _bisect_with_calls(roots, lo, hi, width, sign=None):
-    """_bisect on f(mid, k) = sign (mid - root), checked against _bisect_scalar per bracket.
+def _bisect_with_calls(roots, lo, hi, width):
+    """_bisect on the rising f(mid, k) = mid - root, checked against _bisect_scalar per bracket.
 
     Also checks the lockstep pattern: every call gets arrays, the first round
     holds every open bracket and each later round a subset of the round before.
@@ -1120,19 +1120,16 @@ def _bisect_with_calls(roots, lo, hi, width, sign=None):
     """
     roots, lo, hi = (np.asarray(v, dtype=float) for v in (roots, lo, hi))
     width = np.broadcast_to(np.asarray(width, dtype=float), roots.shape)
-    sign = np.ones_like(roots) if sign is None else np.asarray(sign, dtype=float)
     calls = []
 
     def f(mid, k):
         assert isinstance(mid, np.ndarray) and isinstance(k, np.ndarray)
         calls.append(k.tolist())
-        return sign[k] * (mid - roots[k])
+        return mid - roots[k]
 
-    out = _bisect(f, lo, hi, sign * (lo - roots), width)
+    out = _bisect(f, lo, hi, width)
     for i in range(roots.size):
-        expected = _bisect_scalar(
-            lambda m: sign[i] * (m - roots[i]), lo[i], hi[i], sign[i] * (lo[i] - roots[i]), width[i]
-        )
+        expected = _bisect_scalar(lambda m: m - roots[i], lo[i], hi[i], lo[i] - roots[i], width[i])
         assert out[i] == expected, i
     open_brackets = np.flatnonzero(hi - lo > width).tolist()
     assert calls[:1] == ([open_brackets] if open_brackets else [])
@@ -1171,10 +1168,9 @@ class TestBisect:
         hi = lo + rng.uniform(1e-3, 2.0, n)
         roots = rng.uniform(lo, hi)
         width = 10.0 ** rng.uniform(-15.0, -2.0, n)
-        sign = rng.choice([-1.0, 1.0], n)
         roots[0] = 0.5 * (lo[0] + hi[0])  # an exact zero at the first midpoint
         width[-1] = hi[-1] - lo[-1]       # a bracket already within its width
-        out, calls = _bisect_with_calls(roots, lo, hi, width, sign)
+        out, calls = _bisect_with_calls(roots, lo, hi, width)
         assert out[0] == roots[0]
         assert n == 1 or out[-1] == 0.5 * (lo[-1] + hi[-1])
         assert all(n - 1 not in k for k in calls)
@@ -1195,9 +1191,9 @@ class TestBisect:
         def f(mid, k):
             raise AssertionError("evaluated a finished bracket")
 
-        out = _bisect(f, [0.0, 1.0], [1e-12, 1.5], [-1.0, 1.0], [1e-11, 1.0])
+        out = _bisect(f, [0.0, 1.0], [1e-12, 1.5], [1e-11, 1.0])
         assert out.tolist() == [0.5 * (0.0 + 1e-12), 0.5 * (1.0 + 1.5)]
-        assert _bisect(f, [], [], [], 1e-3).shape == (0,)
+        assert _bisect(f, [], [], 1e-3).shape == (0,)
 
 
 class TestWindowEdges:
@@ -1805,8 +1801,9 @@ class TestStaticPotential:
                 static_potential(model, x)
 
     def test_few_brackets_bisected_in_lockstep(self):
-        # F0 = 1.5 has 7 brackets: all of them are bisected in one lockstep
-        # call on arrays, none on the float loop
+        # F0 = 1.5 has 7 sign changes, 4 of them rising: only those hold a
+        # minimum, and all 4 are bisected in one lockstep call on arrays, none
+        # on the float loop
         model, bisect, sizes = self.model(1.5), classical._bisect, []
 
         def counted(f, lo, *rest):
@@ -1816,27 +1813,33 @@ class TestStaticPotential:
         floats = mock.patch.object(classical, "_bisect_one", side_effect=AssertionError("floats"))
         with floats, mock.patch.object(classical, "_bisect", counted):
             result = static_potential(model, self.X)
-        assert sizes == [7]
+        assert sizes == [4]
         ref_eq, ref_k = _static_equilibria_reference(model, self.X)
         assert _same_bits(result.equilibria, ref_eq) and _same_bits(result.K_eff, ref_k)
 
-    def test_near_duplicate_root_skipped(self):
-        # float-resolution grids around a stable root show one sign change, so
-        # no grid is known to reach the skip and the bisection is patched: F0 =
-        # 0.8 has the roots stable, unstable, stable, and the unstable one is
-        # moved to 5e-10 wavelengths past the first stable one
-        model, bisect = self.model(0.8), classical._bisect
-        ((expected, K_expected),) = static_equilibria([model], self.X)
+    def test_root_pair_near_a_tangency(self):
+        # F0 just past the force where a local minimum of h = dV_t/dx touches
+        # zero near x = 0.49937: a falling root (a maximum of V_t) and a rising
+        # one (a minimum) about 1e-6 wavelengths apart, both between the grid
+        # nodes 0.498 and 0.5
+        model, mid = self.model(0.495774271425), 0.49936884
 
-        def near_duplicate(*args):
-            roots = bisect(*args)
-            roots[1] = roots[0] + 5e-10
-            return roots
+        def h(pos):
+            return model.k_HO * pos - radiation_force(model, pos)[0]
 
-        with mock.patch.object(classical, "_bisect", near_duplicate):
-            ((equilibria, K_eff),) = static_equilibria([model], self.X)
-        assert expected.size == 2 and equilibria.tolist() == expected.tolist()
-        assert K_eff.tolist() == K_expected.tolist()
+        falling, rising = brentq(h, 0.498, mid, xtol=1e-16), brentq(h, mid, 0.5, xtol=1e-16)
+        assert 5e-7 < rising - falling < 2e-6
+        assert h(self.X[1349]) > 0 and h(mid) < 0 and h(self.X[1350]) > 0
+        ((eq, k),) = static_equilibria([model], self.X)
+        assert not np.any((eq > 0.498) & (eq < 0.5))  # the pair lies within one grid interval
+        x = np.insert(self.X, 1350, mid)  # a node between the two roots
+        ((eq_mid, k_mid),) = static_equilibria([model], x)
+        pair = (eq_mid > 0.498) & (eq_mid < 0.5)
+        assert pair.sum() == 1 and abs(eq_mid[pair][0] - rising) <= 1e-10 and k_mid[pair][0] > 0
+        assert _same_bits(eq_mid[~pair], eq) and _same_bits(k_mid[~pair], k)
+        for grid, (got_eq, got_k) in ((self.X, (eq, k)), (x, (eq_mid, k_mid))):
+            ref_eq, ref_k = _static_equilibria_reference(model, grid)
+            assert _same_bits(got_eq, ref_eq) and _same_bits(got_k, ref_k)
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_equal_one_force_one_bracket_at_a_time(self, seed):
@@ -1868,6 +1871,15 @@ class TestStaticPotential:
         for model, eq, k in zip(models, (eq0, eq1), (k0, k1)):
             ref_eq, ref_k = _static_equilibria_reference(model, x)
             assert _same_bits(eq, ref_eq) and _same_bits(k, ref_k)
+
+    @pytest.mark.parametrize("x", [np.arange(0, 1101) / 500.0, np.arange(-1100, 1) / 500.0])
+    def test_zero_force_on_an_exact_zero_grid_end(self, x):
+        # h == 0 at x = 0, the first or the last node: the missing side counts as met
+        model = lorentzian_comb_model(1.3, 0.0, 1.0, 10.0, x[0], x[-1])
+        ((eq, k),) = static_equilibria([model], x)
+        assert eq.tolist() == [0.0] and k.tolist() == [1.3]
+        ref_eq, ref_k = _static_equilibria_reference(model, x)
+        assert _same_bits(eq, ref_eq) and _same_bits(k, ref_k)
 
     def test_golden_grid_equal_one_force_at_a_time(self):
         x = np.linspace(-2.2, 2.2, 2201)

@@ -948,8 +948,10 @@ class TestRunAllConfigsCompare:
         (theirs / "run" / "moved.csv").write_text("x,y\n1,2.25\n3,4\n")
         (ours / "run" / "signed.csv").write_text("x,y\n-0,1\n")
         (theirs / "run" / "signed.csv").write_text("x,y\n0,1\n")
+        (ours / "run" / "nonfinite.csv").write_text("x,y\n1,nan\n2,inf\n3,4\n")
+        (theirs / "run" / "nonfinite.csv").write_text("x,y\n1,1.0\n2,2\n3,4.5\n")
         (ours / "run" / "only_ours.csv").write_text("x\n1\n")
-        assert self.load_script().compare_roots(ours, theirs) == 4
+        assert self.load_script().compare_roots(ours, theirs) == 5
         lines = capsys.readouterr().out.splitlines()
         assert "identical  run/same.csv" in lines
         assert "identical  run/same.meta.json" in lines
@@ -962,9 +964,15 @@ class TestRunAllConfigsCompare:
             "DIFFERS    run/signed.csv: max abs difference 0.000e+00, 1 of 2 cells differ as text"
             in lines
         )
+        # nan and inf against finite cells are counted, not folded into the largest difference
+        assert (
+            "DIFFERS    run/nonfinite.csv: max abs difference 5.000e-01, relative 1.111e-01, "
+            "3 of 6 cells differ as text, 2 finite on one side only"
+            in lines
+        )
         assert f"DIFFERS    run/only_ours.csv: missing under {theirs}" in lines
         assert "DIFFERS    run/nested.meta.json: sidecars differ at params.kappa, seed" in lines
-        assert lines[-1] == "2/6 files identical"
+        assert lines[-1] == "2/7 files identical"
 
     def test_imports_optomech_from_its_own_checkout(self, tmp_path):
         # a decoy package first on PYTHONPATH stands in for another checkout or an

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import random
 import re
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +211,19 @@ class TestRadiationPressure:
     def test_non_finite_rejected(self, helper, name, bad):
         with pytest.raises(ValueError, match=name):
             helper(bad)
+
+    @pytest.mark.parametrize("helper", [photon_momentum_kick, beam_radiation_force])
+    def test_same_bits_and_finite_at_the_top_of_the_float_range(self, helper):
+        # E / (c/2) rounds 2E/c once, as 2.0 * E / c did wherever 2E is finite;
+        # at 1.7e308, 2E overflows and the result is the exact quotient rounded
+        rng = random.Random(helper.__name__)
+        draws = [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(4000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for E in draws + [5e-324, 2.2250738585072014e-308, 8.98e307]:
+                assert helper(E) == 2.0 * E / 299792458.0, E
+            assert helper(1.7e308) == float(Fraction(1.7e308) * 2 / 299792458)
+            assert math.isfinite(helper(1.7976931348623157e308))
 
     @given(p1=st.floats(0, 1e6), p2=st.floats(0, 1e6))
     @settings(max_examples=50)
